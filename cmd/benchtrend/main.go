@@ -210,35 +210,6 @@ func compare(entries []entry, threshold float64, w io.Writer) (regressed bool) {
 	if okc && okw && warm > 0 {
 		fmt.Fprintf(w, "incremental speedup (cold/warm): %.1fx\n", cold/warm)
 	}
-	// The IR engine's acceptance gate: a multi-class scan on the IR engine
-	// (BenchmarkAnalyzeApp, the default path) must not be slower than the
-	// legacy AST walker (BenchmarkAnalyzeAppLegacy) beyond the regression
-	// threshold — the lowering is paid once per file, so sharing it across
-	// every weapon-class task has to win, not lose.
-	irNs, oki := last.Benchmarks["BenchmarkAnalyzeApp"]
-	legNs, okl := last.Benchmarks["BenchmarkAnalyzeAppLegacy"]
-	if oki && okl && irNs > 0 {
-		fmt.Fprintf(w, "ir engine vs legacy walker: %.2fx\n", legNs/irNs)
-		if irNs > legNs*(1+threshold) {
-			fmt.Fprintf(w, "  REGRESSION: IR-engine scan is %.1f%% slower than the legacy walker\n",
-				(irNs/legNs-1)*100)
-			regressed = true
-		}
-	}
-	// Fused scheduling's acceptance gate: the fused uncached scan must hold
-	// at least a 2x win over per-class execution of the identical workload —
-	// that is the tentpole's reason to exist, so losing it is a regression,
-	// not a drift.
-	fusedNs, okf := last.Benchmarks["BenchmarkAnalyzeAppUncachedFused"]
-	unfNs, oku := last.Benchmarks["BenchmarkAnalyzeAppUncachedUnfused"]
-	if okf && oku && fusedNs > 0 {
-		fmt.Fprintf(w, "fused vs per-class uncached: %.2fx\n", unfNs/fusedNs)
-		if unfNs < 2*fusedNs {
-			fmt.Fprintf(w, "  REGRESSION: fused uncached scan is only %.2fx the per-class baseline (gate: 2x)\n",
-				unfNs/fusedNs)
-			regressed = true
-		}
-	}
 	return regressed
 }
 

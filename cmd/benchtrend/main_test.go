@@ -98,46 +98,6 @@ BenchmarkAnalyzeApp-8   100   9800000 ns/op   205000 B/op   3050 allocs/op
 	}
 }
 
-// TestCompareFusedGate proves the fused-scheduling acceptance gate: a run
-// where the fused uncached scan holds less than 2x over the per-class
-// baseline fails -compare even with no per-benchmark regression.
-func TestCompareFusedGate(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "trend.json")
-	now := func() time.Time { return time.Unix(0, 0) }
-	appendRun := func(out string) {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-file", file}, strings.NewReader(out), &stdout, &stderr, now); code != 0 {
-			t.Fatalf("append exited %d: %s", code, stderr.String())
-		}
-	}
-	const holding = `BenchmarkAnalyzeAppUncachedFused-8     100   2000000 ns/op
-BenchmarkAnalyzeAppUncachedUnfused-8   100   5000000 ns/op
-`
-	appendRun(holding)
-	appendRun(holding)
-	var stdout bytes.Buffer
-	if code := run([]string{"-file", file, "-compare"}, strings.NewReader(""), &stdout, os.Stderr, now); code != 0 {
-		t.Fatalf("compare with the gate holding exited %d:\n%s", code, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "fused vs per-class uncached: 2.50x") {
-		t.Errorf("compare output missing fused ratio line:\n%s", stdout.String())
-	}
-
-	// The fused win erodes below 2x: the gate must fail even though the
-	// fused benchmark itself got no more than 10% slower than last run.
-	eroded := strings.Replace(holding, "2000000 ns/op", "2600000 ns/op", 1)
-	appendRun(eroded)
-	appendRun(eroded)
-	stdout.Reset()
-	if code := run([]string{"-file", file, "-compare"}, strings.NewReader(""), &stdout, os.Stderr, now); code != 1 {
-		t.Fatalf("compare with the fused gate broken exited %d, want 1:\n%s", code, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "gate: 2x") {
-		t.Errorf("compare output missing fused gate marker:\n%s", stdout.String())
-	}
-}
-
 // TestCompareFlagsAllocRegression proves the memory dimensions gate: a run
 // whose allocs/op grew >threshold fails -compare even when ns/op improved.
 func TestCompareFlagsAllocRegression(t *testing.T) {

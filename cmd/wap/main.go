@@ -77,7 +77,7 @@ func run(args []string) (int, error) {
 		taskTO   = fs.Duration("task-timeout", 0, "per-(file, class) task deadline; a stalled task is cut off and diagnosed (0 = none)")
 		strict   = fs.Bool("strict", false, "treat any degradation (skipped files, panics, timeouts, budget exhaustion) as fatal (exit 3)")
 		maxFile  = fs.Int64("max-file-size", 0, "per-file size cap in bytes; larger files are skipped with a diagnostic (0 = default 8 MiB, -1 = unlimited)")
-		retryMax = fs.Int("retry-max", 0, "retry a faulted (file, class) task up to N times with shrinking AST-step budgets before diagnosing it (0 = off)")
+		retryMax = fs.Int("retry-max", 0, "retry a faulted (file, class) task up to N times with shrinking step budgets before diagnosing it (0 = off)")
 		incr     = fs.Bool("incremental", false, "reuse per-task results from the previous scan of this tree (cached under <dir>/.wap-cache unless -cache-dir is set)")
 		cacheDir = fs.String("cache-dir", "", "result-store directory for incremental scans (implies -incremental)")
 		cacheMax = fs.Int64("cache-max-bytes", 0, "result-store size cap; least-recently-used snapshots are evicted beyond it (0 = unbounded)")

@@ -236,14 +236,13 @@ func TestTimedOutTaskCountsAsDispositioned(t *testing.T) {
 	defer cancel()
 	var n atomic.Int64
 	e := newTestEngine(t, Options{
-		Parallelism:          1,
-		DisableSinkPrefilter: true,
-		// The watchdog accounting under test is per-task, i.e. the unfused
-		// path; a fused group's watchdog cut demotes instead of
-		// dispositioning (fusedfault_test.go).
-		DisableFusion: true,
-		Classes:       []vuln.ClassID{vuln.XSSR, vuln.SQLI},
-		TaskTimeout:   20 * time.Millisecond,
+		Parallelism: 1,
+		// Two classes with disjoint sinks make each file a one-lane unit:
+		// the watchdog accounting under test is per task. (A multi-lane
+		// pass cut by the watchdog splits into per-lane reruns instead;
+		// see fusedfault_test.go.)
+		Classes:     []vuln.ClassID{vuln.XSSR, vuln.SQLI},
+		TaskTimeout: 20 * time.Millisecond,
 		TaskHook: func(string, vuln.ClassID) {
 			switch n.Add(1) {
 			case 1:
@@ -261,7 +260,12 @@ func TestTimedOutTaskCountsAsDispositioned(t *testing.T) {
 	if err := e.Train(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.AnalyzeContext(ctx, twoFileProject())
+	rep, err := e.AnalyzeContext(ctx, LoadMap("fault4", map[string]string{
+		"a.php": xssPage,
+		"b.php": sqliPage,
+		"c.php": xssPage,
+		"d.php": sqliPage,
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

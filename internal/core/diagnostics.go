@@ -21,8 +21,8 @@ const (
 	// DiagTimeout: a task exceeded Options.TaskTimeout (or the scan context
 	// was cancelled mid-task) and was cut off.
 	DiagTimeout DiagKind = "timeout"
-	// DiagBudget: a task exhausted its AST-step budget; taint analysis
-	// degraded to conservative propagation partway through the file.
+	// DiagBudget: a task exhausted its step budget; taint analysis stopped
+	// partway through the file and kept the candidates found so far.
 	DiagBudget DiagKind = "budget-exhausted"
 	// DiagParseDegraded: the parser hit its nesting bound and produced a
 	// truncated AST for the file.

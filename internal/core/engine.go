@@ -85,10 +85,11 @@ type Options struct {
 	// timeout diagnostic is recorded; the scan continues. 0 disables the
 	// watchdog.
 	TaskTimeout time.Duration
-	// TaskBudget bounds the AST-node steps one (file, class) task may spend
-	// in taint analysis, so runaway interprocedural walks degrade to
-	// conservative propagation instead of hanging. 0 uses DefaultTaskBudget;
-	// negative means unlimited.
+	// TaskBudget bounds the IR instructions one (file, class) task may
+	// execute in taint analysis, so runaway interprocedural evaluation
+	// degrades to a sound partial result instead of hanging. The budget is
+	// per class even when a file's classes share one fused pass. 0 uses
+	// DefaultTaskBudget; negative means unlimited.
 	TaskBudget int
 	// TaskHook, when set, runs at the start of every (file, class) task in
 	// the task's own goroutine. It exists for fault injection (chaos
@@ -97,10 +98,10 @@ type Options struct {
 	TaskHook func(file string, class vuln.ClassID)
 	// RetryMax is how many times a faulted task (panic, watchdog timeout,
 	// budget exhaustion) is retried before its fault becomes terminal. Each
-	// retry halves the AST-step budget (so a stalled walk degrades to
-	// conservative propagation instead of timing out again) and sleeps a
-	// jittered exponential backoff first. 0 disables the ladder. On a
-	// fault-free corpus findings are byte-identical at any RetryMax.
+	// retry halves the step budget (so a stalled evaluation degrades instead
+	// of timing out again) and sleeps a jittered exponential backoff first.
+	// 0 disables the ladder. On a fault-free corpus findings are
+	// byte-identical at any RetryMax.
 	RetryMax int
 	// RetryBackoff is the base backoff before the first retry; it doubles
 	// per attempt (±50% jitter, capped at 2s). 0 uses DefaultRetryBackoff;
@@ -124,23 +125,6 @@ type Options struct {
 	// (file, class) tasks provably unable to produce findings. Findings are
 	// identical either way.
 	DisableSinkPrefilter bool
-	// DisableIR falls back to the legacy AST-walking taint engine instead of
-	// the CFG-based IR engine. The IR engine lowers each file once, shares
-	// the result read-only across all weapon-class tasks, and applies
-	// function summaries as transfer functions at call edges; its findings
-	// match the walker's except for documented precision wins (a sanitizer
-	// dominating every arm of an exhaustive switch kills the flow). The
-	// switch exists for benchmarking and for the differential harness that
-	// pins the equivalence.
-	DisableIR bool
-	// DisableFusion turns off fused scheduling: with it set, every (file,
-	// class) task runs its own IR traversal instead of all runnable classes
-	// of a file sharing one multi-class pass. Findings are byte-identical
-	// either way (a fused pass is pinned to per-class execution by the
-	// fuse-diff harness); the switch exists for benchmarking and for the
-	// differential tests that prove it. Fusion requires the IR engine, so
-	// DisableIR implies it.
-	DisableFusion bool
 	// ResultStore, when set, makes every scan incremental: cleanly completed
 	// (file, class) tasks are persisted keyed by closure fingerprint, and
 	// later scans reuse stored results for tasks whose fingerprints match.
@@ -157,10 +141,10 @@ type Options struct {
 	WeaponSetRevision int64
 }
 
-// DefaultTaskBudget is the per-task AST-step budget applied when
-// Options.TaskBudget is zero. Typical files spend well under 10^5 steps;
-// only pathological inputs (exponential loop nesting, huge generated files)
-// come near it.
+// DefaultTaskBudget is the per-task step budget (IR instructions) applied
+// when Options.TaskBudget is zero. Typical files spend well under 10^4
+// steps; only pathological inputs (exponential loop nesting, huge generated
+// files) come near it.
 const DefaultTaskBudget = 5 << 20
 
 // DefaultRetryBackoff is the base retry-ladder backoff applied when
@@ -471,8 +455,6 @@ type taskOutcome struct {
 	findings  []*Finding
 	exhausted bool // step budget ran out; findings are a sound prefix
 	stopped   bool // cut off by the cooperative stop flag
-	panicVal  string
-	stack     string
 
 	// Scan accounting and shared-cache produce. pending is committed by the
 	// worker only when the task completed cleanly (none of the flags above),
@@ -482,9 +464,35 @@ type taskOutcome struct {
 	cacheMisses int
 	// transfers counts summary transfer-function applications (memoized or
 	// shared summaries applied at a call edge instead of re-running the
-	// callee body). Always zero on the legacy walker path.
+	// callee body).
 	transfers int
 	pending   []taint.PendingSummary
+}
+
+// attemptResult is one attempt over a lane set: outs is aligned with the
+// set's tasks and nil when the attempt panicked or was abandoned; timedOut
+// means the watchdog cut it off, interrupted that the scan context died
+// mid-attempt.
+type attemptResult struct {
+	outs        []taskOutcome
+	panicVal    string
+	stack       string
+	elapsed     time.Duration
+	timedOut    bool
+	interrupted bool
+}
+
+// lane is one (file, class) task on the retry ladder.
+type lane struct {
+	idx   int  // position in the scan plan's task grid
+	probe bool // admitted as its class breaker's half-open probe
+	start time.Time
+	// lastFault is the fault of the lane's latest failed attempt;
+	// bestPartial keeps the sound-prefix findings of its deepest
+	// budget-exhausted attempt, so a terminal ladder still reports what
+	// the largest budget could prove.
+	lastFault   DiagKind
+	bestPartial []*Finding
 }
 
 // AnalyzeContext runs the full pipeline under a context, in three stages:
@@ -498,8 +506,8 @@ type taskOutcome struct {
 //     panic diagnostic;
 //   - Options.TaskTimeout bounds each task's wall time via a watchdog; a
 //     stalled task is abandoned and recorded as a timeout diagnostic;
-//   - Options.TaskBudget bounds each task's AST-step count; a runaway walk
-//     degrades to conservative propagation and is recorded as a
+//   - Options.TaskBudget bounds each task's step count; a runaway evaluation
+//     stops with a sound partial result and is recorded as a
 //     budget-exhausted diagnostic;
 //   - ctx cancellation stops the scan between tasks (and interrupts running
 //     tasks cooperatively); AnalyzeContext then returns the partial report
@@ -605,7 +613,7 @@ type execState struct {
 	// attempt is deliberately excluded: a task that needed retries faulted
 	// under this exact input, so it re-executes next scan too.
 	clean []bool
-	// steps is the AST-step count of task i's clean first attempt, persisted
+	// steps is the step count of task i's clean first attempt, persisted
 	// so later scans can account the work a reuse saves.
 	steps     []int
 	taskDiags []Diagnostic
@@ -646,22 +654,22 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		diagMu.Unlock()
 	}
 
-	// runAttempt executes one attempt of a task in its own goroutine so a
-	// panic is contained, a watchdog can abandon it, and an abandoned
-	// attempt keeps no reference to shared state (it reports through a
-	// buffered channel it owns). timedOut means the watchdog cut it off;
-	// interrupted means the scan context died mid-attempt.
-	runAttempt := func(t task, attemptBudget int) (out taskOutcome, elapsed time.Duration, timedOut, interrupted bool) {
+	// runAttempt executes one attempt over a lane set — tasks of one file,
+	// evaluated by a single fused pass — in its own goroutine, so a panic is
+	// contained, a watchdog can abandon it, and an abandoned attempt keeps
+	// no reference to shared state (it reports through a buffered channel it
+	// owns).
+	runAttempt := func(ts []task, attemptBudget int) attemptResult {
 		stop := new(atomic.Bool)
-		taskStart := time.Now()
-		outc := make(chan taskOutcome, 1)
+		start := time.Now()
+		outc := make(chan attemptResult, 1)
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
-					outc <- taskOutcome{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
+					outc <- attemptResult{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 				}
 			}()
-			outc <- e.runTask(t, p, stop, attemptBudget, shared)
+			outc <- attemptResult{outs: e.runLanes(ts, p, stop, attemptBudget, shared)}
 		}()
 
 		var timeoutC <-chan time.Time
@@ -670,185 +678,196 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			defer timer.Stop()
 			timeoutC = timer.C
 		}
+		var res attemptResult
 		select {
-		case out = <-outc:
-			return out, time.Since(taskStart), false, false
+		case res = <-outc:
 		case <-timeoutC:
 			// Signal the cooperative stop and abandon the goroutine; it
 			// reports into its buffered channel and exits on its own. Its
 			// findings are discarded.
 			stop.Store(true)
-			return taskOutcome{}, time.Since(taskStart), true, false
+			res.timedOut = true
 		case <-ctx.Done():
 			stop.Store(true)
-			return taskOutcome{}, time.Since(taskStart), false, true
+			res.interrupted = true
+		}
+		res.elapsed = time.Since(start)
+		return res
+	}
+
+	releaseProbes := func(set []*lane) {
+		if e.breakers == nil {
+			return
+		}
+		for _, l := range set {
+			e.breakers.releaseProbe(tasks[l.idx].cls.ID, l.probe)
 		}
 	}
 
-	// execTask dispositions task i through the retry ladder: a faulted
-	// attempt (panic, watchdog timeout, budget exhaustion) is retried up to
-	// Options.RetryMax times with halving budgets and jittered backoff, so
-	// a transient stall costs a retry instead of the task's findings. A
-	// task that stays faulted through the ladder is terminal: it gets one
-	// diagnostic (carrying its retry count) and charges the class's circuit
-	// breaker.
-	execTask := func(i int) {
-		t := tasks[i]
-		probe := false
-		if e.breakers != nil {
-			var ok bool
-			ok, probe = e.breakers.allow(t.cls.ID)
-			if !ok {
-				// Dispositioned without running: the class is tripped open.
-				completed.Add(1)
-				ck.taskDone(i, nil, 0, false)
-				stats.recordBreakerSkip(t.cls.ID)
-				addDiag(Diagnostic{
-					File: t.file.Path, Class: t.cls.ID, Kind: DiagBreakerOpen,
-					Message: fmt.Sprintf("class circuit breaker open after repeated faults; task skipped (cool-down %v)", e.breakers.cooldown),
-				})
+	// runLadder dispositions a lane set through the retry ladder, starting
+	// at the given attempt and budget. Each attempt evaluates the whole set
+	// in one fused pass. Lanes that complete are dispositioned — a
+	// first-attempt completion is the only persistable outcome; lanes that
+	// exhaust their budget retry together with a halved budget after a
+	// jittered backoff, up to Options.RetryMax, and then become terminal
+	// with the sound prefix of their deepest attempt. A panic or watchdog
+	// timeout cannot be pinned on one lane, so it splits a multi-lane set:
+	// each lane reruns the same attempt alone, where its own ladder
+	// attributes the fault to its class's breaker. A task that stays
+	// faulted through the ladder gets one diagnostic (carrying its retry
+	// count) and charges the class's circuit breaker.
+	var runLadder func(set []*lane, attempt, attemptBudget int)
+	runLadder = func(set []*lane, attempt, attemptBudget int) {
+		for ; ; attempt++ {
+			ts := make([]task, len(set))
+			for k, l := range set {
+				ts[k] = tasks[l.idx]
+			}
+			res := runAttempt(ts, attemptBudget)
+			if res.interrupted {
+				// Scan-level cancellation: the lanes stay undispositioned (the
+				// scan-level diagnostic accounts for them) and unused probe
+				// slots are handed back for the next scan.
+				releaseProbes(set)
 				return
 			}
-		}
-		var (
-			attemptBudget = budget
-			totalStart    = time.Now()
-			lastFault     DiagKind
-			// bestPartial keeps the sound-prefix findings of the deepest
-			// budget-exhausted attempt, so a terminal ladder still reports
-			// what the largest budget could prove.
-			bestPartial []*Finding
-		)
-		for attempt := 0; ; attempt++ {
-			out, elapsed, timedOut, interrupted := runAttempt(t, attemptBudget)
-			if interrupted {
-				// Scan-level cancellation: the task stays undispositioned
-				// (the scan-level diagnostic accounts for it) and an unused
-				// probe slot is handed back for the next scan.
-				if e.breakers != nil {
-					e.breakers.releaseProbe(t.cls.ID, probe)
+			if res.outs == nil && len(set) > 1 {
+				stats.recordFusedDemotion(len(set))
+				for k, l := range set {
+					if ctx.Err() != nil {
+						releaseProbes(set[k:])
+						return
+					}
+					runLadder([]*lane{l}, attempt, attemptBudget)
 				}
 				return
 			}
-			if out.stopped {
-				// Cooperative stop observed inside the walker: treated as
-				// cancellation, never retried, never charged to the breaker.
-				completed.Add(1)
-				stats.recordTask(t.cls.ID, out, elapsed)
-				addDiag(Diagnostic{
-					File: t.file.Path, Class: t.cls.ID, Kind: DiagTimeout,
-					Message: "analysis interrupted by cancellation", Elapsed: elapsed,
-					Retries: attempt,
-				})
-				results[i] = out.findings
-				if e.breakers != nil {
-					e.breakers.releaseProbe(t.cls.ID, probe)
-				}
-				return
+			if len(set) > 1 {
+				stats.recordFusedPass(len(set))
 			}
-
-			var fault DiagKind
-			var msg string
-			switch {
-			case timedOut:
-				fault = DiagTimeout
-				msg = fmt.Sprintf("task exceeded deadline %v", e.opts.TaskTimeout)
-			case out.panicVal != "":
-				fault = DiagPanic
-				msg = "analysis panicked: " + out.panicVal
-			case out.exhausted:
-				fault = DiagBudget
-				msg = fmt.Sprintf("AST-step budget of %d exhausted; taint walk degraded to conservative propagation", attemptBudget)
-				if bestPartial == nil {
-					bestPartial = out.findings // first attempt has the largest budget
+			// A multi-lane attempt's wall time is split evenly across its
+			// lanes (per-class wall is schedule-dependent accounting either
+			// way).
+			wall := res.elapsed / time.Duration(len(set))
+			var retry []*lane
+			for k, l := range set {
+				i, t := l.idx, tasks[l.idx]
+				var out taskOutcome
+				if res.outs != nil {
+					out = res.outs[k]
 				}
-			}
-
-			if fault == "" {
-				// Clean completion: publish findings and summaries, close
-				// the breaker, and note the recovery when retries were spent.
-				completed.Add(1)
-				stats.recordTask(t.cls.ID, out, elapsed)
-				shared.Commit(out.pending)
-				results[i] = out.findings
-				if attempt == 0 {
-					// First-attempt completions are the only persistable
-					// outcome: see execState.clean.
-					exec.clean[i] = true
-					exec.steps[i] = out.steps
-					ck.taskDone(i, out.findings, out.steps, true)
-				} else {
-					ck.taskDone(i, nil, 0, false)
-				}
-				if e.breakers != nil {
-					e.breakers.recordSuccess(t.cls.ID, probe)
-				}
-				if attempt > 0 {
-					stats.recordRecovered(t.cls.ID)
+				if out.stopped {
+					// Cooperative stop observed inside the pass: treated as
+					// cancellation, never retried, never charged to the breaker.
+					completed.Add(1)
+					stats.recordTask(t.cls.ID, out, wall)
 					addDiag(Diagnostic{
-						File: t.file.Path, Class: t.cls.ID, Kind: DiagRetried,
-						Message: fmt.Sprintf("recovered by retry ladder after %d retr%s (last fault: %s)",
-							attempt, plural(attempt, "y", "ies"), lastFault),
-						Elapsed: time.Since(totalStart), Retries: attempt,
+						File: t.file.Path, Class: t.cls.ID, Kind: DiagTimeout,
+						Message: "analysis interrupted by cancellation", Elapsed: res.elapsed,
+						Retries: attempt,
 					})
+					results[i] = out.findings
+					releaseProbes([]*lane{l})
+					continue
 				}
+
+				var fault DiagKind
+				var msg string
+				switch {
+				case res.timedOut:
+					fault = DiagTimeout
+					msg = fmt.Sprintf("task exceeded deadline %v", e.opts.TaskTimeout)
+				case res.panicVal != "":
+					fault = DiagPanic
+					msg = "analysis panicked: " + res.panicVal
+				case out.exhausted:
+					fault = DiagBudget
+					msg = fmt.Sprintf("step budget of %d exhausted; taint analysis degraded to a sound partial result", attemptBudget)
+					if l.bestPartial == nil {
+						l.bestPartial = out.findings // first attempt has the largest budget
+					}
+				}
+
+				if fault == "" {
+					// Clean completion: publish findings and summaries, close
+					// the breaker, and note the recovery when retries were spent.
+					completed.Add(1)
+					stats.recordTask(t.cls.ID, out, wall)
+					shared.Commit(out.pending)
+					results[i] = out.findings
+					if attempt == 0 {
+						// First-attempt completions are the only persistable
+						// outcome: see execState.clean.
+						exec.clean[i] = true
+						exec.steps[i] = out.steps
+						ck.taskDone(i, out.findings, out.steps, true)
+					} else {
+						ck.taskDone(i, nil, 0, false)
+					}
+					if e.breakers != nil {
+						e.breakers.recordSuccess(t.cls.ID, l.probe)
+					}
+					if attempt > 0 {
+						stats.recordRecovered(t.cls.ID)
+						addDiag(Diagnostic{
+							File: t.file.Path, Class: t.cls.ID, Kind: DiagRetried,
+							Message: fmt.Sprintf("recovered by retry ladder after %d retr%s (last fault: %s)",
+								attempt, plural(attempt, "y", "ies"), l.lastFault),
+							Elapsed: time.Since(l.start), Retries: attempt,
+						})
+					}
+					continue
+				}
+
+				if attempt >= e.opts.RetryMax {
+					// Terminal fault.
+					completed.Add(1)
+					ck.taskDone(i, nil, 0, false)
+					if !res.timedOut {
+						// An abandoned attempt has no outcome to account.
+						stats.recordTask(t.cls.ID, out, wall)
+					}
+					addDiag(Diagnostic{
+						File: t.file.Path, Class: t.cls.ID, Kind: fault,
+						Message: msg, Stack: res.stack, Elapsed: res.elapsed,
+						Retries: attempt,
+					})
+					results[i] = l.bestPartial
+					if e.breakers != nil {
+						e.breakers.recordFault(t.cls.ID, l.probe)
+					}
+					continue
+				}
+
+				l.lastFault = fault
+				stats.recordRetry(t.cls.ID)
+				retry = append(retry, l)
+			}
+			if len(retry) == 0 {
 				return
 			}
-
-			if attempt >= e.opts.RetryMax {
-				// Terminal fault.
-				completed.Add(1)
-				ck.taskDone(i, nil, 0, false)
-				if !timedOut {
-					// An abandoned attempt has no outcome to account.
-					stats.recordTask(t.cls.ID, out, elapsed)
-				}
-				addDiag(Diagnostic{
-					File: t.file.Path, Class: t.cls.ID, Kind: fault,
-					Message: msg, Stack: out.stack, Elapsed: elapsed,
-					Retries: attempt,
-				})
-				results[i] = bestPartial
-				if e.breakers != nil {
-					e.breakers.recordFault(t.cls.ID, probe)
-				}
-				return
-			}
-
-			lastFault = fault
-			stats.recordRetry(t.cls.ID)
+			set = retry
 			attemptBudget = shrinkBudget(attemptBudget)
 			if !sleepBackoff(ctx, e.retryBackoff(attempt)) {
 				// Cancelled during backoff: same disposition as interrupted.
-				if e.breakers != nil {
-					e.breakers.releaseProbe(t.cls.ID, probe)
-				}
+				releaseProbes(set)
 				return
 			}
 		}
 	}
 
-	// execGroup dispositions one fused group: every runnable class lane of a
-	// file evaluated in a single multi-class IR pass. Lanes whose breaker is
-	// open are dispositioned here exactly as execTask would; a clean fused
-	// pass gives each surviving lane execTask's first-attempt-completion
-	// disposition; any fault inside the pass (panic, watchdog deadline, a
-	// lane's step budget) demotes every lane to the unfused per-class ladder,
-	// which owns fault isolation, retries and breaker attribution from there.
-	execGroup := func(idxs []int) {
-		if len(idxs) == 1 {
-			execTask(idxs[0])
-			return
-		}
-		type lane struct {
-			idx   int
-			probe bool
-		}
-		lanes := make([]lane, 0, len(idxs))
+	// execUnit admits one file group's tasks through their class breakers
+	// (an open breaker dispositions its task without running it) and runs
+	// the survivors through the ladder as one lane set.
+	execUnit := func(idxs []int) {
+		start := time.Now()
+		set := make([]*lane, 0, len(idxs))
 		for _, i := range idxs {
 			t := tasks[i]
+			probe := false
 			if e.breakers != nil {
-				ok, probe := e.breakers.allow(t.cls.ID)
+				var ok bool
+				ok, probe = e.breakers.allow(t.cls.ID)
 				if !ok {
 					completed.Add(1)
 					ck.taskDone(i, nil, 0, false)
@@ -859,119 +878,20 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					})
 					continue
 				}
-				lanes = append(lanes, lane{i, probe})
-			} else {
-				lanes = append(lanes, lane{i, false})
 			}
+			set = append(set, &lane{idx: i, probe: probe, start: start})
 		}
-		releaseProbes := func() {
-			if e.breakers == nil {
-				return
-			}
-			for _, l := range lanes {
-				e.breakers.releaseProbe(tasks[l.idx].cls.ID, l.probe)
-			}
-		}
-		if len(lanes) < 2 {
-			// Not enough survivors to fuse. The probe slot is handed back
-			// first: the unfused path re-runs its own breaker admission.
-			releaseProbes()
-			for _, l := range lanes {
-				execTask(l.idx)
-			}
-			return
-		}
-
-		ts := make([]task, len(lanes))
-		for k, l := range lanes {
-			ts[k] = tasks[l.idx]
-		}
-		// The fused attempt runs in its own goroutine under the same
-		// containment as runAttempt: a panic is recovered there, the
-		// watchdog can abandon it, and an abandoned attempt reports into a
-		// buffered channel it owns.
-		type fusedResult struct {
-			outs []taskOutcome
-			ok   bool
-		}
-		stop := new(atomic.Bool)
-		groupStart := time.Now()
-		outc := make(chan fusedResult, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					outc <- fusedResult{}
-				}
-			}()
-			outs, ok := e.runFusedTasks(ts, p, stop, budget, shared)
-			outc <- fusedResult{outs: outs, ok: ok}
-		}()
-		var timeoutC <-chan time.Time
-		if e.opts.TaskTimeout > 0 {
-			timer := time.NewTimer(e.opts.TaskTimeout)
-			defer timer.Stop()
-			timeoutC = timer.C
-		}
-		var res fusedResult
-		select {
-		case res = <-outc:
-		case <-timeoutC:
-			stop.Store(true)
-		case <-ctx.Done():
-			// Scan-level cancellation: the group stays undispositioned (the
-			// scan-level diagnostic accounts for it) and unused probe slots
-			// are handed back, like an interrupted unfused attempt.
-			stop.Store(true)
-			releaseProbes()
-			return
-		}
-		if !res.ok {
-			// Fault inside the fused pass. Per-lane dispositions, findings,
-			// diagnostics and breaker charges all come from the unfused
-			// reruns; the fused attempt leaves no trace beyond the demotion
-			// counter.
-			stats.recordFusedDemotion(len(lanes))
-			releaseProbes()
-			for _, l := range lanes {
-				if ctx.Err() != nil {
-					return
-				}
-				execTask(l.idx)
-			}
-			return
-		}
-		// Clean fused pass: each lane gets execTask's first-attempt
-		// completion disposition. The group's wall time is split evenly
-		// across lanes (per-class wall is schedule-dependent accounting
-		// either way).
-		wall := time.Since(groupStart) / time.Duration(len(lanes))
-		stats.recordFusedPass(len(lanes))
-		for k, l := range lanes {
-			i, out := l.idx, res.outs[k]
-			t := tasks[i]
-			completed.Add(1)
-			stats.recordTask(t.cls.ID, out, wall)
-			shared.Commit(out.pending)
-			results[i] = out.findings
-			exec.clean[i] = true
-			exec.steps[i] = out.steps
-			ck.taskDone(i, out.findings, out.steps, true)
-			if e.breakers != nil {
-				e.breakers.recordSuccess(t.cls.ID, l.probe)
-			}
+		if len(set) > 0 {
+			runLadder(set, 0, budget)
 		}
 	}
 
-	// Fused scheduling claims file groups (planScan emits the execution
-	// queue file-major, so a group is a consecutive run of queue entries);
-	// unfused scheduling claims individual queue positions.
-	useFusion := !e.opts.DisableFusion && !e.opts.DisableIR
-	var groups [][]int
-	nUnits := len(plan.execIdx)
-	if useFusion {
-		groups = fuseGroups(plan)
-		nUnits = len(groups)
-	}
+	// Workers claim file groups (planScan emits the execution queue
+	// file-major, so a group is a consecutive run of queue entries) from an
+	// atomic counter rather than an unbuffered feed channel, so there is no
+	// send loop that cancellation could leave blocked, and group order —
+	// hence output order — stays deterministic.
+	units := fuseGroups(plan)
 	workers := e.opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -979,13 +899,9 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			workers = 8
 		}
 	}
-	if workers > nUnits && nUnits > 0 {
-		workers = nUnits
+	if workers > len(units) && len(units) > 0 {
+		workers = len(units)
 	}
-	// Workers claim execution-queue positions from an atomic counter (not an
-	// unbuffered feed channel), so there is no send loop that cancellation
-	// could leave blocked, and task order — hence output order — stays
-	// deterministic.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -993,14 +909,10 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			defer wg.Done()
 			for ctx.Err() == nil {
 				n := int(nextIdx.Add(1)) - 1
-				if n >= nUnits {
+				if n >= len(units) {
 					return
 				}
-				if useFusion {
-					execGroup(groups[n])
-				} else {
-					execTask(plan.execIdx[n])
-				}
+				execUnit(units[n])
 			}
 		}()
 	}
@@ -1019,7 +931,7 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 	sortDiagnostics(exec.taskDiags)
 	rep.Diagnostics = append(rep.Diagnostics, exec.taskDiags...)
 	var irc *ir.Cache
-	if !e.opts.DisableIR && rep.Project != nil {
+	if rep.Project != nil {
 		irc = rep.Project.IRCache()
 	}
 	rep.Stats = stats.snapshot(exec.shared.Len(), irc)
@@ -1075,9 +987,9 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 	return rep, nil
 }
 
-// shrinkBudget halves the AST-step budget for the next retry attempt, so a
-// retried task fails faster (and degrades to conservative propagation
-// sooner) than the attempt that faulted. An unlimited budget (0) retries
+// shrinkBudget halves the step budget for the next retry attempt, so a
+// retried task fails faster (and stops with its partial result sooner) than
+// the attempt that faulted. An unlimited budget (0) retries
 // bounded at the default.
 func shrinkBudget(b int) int {
 	if b <= 0 {
@@ -1128,60 +1040,6 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-// runTask performs one (file, class) analysis. It runs inside the task's
-// goroutine: everything it touches besides the engine's read-only state is
-// task-local, so an abandoned (timed-out) invocation cannot race a live
-// scan.
-func (e *Engine) runTask(t task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries) taskOutcome {
-	if e.opts.TaskHook != nil {
-		e.opts.TaskHook(t.file.Path, t.cls.ID)
-	}
-	// The tool's own fix for the class counts as a sanitizer so corrected
-	// code is not re-flagged.
-	sans := append([]string(nil), e.opts.ExtraSanitizers...)
-	if fixID := e.fixIDFor(t.cls); fixID != "" {
-		sans = append(sans, fixID)
-	}
-	sans = append(sans, e.opts.ClassSanitizers[t.cls.ID]...)
-	an := taint.New(taint.Config{
-		Class:            t.cls,
-		Resolver:         p,
-		ExtraSanitizers:  sans,
-		ExtraEntryPoints: e.opts.ExtraEntryPoints,
-		ExtraSinks:       e.opts.ClassSinks[t.cls.ID],
-		MaxSteps:         budget,
-		Stop:             stop,
-		Shared:           shared,
-	})
-	var cands []*taint.Candidate
-	if e.opts.DisableIR {
-		cands = an.File(t.file.AST)
-	} else {
-		// The lowered form is built once per file by the scan-scoped cache
-		// and shared read-only across every weapon-class task.
-		cache := p.IRCache()
-		cands = an.FileIR(t.file.AST, cache.File(t.file.AST), cache)
-	}
-	var out taskOutcome
-	for _, cand := range cands {
-		f := &Finding{Candidate: cand}
-		if w, ok := e.weapons[cand.Class]; ok {
-			f.Weapon = string(w.Class.ID)
-		}
-		f.Symptoms = e.extractor.Extract(cand, t.file.AST)
-		f.PredictedFP, f.Votes = e.predict(f.Symptoms)
-		out.findings = append(out.findings, f)
-	}
-	out.exhausted = an.Exhausted()
-	out.stopped = an.Stopped()
-	out.steps = an.Steps()
-	out.cacheHits = an.SharedHits()
-	out.cacheMisses = an.SharedMisses()
-	out.transfers = an.TransferHits()
-	out.pending = an.PendingShared()
-	return out
 }
 
 // linkStoredXSS runs the two-phase stored-XSS linker over the report's

@@ -1,12 +1,13 @@
 package core
 
-// Fault injection into fused multi-class passes, on the same TaskHook
-// harness as faultinject_test.go. The demotion contract pinned here: a
-// panic or stall inside a fused pass demotes that file's classes to the
-// unfused per-class path with no lost or duplicated findings, transient
-// faults are absorbed by the demotion (the rerun's fresh retry ladder, not
-// the fused attempt, decides terminality), and breaker charges land on the
-// faulting class only — never on innocent lanes of the same fused group.
+// Fault injection into multi-lane passes, on the same TaskHook harness as
+// faultinject_test.go. The contract pinned here: a panic or stall inside a
+// pass over several classes splits the set, and each class reruns the same
+// attempt alone, with no lost or duplicated findings; transient faults are
+// absorbed by the split (the per-lane reruns, not the fused attempt, decide
+// terminality); breaker charges land on the faulting class only — never on
+// innocent lanes of the same pass; and a step budget is per lane, so one
+// class exhausting it leaves the others' first-attempt completions alone.
 
 import (
 	"sync/atomic"
@@ -39,9 +40,9 @@ func findingCount(rep *Report, file string, class vuln.ClassID) int {
 }
 
 // TestFusedPanicDemotesWithoutLosingFindings panics inside the first fused
-// invocation of one lane's task hook and asserts the demoted per-class
-// reruns recover every finding exactly once, with no diagnostics, no
-// breaker charge, and the demotion visible only in the stats.
+// invocation of one lane's task hook and asserts the per-lane reruns
+// recover every finding exactly once, with no diagnostics, no breaker
+// charge, and the split visible only in the stats.
 func TestFusedPanicDemotesWithoutLosingFindings(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		var fired atomic.Bool
@@ -85,7 +86,7 @@ func TestFusedPanicDemotesWithoutLosingFindings(t *testing.T) {
 }
 
 // TestFusedStallDemotesOnWatchdog stalls the first fused invocation past the
-// task deadline: the watchdog abandons the fused attempt, and the demoted
+// task deadline: the watchdog abandons the fused attempt, and the per-lane
 // reruns (which run fast) recover all findings with no timeout diagnostics.
 func TestFusedStallDemotesOnWatchdog(t *testing.T) {
 	var fired atomic.Bool
@@ -117,7 +118,7 @@ func TestFusedStallDemotesOnWatchdog(t *testing.T) {
 }
 
 // TestFusedPersistentFaultChargesOnlyFaultingClass keeps one class panicking
-// through fused passes and demoted reruns alike, with breakers armed. The
+// through fused passes and per-lane reruns alike, with breakers armed. The
 // charge must land on the faulting class only: its breaker trips at the
 // threshold and later tasks are skipped, while the innocent lanes that
 // shared its fused groups keep their findings and their breakers stay
@@ -184,13 +185,73 @@ func TestFusedStatsAccounting(t *testing.T) {
 		t.Errorf("FusedDemoted = %d, want 0 on a fault-free scan", s.FusedDemoted)
 	}
 
-	// With fusion off the counters stay zero.
-	e2 := newTestEngine(t, fusedFaultOpts(Options{Parallelism: 1, DisableFusion: true}))
-	rep2, err := e2.Analyze(twoFileProject())
+}
+
+// budgetSplitPage costs the xss-r lane 68 steps and the xss-s lane 70: the
+// lanes evaluate different instructions where only xss-r reads the
+// superglobals as entry points.
+const budgetSplitPage = `<?php
+function wrap($s) { return "[" . $s . "]"; }
+function clean2($s) { return htmlentities($s); }
+function pick($a, $b = "dflt") { return $a . $b; }
+function fill(&$out) { $out = $_GET['v']; }
+$q = wrap($_GET['id']);
+mysql_query($q);
+echo $q;
+mysql_query(wrap("safe"));
+echo clean2($_GET['h']);
+mysql_query(clean2($_GET['h']));
+mysql_query(pick($_POST['p']));
+fill($z);
+mysql_query($z);
+function deep($n) { return deep($n); }
+echo deep($_GET['r']);
+function uncalled() { echo $_GET['u']; system($_GET['u']); }`
+
+// TestFusedBudgetExhaustsOnlyItsLane gives a two-class pass a budget
+// between the lanes' step counts: the cheaper lane completes on the first
+// attempt, only the other climbs the retry ladder — recovered with the
+// floored retry budget when the ladder is armed, terminal with its sound
+// prefix when it is not.
+func TestFusedBudgetExhaustsOnlyItsLane(t *testing.T) {
+	proj := func() *Project { return LoadMap("budget", map[string]string{"f.php": budgetSplitPage}) }
+	opts := Options{Parallelism: 1, Classes: []vuln.ClassID{vuln.XSSR, vuln.XSSS}, TaskBudget: 69, RetryBackoff: -1}
+
+	full, err := newTestEngine(t, Options{Parallelism: 1, Classes: opts.Classes}).Analyze(proj())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := rep2.Stats; s.FusedPasses != 0 || s.FusedTasks != 0 || s.FusedDemoted != 0 {
-		t.Errorf("unfused scan recorded fused counters: %d/%d/%d", s.FusedPasses, s.FusedTasks, s.FusedDemoted)
+	fullXSSR := findingCount(full, "f.php", vuln.XSSR)
+	if fullXSSR == 0 {
+		t.Fatal("page has no xss-r findings; the test is vacuous")
+	}
+
+	armed := opts
+	armed.RetryMax = 1
+	rep, err := newTestEngine(t, armed).Analyze(proj())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describeDiags(rep); len(got) != 1 || got[0] != "retried|f.php|xss-s" {
+		t.Errorf("diagnostics = %v, want one recovery of f.php[xss-s]", got)
+	}
+	if n := findingCount(rep, "f.php", vuln.XSSR); n != fullXSSR {
+		t.Errorf("xss-r findings = %d, want %d from its first attempt", n, fullXSSR)
+	}
+	if s := rep.Stats; s.TaskRetries != 1 || s.TasksRecovered != 1 || s.FusedPasses != 1 || s.FusedDemoted != 0 {
+		t.Errorf("stats retries/recovered/passes/demoted = %d/%d/%d/%d, want 1/1/1/0",
+			s.TaskRetries, s.TasksRecovered, s.FusedPasses, s.FusedDemoted)
+	}
+
+	rep, err = newTestEngine(t, opts).Analyze(proj())
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := diagsOfKind(rep, DiagBudget)
+	if len(budget) != 1 || budget[0].Class != vuln.XSSS || len(rep.Diagnostics) != 1 {
+		t.Errorf("diagnostics = %v, want one budget diagnostic for xss-s", describeDiags(rep))
+	}
+	if n := findingCount(rep, "f.php", vuln.XSSR); n != fullXSSR {
+		t.Errorf("xss-r findings = %d next to an exhausted lane, want %d", n, fullXSSR)
 	}
 }

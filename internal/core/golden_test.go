@@ -9,7 +9,7 @@ package core_test
 // prediction shows up as a reviewable diff. Regenerate them after an
 // intentional change with
 //
-//	GOLDEN_UPDATE=1 go test ./internal/core ./internal/taint -run Golden
+//	GOLDEN_UPDATE=1 go test ./internal/core ./internal/taint
 
 import (
 	"bytes"
@@ -184,5 +184,23 @@ func TestGoldenReports(t *testing.T) {
 	}
 	if strings.Join(have, "\n") != strings.Join(want, "\n") {
 		t.Errorf("golden directory holds %d files, corpus has %d apps", len(have), len(want))
+	}
+}
+
+// TestBranchSanitizerKill pins the exhaustive-switch kill on the branch
+// proofs: a sanitizer on every arm of a switch with a default kills the
+// flow in kill.php, while keep.php's partially sanitized flows survive.
+func TestBranchSanitizerKill(t *testing.T) {
+	app := corpus.BranchSanitizerApp()
+	rep, err := goldenEngine(t, 1, nil).Analyze(core.LoadMap(app.Name, app.Files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := map[string]int{}
+	for _, f := range rep.Findings {
+		perFile[f.Candidate.File]++
+	}
+	if perFile["kill.php"] != 0 || perFile["keep.php"] == 0 {
+		t.Errorf("findings per file = %v, want none in kill.php and some in keep.php", perFile)
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"repro/internal/taint"
 )
 
-// Fused scheduling: the execute stage groups the (file, class) tasks that
-// actually need execution — not breaker-open, not killed by the sink
-// pre-filter, not warm in the result store — into one fused task per file,
-// and evaluates every class lane in a single IR traversal. Results are split
-// back to per-(file, class) granularity, so everything downstream (closure
+// Lane sets: the execute stage groups the (file, class) tasks that actually
+// need execution — not breaker-open, not killed by the sink pre-filter, not
+// warm in the result store — into one unit per file, and evaluates every
+// class lane of the unit in a single fused IR pass. Results are split back
+// to per-(file, class) granularity, so everything downstream (closure
 // fingerprints, result-store entries, the retry ladder, per-class breakers,
-// diagnostics) keeps its existing shape; a fault inside a fused pass demotes
-// only that file's classes to the unfused per-class path.
+// diagnostics) keeps its per-task shape.
 
 // fuseGroups slices the plan's execution queue into runs of consecutive
 // entries sharing a file. planScan emits the queue file-major, so a linear
@@ -33,19 +32,21 @@ func fuseGroups(plan *scanPlan) [][]int {
 	return groups
 }
 
-// runFusedTasks performs one fused multi-class analysis: every class lane in
-// ts (all tasks of one file) evaluated by a single IR traversal. Per lane it
-// mirrors runTask exactly — same task hook, same analyzer config, same
-// outcome assembly — so a clean fused pass is indistinguishable from len(ts)
-// clean unfused first attempts. ok=false means the pass aborted (a lane's
-// step budget, or the cooperative stop): lane state is then meaningless and
-// the caller demotes the whole group to unfused execution.
-func (e *Engine) runFusedTasks(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries) ([]taskOutcome, bool) {
+// runLanes performs one attempt over a lane set: every class lane in ts
+// (tasks of one file) evaluated by a single IR traversal under the given
+// per-lane step budget, then symptom extraction and FP prediction for each
+// lane's candidates. It runs inside the attempt's goroutine: everything it
+// touches besides the engine's read-only state is attempt-local, so an
+// abandoned (timed-out) invocation cannot race a live scan. Lanes are
+// independent — each outcome is what the lane would produce alone.
+func (e *Engine) runLanes(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries) []taskOutcome {
 	cfgs := make([]taint.Config, len(ts))
 	for k, t := range ts {
 		if e.opts.TaskHook != nil {
 			e.opts.TaskHook(t.file.Path, t.cls.ID)
 		}
+		// The tool's own fix for the class counts as a sanitizer so
+		// corrected code is not re-flagged.
 		sans := append([]string(nil), e.opts.ExtraSanitizers...)
 		if fixID := e.fixIDFor(t.cls); fixID != "" {
 			sans = append(sans, fixID)
@@ -63,28 +64,33 @@ func (e *Engine) runFusedTasks(ts []task, p *Project, stop *atomic.Bool, budget 
 		}
 	}
 	fz := taint.NewFused(cfgs)
+	// The lowered form is built once per file by the scan-scoped cache and
+	// shared read-only across every pass over the file.
 	file := ts[0].file
 	cache := p.IRCache()
-	if !fz.FileIR(file.AST, cache.File(file.AST), cache) {
-		return nil, false
-	}
+	fz.FileIR(file.AST, cache.File(file.AST), cache)
+	// Every candidate of the pass sits in this file's scopes, so one
+	// symptom memo serves the whole pass and is dropped with it.
+	ex := e.extractor.Memoized()
 	outs := make([]taskOutcome, len(ts))
-	for k, t := range ts {
+	for k := range ts {
 		out := &outs[k]
 		for _, cand := range fz.Candidates(k) {
 			f := &Finding{Candidate: cand}
 			if w, ok := e.weapons[cand.Class]; ok {
 				f.Weapon = string(w.Class.ID)
 			}
-			f.Symptoms = e.extractor.Extract(cand, t.file.AST)
+			f.Symptoms = ex.Extract(cand, file.AST)
 			f.PredictedFP, f.Votes = e.predict(f.Symptoms)
 			out.findings = append(out.findings, f)
 		}
+		out.exhausted = fz.Exhausted(k)
+		out.stopped = fz.Stopped(k)
 		out.steps = fz.Steps(k)
 		out.cacheHits = fz.SharedHits(k)
 		out.cacheMisses = fz.SharedMisses(k)
 		out.transfers = fz.TransferHits(k)
 		out.pending = fz.PendingShared(k)
 	}
-	return outs, true
+	return outs
 }

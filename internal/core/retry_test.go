@@ -29,12 +29,13 @@ func TestTransientPanicIsRecoveredByRetryLadder(t *testing.T) {
 		var attempts atomic.Int64
 		e := newTestEngine(t, Options{
 			Parallelism: par,
-			// The ladder under test is the unfused per-class path (also the
-			// fused demotion target); under fusion a transient fused-pass
-			// fault is absorbed as a demotion instead (fusedfault_test.go).
-			DisableFusion: true,
-			RetryMax:      2,
-			RetryBackoff:  -1, // no sleep in tests
+			// Two classes with disjoint sinks keep every file a one-lane
+			// unit, so the fault lands on the ladder of the task it hits. (A
+			// fault in a multi-lane pass splits the set and reruns the same
+			// attempt per lane; see fusedfault_test.go.)
+			Classes:      []vuln.ClassID{vuln.SQLI, vuln.XSSR},
+			RetryMax:     2,
+			RetryBackoff: -1, // no sleep in tests
 			TaskHook: func(file string, class vuln.ClassID) {
 				if file == "a.php" && class == vuln.XSSR && attempts.Add(1) == 1 {
 					panic("transient fault")
@@ -83,11 +84,11 @@ func TestTransientPanicIsRecoveredByRetryLadder(t *testing.T) {
 func TestTransientStallIsRecoveredByRetryLadder(t *testing.T) {
 	var attempts atomic.Int64
 	e := newTestEngine(t, Options{
-		Parallelism:   2,
-		DisableFusion: true, // pins the unfused ladder; see above
-		TaskTimeout:   100 * time.Millisecond,
-		RetryMax:      1,
-		RetryBackoff:  -1,
+		Parallelism:  2,
+		Classes:      []vuln.ClassID{vuln.SQLI, vuln.XSSR}, // one-lane units; see above
+		TaskTimeout:  100 * time.Millisecond,
+		RetryMax:     1,
+		RetryBackoff: -1,
 		TaskHook: func(file string, class vuln.ClassID) {
 			if file == "a.php" && class == vuln.XSSR && attempts.Add(1) == 1 {
 				time.Sleep(2 * time.Second)

@@ -52,7 +52,7 @@ type ScanStats struct {
 	// proven to have zero findings without running).
 	Tasks        int
 	TasksSkipped int
-	// TotalSteps / MaxTaskSteps summarize AST-step consumption.
+	// TotalSteps / MaxTaskSteps summarize step (IR instruction) consumption.
 	TotalSteps   int64
 	MaxTaskSteps int64
 	// CacheHits / CacheMisses / CacheEntries describe the shared summary
@@ -110,18 +110,16 @@ type ScanStats struct {
 	// class ID, flagged with ClassStats.Weapon.
 	ActiveWeapons     []string
 	WeaponSetRevision int64
-	// Fused-execution account (all zero when fusion is disabled, the legacy
-	// walker ran, or no file had two runnable classes). FusedPasses counts
-	// clean multi-class IR passes; FusedTasks the (file, class) tasks those
-	// passes dispositioned; FusedDemoted the tasks a mid-pass fault demoted
-	// to unfused per-class execution (those tasks' dispositions are accounted
-	// by their unfused reruns as usual).
+	// Fused-execution account (all zero when no file had two runnable
+	// classes). FusedPasses counts completed multi-class IR passes (retry
+	// attempts of several budget-exhausted classes included); FusedTasks
+	// the (file, class) tasks those passes carried; FusedDemoted the tasks
+	// a panic or watchdog timeout split out of a multi-class pass into
+	// per-class reruns (whose dispositions are accounted as usual).
 	FusedPasses  int
 	FusedTasks   int
 	FusedDemoted int
-	// IR accounts the IR engine's lowering layer and summary
-	// transfer-function traffic; nil when the scan ran the legacy walker
-	// (Options.DisableIR), so legacy renderer output is byte-identical.
+	// IR accounts the lowering layer and summary transfer-function traffic.
 	IR *IRScanStats
 	// ByClass breaks the account down per vulnerability class.
 	ByClass map[vuln.ClassID]*ClassStats
@@ -242,7 +240,7 @@ func (c *statsCollector) recordFingerprintMiss() {
 }
 
 // recordReused accounts one task satisfied from the result store: steps is
-// the AST-step count the stored execution spent, findings the entry's
+// the step count the stored execution spent, findings the entry's
 // finding count (folded into the class account exactly as an execution
 // would).
 func (c *statsCollector) recordReused(id vuln.ClassID, steps, findings int) {
@@ -283,7 +281,7 @@ func (c *statsCollector) recordResumes(n int) {
 	c.s.Resumes = n
 }
 
-// recordFusedPass accounts one clean fused pass that dispositioned n tasks.
+// recordFusedPass accounts one completed fused pass that carried n tasks.
 func (c *statsCollector) recordFusedPass(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -291,8 +289,8 @@ func (c *statsCollector) recordFusedPass(n int) {
 	c.s.FusedTasks += n
 }
 
-// recordFusedDemotion accounts n tasks demoted to unfused execution by a
-// fault inside their fused pass.
+// recordFusedDemotion accounts n tasks split into per-class reruns by a
+// panic or watchdog timeout of their fused pass.
 func (c *statsCollector) recordFusedDemotion(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -308,8 +306,8 @@ func (c *statsCollector) recordBreakerSkip(id vuln.ClassID) {
 }
 
 // snapshot finalizes the stats for the report. irc is the scan's IR
-// lowering cache, nil when the legacy walker ran (leaving Stats.IR nil so
-// legacy renderer output is unchanged).
+// lowering cache (nil only for a report without a project, leaving Stats.IR
+// nil).
 func (c *statsCollector) snapshot(cacheEntries int, irc *ir.Cache) *ScanStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

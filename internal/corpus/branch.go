@@ -9,13 +9,12 @@ const GroupBranch Group = "Branch"
 // sink.
 //
 //   - kill.php sanitizes on every arm of an exhaustive switch (a default arm
-//     is present): the flow is dead, but the legacy AST walker's
-//     order-insensitive join still reports it. The IR engine's CFG join
-//     kills it — the known false positive the IR migration removes, pinned
-//     by the differential harness's golden delta file.
+//     is present): the flow is dead. A path-insensitive join would still
+//     report it; the engine's switch join kills it, and the golden report
+//     for this app pins that kill.php has no finding.
 //   - keep.php sanitizes on only one arm, and also uses an all-arms
 //     sanitizer under a switch WITHOUT a default: both flows are live and
-//     both engines must report them.
+//     must be reported.
 func BranchSanitizerApp() *App {
 	return &App{
 		Name:    "branch-sanitizer",
@@ -63,7 +62,7 @@ mysql_query("SELECT * FROM items WHERE b=" . $b);
 		},
 		Spots: []Spot{
 			// The kill.php flow is sanitized on every path: not a real
-			// vulnerability, flagged only by the path-insensitive walker.
+			// vulnerability, flagged only by a path-insensitive join.
 			{Group: GroupBranch, File: "kill.php", StartLine: 2, EndLine: 15, Vulnerable: false, FP: FPCustomSanitizer},
 			{Group: GroupBranch, File: "keep.php", StartLine: 2, EndLine: 10, Vulnerable: true},
 			{Group: GroupBranch, File: "keep.php", StartLine: 11, EndLine: 21, Vulnerable: true},

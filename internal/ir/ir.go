@@ -47,7 +47,7 @@ const (
 	// the base is syntactically a plain variable ("" otherwise) and Key the
 	// static index key text. XBlk evaluates the base, IBlk the index; the
 	// evaluator runs IBlk alone on the entry-point path and XBlk+IBlk
-	// otherwise (mirroring the walker's two branches).
+	// otherwise.
 	OpIndex
 	// OpUnion merges Args into Dst.
 	OpUnion
@@ -68,9 +68,9 @@ const (
 	// value when A is NoReg (catch variables, global/unset declarations).
 	OpSetVar
 	// OpCall is a named function call Name(Args...). The evaluator applies
-	// the full legacy pipeline: sanitizer, entry-point function, sink
-	// check, taint-through builtins, by-ref builtins, then user-function
-	// summary application.
+	// the full call pipeline: sanitizer, entry-point function, sink check,
+	// taint-through builtins, by-ref builtins, then user-function summary
+	// application.
 	OpCall
 	// OpMethodCall is a method call: receiver in A, lower-case method in
 	// Name, static receiver variable name (for sink matching) in Key.
@@ -166,13 +166,13 @@ const (
 	LVList
 )
 
-// LValue is a static assignment-target tree mirroring the walker's
-// assignTo: index expressions and dynamic parts are resolved (or dropped)
-// at lowering time, exactly as the walker ignores them at run time.
+// LValue is a static assignment-target tree: index expressions and dynamic
+// parts are resolved (or dropped) at lowering time, since taint analysis
+// never evaluates them.
 type LValue struct {
 	Kind LVKind
 	Name string
-	// Strong marks targets the walker overwrites even with an untainted
+	// Strong marks targets an assignment overwrites even with an untainted
 	// value (plain variables and static properties); weak targets
 	// ($x->p with a tainted value, array roots) merge instead.
 	Strong bool
@@ -198,11 +198,10 @@ const (
 	RSeq RegionKind = iota
 	// RBasic runs the single block Blk.
 	RBasic
-	// RIf runs Then against a snapshot, restores, runs Else, then joins
-	// (the walker's branch protocol). The condition was evaluated by the
-	// preceding block.
+	// RIf runs Then against a snapshot, restores, runs Else, then joins.
+	// The condition was evaluated by the preceding block.
 	RIf
-	// RLoop2 runs Body twice — the walker's two-pass loop widening
+	// RLoop2 runs Body twice — two-pass loop widening
 	// (while/do-while/foreach; condition evaluation sits in the
 	// surrounding blocks).
 	RLoop2
@@ -215,7 +214,7 @@ const (
 )
 
 // Region is a structured control-flow tree node. The evaluator interprets
-// regions (which preserves the walker's exact evaluation order); the flat
+// regions (which fixes the evaluation order findings depend on); the flat
 // Succs/Preds edges on blocks expose the same structure as a conventional
 // CFG for analyses and tooling.
 type Region struct {
@@ -279,7 +278,7 @@ func (f *Func) NumInstrs() int {
 }
 
 // Degraded records an AST subtree the lowering deliberately did not turn
-// into instructions — constructs the taint walker itself never evaluates
+// into instructions — constructs taint analysis never evaluates
 // (assignment-index subexpressions, dynamic class expressions, class
 // constant initializers). Every AST node is either lowered or accounted
 // here; nothing is dropped silently.

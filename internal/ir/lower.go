@@ -78,8 +78,8 @@ type lowerer struct {
 	skipped  int
 	notes    []Degraded
 	// noCount suppresses accounting while a subtree is deliberately lowered
-	// a second time (the walker evaluates a short ternary's condition twice;
-	// the nodes must still be counted once).
+	// a second time (a short ternary's condition is evaluated twice; the
+	// nodes must still be counted once).
 	noCount int
 
 	fn  *Func
@@ -260,8 +260,8 @@ func (lw *lowerer) lowerClosure(t *ast.ClosureExpr) *Func {
 	restore := lw.beginFunc("", nil, t.Position)
 	fn := lw.fn
 	for _, p := range t.Params {
-		// Closure parameters always bind clean; the walker never evaluates
-		// their defaults.
+		// Closure parameters always bind clean; their defaults are never
+		// evaluated.
 		lw.skip(p.Default, "closure-param-default")
 		fn.Params = append(fn.Params, Param{Name: p.Name, ByRef: p.ByRef})
 	}
@@ -373,8 +373,8 @@ func (lw *lowerer) lowerStmt(seq *Region, s ast.Stmt) {
 	case *ast.ThrowStmt:
 		lw.lowerExpr(x.X)
 	case *ast.TryStmt:
-		// The walker runs try, catches and finally sequentially; keep the
-		// outer sequence flat.
+		// Try, catches and finally run sequentially; keep the outer
+		// sequence flat.
 		lw.closeInto(seq)
 		seq.Kids = append(seq.Kids, lw.lowerBlock(x.Body))
 		for _, c := range x.Catches {
@@ -544,8 +544,8 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 		if t.A != nil {
 			va = lw.lowerExpr(t.A)
 		} else {
-			// The walker re-evaluates the short form's condition as the
-			// result; re-lower it without re-counting the nodes.
+			// The short form re-evaluates its condition as the result;
+			// re-lower it without re-counting the nodes.
 			lw.noCount++
 			va = lw.lowerExpr(t.Cond)
 			lw.noCount--
@@ -650,9 +650,9 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 // Assignment targets
 // ---------------------------------------------------------------------------
 
-// lowerLValue resolves an assignment target to its static form, mirroring
-// the walker's assignTo: it examines only the spine of the target and never
-// evaluates index or dynamic subexpressions.
+// lowerLValue resolves an assignment target to its static form: it examines
+// only the spine of the target and never evaluates index or dynamic
+// subexpressions.
 func (lw *lowerer) lowerLValue(x ast.Expr) *LValue {
 	if x == nil {
 		return &LValue{Kind: LVNone}
@@ -710,9 +710,9 @@ func (lw *lowerer) lowerLValue(x ast.Expr) *LValue {
 	}
 }
 
-// accountRoot mirrors the walker's rootVar: it resolves the environment key
-// a nested index assignment merges into, counting the spine it examines and
-// skipping the subexpressions the walker never evaluates.
+// accountRoot resolves the environment key a nested index assignment merges
+// into (the taint package's rootVar), counting the spine it examines and
+// skipping the subexpressions taint analysis never evaluates.
 func (lw *lowerer) accountRoot(x ast.Expr) string {
 	for {
 		switch t := x.(type) {
@@ -743,7 +743,7 @@ func (lw *lowerer) accountRoot(x ast.Expr) string {
 }
 
 // propKeyOf builds the environment key for $var->prop chains ("var->prop"),
-// mirroring the walker's propKey.
+// matching the taint package's propKey.
 func propKeyOf(p *ast.PropExpr) string {
 	base, ok := p.X.(*ast.Variable)
 	if !ok || p.Name == "" {
@@ -752,8 +752,8 @@ func propKeyOf(p *ast.PropExpr) string {
 	return base.Name + "->" + strings.ToLower(p.Name)
 }
 
-// indexKey renders a static index key the way the walker prints it in
-// entry-point source names ($_GET[id]), mirroring indexKeyText.
+// indexKey renders a static index key the way entry-point source names print
+// it ($_GET[id]).
 func indexKey(idx ast.Expr) string {
 	switch k := idx.(type) {
 	case *ast.StringLit:

@@ -162,7 +162,7 @@ type Finding struct {
 type TaskEntry struct {
 	File  string `json:"file"`
 	Class string `json:"class"`
-	// Steps is the AST-step count the task spent when it was executed,
+	// Steps is the step count the task spent when it was executed,
 	// carried so reuse can account the work it saved.
 	Steps    int       `json:"steps"`
 	Findings []Finding `json:"findings,omitempty"`

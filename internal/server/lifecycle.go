@@ -42,7 +42,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		// Deadline passed: cut the in-flight jobs over — sync jobs to
 		// partial reports, durable async jobs back into the journal.
-		// Cancellation is cooperative (the taint walker polls its stop flag)
+		// Cancellation is cooperative (the taint evaluator polls its stop flag)
 		// so the workers return promptly.
 		s.forceCancel()
 		<-done

@@ -2,7 +2,6 @@ package symptom
 
 import (
 	"strings"
-	"sync"
 
 	"repro/internal/php/ast"
 	"repro/internal/taint"
@@ -10,25 +9,21 @@ import (
 
 // Extractor collects symptoms from candidate vulnerabilities. One extractor
 // is configured per analysis run; it carries the dynamic symptoms of any
-// active weapons.
+// active weapons. An extractor from NewExtractor keeps no state between
+// calls and is safe for concurrent use; Memoized adds a scope memo for a
+// batch of candidates from one file.
 type Extractor struct {
 	dynamic map[string]string // user function -> static symptom name
 	funcSet map[string]int    // static function symptoms
 
-	// scopes memoizes the symptom-relevant sites of each scanned scope. A
-	// scope (file or function body) hosts every candidate whose sink it
-	// encloses, so without the memo each candidate re-walks the whole scope
-	// AST; with it the walk happens once and per-candidate work shrinks to
-	// testing the few relevant sites against the candidate's flow variables.
-	mu     sync.Mutex
+	// scopes, when non-nil, memoizes the symptom-relevant sites of each
+	// scanned scope. A scope (file or function body) hosts every candidate
+	// whose sink it encloses, so without the memo each candidate re-walks
+	// the whole scope AST; with it the walk happens once and per-candidate
+	// work shrinks to testing the few relevant sites against the
+	// candidate's flow variables.
 	scopes map[ast.Node]*scopeIndex
 }
-
-// scopeIndexCap bounds the scope memo. Scope keys are AST node pointers, so
-// entries for re-parsed files can never be revalidated — a long-lived
-// extractor (wapd keeps one per engine across scans) just drops the whole
-// memo when it fills and lets the active scan rebuild its own scopes.
-const scopeIndexCap = 4096
 
 // scopeIndex is the candidate-independent part of one scope's symptom scan:
 // the sites a candidate's flow variables have to be tested against, found by
@@ -53,19 +48,24 @@ func NewExtractor(dynamics []Dynamic) *Extractor {
 	for _, d := range dynamics {
 		dyn[strings.ToLower(d.Func)] = d.MapsTo
 	}
-	return &Extractor{dynamic: dyn, funcSet: FuncSymptoms(), scopes: make(map[ast.Node]*scopeIndex)}
+	return &Extractor{dynamic: dyn, funcSet: FuncSymptoms()}
 }
 
-// scopeIndexFor returns the memoized site index of scope, building it on
-// first use.
+// Memoized returns an extractor with x's configuration and a private scope
+// memo. The memo is keyed by AST node pointers and keeps those nodes alive,
+// so it should live no longer than one batch of candidates from one file:
+// the engine takes one per fused pass and drops it with the pass. A memoized
+// extractor is not safe for concurrent use.
+func (x *Extractor) Memoized() *Extractor {
+	return &Extractor{dynamic: x.dynamic, funcSet: x.funcSet, scopes: make(map[ast.Node]*scopeIndex)}
+}
+
+// scopeIndexFor returns the site index of scope, from the memo when x has
+// one.
 func (x *Extractor) scopeIndexFor(scope ast.Node) *scopeIndex {
-	x.mu.Lock()
 	if idx, ok := x.scopes[scope]; ok {
-		x.mu.Unlock()
 		return idx
 	}
-	x.mu.Unlock()
-
 	idx := &scopeIndex{}
 	ast.Inspect(scope, func(n ast.Node) bool {
 		switch t := n.(type) {
@@ -90,13 +90,9 @@ func (x *Extractor) scopeIndexFor(scope ast.Node) *scopeIndex {
 		}
 		return true
 	})
-
-	x.mu.Lock()
-	if len(x.scopes) >= scopeIndexCap {
-		x.scopes = make(map[ast.Node]*scopeIndex)
+	if x.scopes != nil {
+		x.scopes[scope] = idx
 	}
-	x.scopes[scope] = idx
-	x.mu.Unlock()
 	return idx
 }
 

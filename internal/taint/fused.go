@@ -1,28 +1,29 @@
-// Fused multi-class IR evaluation: every weapon-class lane analyzes one
-// file in a single traversal of its lowered form. Each lane is a fully
-// configured Analyzer — its candidate list, memo tables, shared-cache
-// bookkeeping and step count keep per-(file, class) granularity — but the
-// instruction tape is interpreted once, carrying fval cells (one taint
-// Value per lane, collapsed to a single shared Value while lanes agree)
-// instead of one scalar Value per pass.
+// The taint evaluator: every weapon-class lane analyzes one file in a
+// single traversal of its lowered form. Each lane is a fully configured
+// Analyzer — its candidate list, memo tables, shared-cache bookkeeping and
+// step count keep per-(file, class) granularity — but the instruction tape
+// is interpreted once, carrying fval cells (one taint Value per lane,
+// collapsed to a single shared Value while lanes agree). A single class is
+// simply a one-lane pass (Analyzer.FileIR).
 //
-// The contract is byte-identity: after a successful fused pass, every
-// lane's candidates, step count and pending summaries equal what the same
-// Analyzer would produce running FileIR alone. That holds because fused
-// execution is a lockstep product construction: lanes only diverge at
-// class-dependent points (sanitizer sets, entry points, sinks, per-lane
-// memo and shared-cache hits), and at those points the evaluation splits
-// into per-lane values or narrowed sub-masks that reproduce each lane's
-// scalar semantics exactly — including join's slice-identity fast paths,
-// because a uniform cell holds one Value playing the role of the
-// isomorphic per-lane values, and a spilled cell holds each lane's own
-// value with its slice identity preserved by struct copying.
+// Lanes are independent: after a pass, every lane's candidates, step count
+// and pending summaries equal what the same Analyzer produces running alone.
+// That holds because fused execution is a lockstep product construction:
+// lanes only diverge at class-dependent points (sanitizer sets, entry
+// points, sinks, per-lane memo and shared-cache hits), and at those points
+// the evaluation splits into per-lane values or narrowed sub-masks that
+// reproduce each lane's own semantics exactly — including join's
+// slice-identity fast paths, because a uniform cell holds one Value playing
+// the role of the isomorphic per-lane values, and a spilled cell holds each
+// lane's own value with its slice identity preserved by struct copying.
 //
-// Divergence the product cannot express cheaply — a lane exhausting its
-// step budget, or the cooperative stop — aborts the whole pass: FileIR
-// returns false, lane state is meaningless, and the caller must fall back
-// to unfused per-class evaluation (the scheduler's demotion path), which
-// then reproduces budget/stop semantics natively.
+// Step budgets are per lane. The instruction that would take a lane past
+// its budget is not executed for it: the lane leaves every active mask and
+// freezes with its candidates, a step count of budget+1, the Exhausted flag
+// and the pending summaries of the fills it completed (the open fill is
+// dropped).
+// The other lanes run on. The cooperative stop freezes every lane the same
+// way, marking them Stopped.
 package taint
 
 import (
@@ -42,17 +43,23 @@ type Fused struct {
 	lanes []*Analyzer
 	n     int
 	full  laneMask
+	// live holds the lanes still running: a lane that exhausts its budget
+	// or sees the stop leaves it for the rest of the pass.
+	live laneMask
+	// frames is the activation stack, so freezing a lane can drop it from
+	// every active frame's mask at once.
+	frames []*fframe
 
 	astFile         *ast.File
 	prov            *irProvider
 	resolver        FuncResolver
 	disableInlining bool
 	// budget and stop are shared by every lane (the scheduler builds all
-	// lane configs from one task template); per-lane step counts are still
-	// tracked exactly, and the pass aborts as soon as the furthest lane
-	// would exceed the budget.
-	budget int
-	stop   *atomic.Bool
+	// lane configs from one task template); each lane's step count is still
+	// tracked exactly and checked against the budget on its own.
+	budget  int
+	stop    *atomic.Bool
+	stopped bool
 
 	// Lazily memoized name → lane-mask indexes: which lanes treat a name as
 	// a sanitizer / entry point / sink. These make class dispatch at call
@@ -65,14 +72,13 @@ type Fused struct {
 	methSinkM map[string]laneMask
 
 	// Step accounting: ctxSteps counts instructions charged to every lane
-	// in ctxMask since the last flush; maxBase is the largest per-lane step
-	// count among ctxMask lanes at that flush. The pass aborts when
-	// maxBase+ctxSteps would push any lane past the budget.
+	// in ctxMask (the live lanes of the running frame) since the last
+	// flush; maxBase is the largest per-lane step count among ctxMask lanes
+	// at that flush. A lane crosses its budget when maxBase+ctxSteps does.
 	ctxMask  laneMask
 	ctxSteps int
 	maxBase  int
 	pollCtr  int
-	aborted  bool
 }
 
 // NewFused builds a fused evaluator with one analyzer lane per config. All
@@ -84,10 +90,14 @@ func NewFused(cfgs []Config) *Fused {
 	for i, c := range cfgs {
 		lanes[i] = New(c)
 	}
+	return newFused(lanes)
+}
+
+func newFused(lanes []*Analyzer) *Fused {
 	fz := &Fused{
 		lanes:     lanes,
-		n:         len(cfgs),
-		full:      fullMask(len(cfgs)),
+		n:         len(lanes),
+		full:      fullMask(len(lanes)),
 		sanM:      make(map[string]laneMask),
 		sanMethM:  make(map[string]laneMask),
 		epFnM:     make(map[string]laneMask),
@@ -95,11 +105,12 @@ func NewFused(cfgs []Config) *Fused {
 		fnSinkM:   make(map[string]laneMask),
 		methSinkM: make(map[string]laneMask),
 	}
-	if len(cfgs) > 0 {
-		fz.resolver = cfgs[0].Resolver
-		fz.disableInlining = cfgs[0].DisableInlining
-		fz.budget = lanes[0].cfg.MaxSteps
-		fz.stop = cfgs[0].Stop
+	if len(lanes) > 0 {
+		cfg := lanes[0].cfg
+		fz.resolver = cfg.Resolver
+		fz.disableInlining = cfg.DisableInlining
+		fz.budget = cfg.MaxSteps
+		fz.stop = cfg.Stop
 	}
 	return fz
 }
@@ -107,12 +118,18 @@ func NewFused(cfgs []Config) *Fused {
 // Lanes reports the number of lanes.
 func (fz *Fused) Lanes() int { return fz.n }
 
-// Candidates returns lane l's findings after a successful FileIR.
+// Candidates returns lane l's findings after FileIR.
 func (fz *Fused) Candidates(l int) []*Candidate { return fz.lanes[l].cands }
 
-// Steps returns lane l's exact step count — what the lane's unfused run
-// would have counted.
+// Steps returns lane l's exact step count.
 func (fz *Fused) Steps(l int) int { return fz.lanes[l].steps }
+
+// Exhausted reports whether lane l ran out of its step budget (or was
+// stopped) and froze with a partial result.
+func (fz *Fused) Exhausted(l int) bool { return fz.lanes[l].exhausted }
+
+// Stopped reports whether lane l was cut off by the cooperative stop.
+func (fz *Fused) Stopped(l int) bool { return fz.lanes[l].stopped }
 
 // SharedHits returns lane l's shared-summary cache hits.
 func (fz *Fused) SharedHits(l int) int { return fz.lanes[l].sharedHits }
@@ -126,6 +143,37 @@ func (fz *Fused) TransferHits(l int) int { return fz.lanes[l].transferHits }
 // PendingShared returns lane l's summaries awaiting commit.
 func (fz *Fused) PendingShared(l int) []PendingSummary { return fz.lanes[l].pending }
 
+// irProvider resolves declarations to lowered functions: the analyzed
+// file's own index first, then the scan-scoped provider, then a local
+// lowering memo so single-file runs work without any cache.
+type irProvider struct {
+	file  *ir.File
+	prov  ir.Provider
+	local map[*ast.FunctionDecl]*ir.Func
+}
+
+func (p *irProvider) funcFor(d *ast.FunctionDecl) *ir.Func {
+	if p.file != nil {
+		if fn, ok := p.file.ByDecl[d]; ok {
+			return fn
+		}
+	}
+	if p.prov != nil {
+		if fn := p.prov.Func(d); fn != nil {
+			return fn
+		}
+	}
+	if fn, ok := p.local[d]; ok {
+		return fn
+	}
+	if p.local == nil {
+		p.local = make(map[*ast.FunctionDecl]*ir.Func)
+	}
+	fn := ir.LowerFunc(d)
+	p.local[d] = fn
+	return fn
+}
+
 // fframe is one function activation of the fused interpreter: the active
 // lane mask, the fused register file, the fused environment and the fused
 // return accumulator.
@@ -136,7 +184,7 @@ type fframe struct {
 	ret  fval
 }
 
-func (fr *fframe) valF(r ir.Reg) fval {
+func (fr *fframe) val(r ir.Reg) fval {
 	if r < 0 {
 		return fval{}
 	}
@@ -156,10 +204,15 @@ func (fz *Fused) newFrame(n int, act laneMask) *fframe {
 	} else {
 		*bp = make([]fval, n)
 	}
-	return &fframe{act: act, regs: bp, env: newFenv()}
+	fr := &fframe{act: act, regs: bp, env: newFenv()}
+	fz.frames = append(fz.frames, fr)
+	return fr
 }
 
+// releaseFrame pops fr, the innermost activation, and recycles its
+// registers.
 func (fz *Fused) releaseFrame(fr *fframe) {
+	fz.frames = fz.frames[:len(fz.frames)-1]
 	b := *fr.regs
 	for i := range b {
 		b[i] = fval{}
@@ -169,9 +222,10 @@ func (fz *Fused) releaseFrame(fr *fframe) {
 }
 
 // FileIR analyzes f through its lowered form fir with every lane at once.
-// It returns false when the pass aborted (a lane hitting the step budget,
-// or the cooperative stop flag): per-lane state is then meaningless and the
-// caller must re-run the file's classes through unfused per-class FileIR.
+// prov optionally resolves cross-file declarations to already-lowered
+// functions; nil lowers them on demand. Lanes that exhaust their budget
+// freeze and the rest complete, so per-lane state is always meaningful; it
+// returns false only when the cooperative stop fired.
 func (fz *Fused) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) bool {
 	for _, a := range fz.lanes {
 		a.file = f
@@ -188,33 +242,38 @@ func (fz *Fused) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) bool {
 	}
 	fz.astFile = f
 	fz.prov = &irProvider{file: fir, prov: prov}
-	fz.aborted = false
+	fz.live = fz.full
+	fz.stopped = false
 	fz.ctxSteps = 0
 	fz.pollCtr = 0
 	fz.setMask(fz.full)
 
 	fr := fz.newFrame(fir.Top.NumRegs, fz.full)
-	fz.runRegionF(fir.Top.Body, fr)
+	fz.runRegion(fir.Top.Body, fr)
 	fz.releaseFrame(fr)
 
-	// Uncalled-function pass, in the same source order as the scalar engine.
+	// Uncalled-function pass, in source order.
 	for _, fn := range fir.Funcs {
-		if fz.aborted {
-			return false
+		if fz.live.empty() {
+			break
 		}
 		// Call-stack state is lockstep across lanes at top level, so one
 		// representative decides the analyzing skip for all.
-		if fn.Decl == nil || fn.Decl.Body == nil || fz.lanes[0].analyzing[fn.Decl] {
+		if fn.Decl == nil || fn.Decl.Body == nil || fz.lanes[fz.live.first()].analyzing[fn.Decl] {
 			continue
 		}
-		fz.analyzeUncalledF(fn)
+		fz.analyzeUncalled(fn)
 	}
 	fz.flush()
-	return !fz.aborted
+	return !fz.stopped
 }
 
-func (fz *Fused) analyzeUncalledF(fn *ir.Func) {
-	act := fz.full
+// analyzeUncalled runs a function no top-level code called, with clean
+// parameters (defaults evaluated), the way WAP inspects library code whose
+// callers are unknown.
+func (fz *Fused) analyzeUncalled(fn *ir.Func) {
+	act := fz.live
+	fz.setMask(act)
 	prev := fz.lanes[act.first()].curFunc
 	act.forEach(func(l int) {
 		a := fz.lanes[l]
@@ -224,12 +283,12 @@ func (fz *Fused) analyzeUncalledF(fn *ir.Func) {
 	fr := fz.newFrame(fn.NumRegs, act)
 	for _, prm := range fn.Params {
 		if prm.Default != nil {
-			fz.envSet(fr.env, prm.Name, fz.runBlockValueF(prm.Default, fr), act)
+			fz.envSet(fr.env, prm.Name, fz.runBlockValue(prm.Default, fr), act)
 		} else {
 			fz.envSet(fr.env, prm.Name, fval{}, act)
 		}
 	}
-	fz.runRegionF(fn.Body, fr)
+	fz.runRegion(fn.Body, fr)
 	act.forEach(func(l int) {
 		a := fz.lanes[l]
 		delete(a.analyzing, fn.Decl)
@@ -242,26 +301,59 @@ func (fz *Fused) analyzeUncalledF(fn *ir.Func) {
 // Step accounting
 // ---------------------------------------------------------------------------
 
-// stepF charges one instruction to every lane in the current mask. It
-// returns false — aborting the pass — as soon as the furthest lane would
-// exceed the budget, so no lane's exact count ever passes the point where
-// its unfused run would have degraded.
-func (fz *Fused) stepF() bool {
-	if fz.aborted {
+// step charges one instruction to every live lane of the running frame. A
+// lane the charge takes past its budget freezes — its count stays at
+// budget+1 and the instruction does not run for it — while the other lanes
+// execute the instruction. step returns false once no lane of the frame is
+// left, or the cooperative stop froze them all.
+func (fz *Fused) step() bool {
+	if fz.ctxMask.empty() {
 		return false
 	}
 	fz.ctxSteps++
 	if fz.budget > 0 && fz.maxBase+fz.ctxSteps > fz.budget {
-		fz.aborted = true
-		return false
+		fz.flush()
+		var over laneMask
+		fz.ctxMask.forEach(func(l int) {
+			if fz.lanes[l].steps > fz.budget {
+				over = over.with(l)
+			}
+		})
+		fz.freeze(over)
+		if fz.ctxMask.empty() {
+			return false
+		}
 	}
+	// The atomic load is cheap but pointless at full rate; poll every 64
+	// instructions so a watchdog still cuts a runaway pass off within
+	// microseconds.
 	if fz.stop != nil {
 		if fz.pollCtr++; fz.pollCtr&63 == 0 && fz.stop.Load() {
-			fz.aborted = true
+			fz.stopped = true
+			fz.live.forEach(func(l int) { fz.lanes[l].stopped = true })
+			fz.freeze(fz.live)
 			return false
 		}
 	}
 	return true
+}
+
+// freeze takes the lanes in m out of the pass: they leave the live set and
+// every active frame's mask, their open shared-cache fill is dropped, and
+// Exhausted reports true for them.
+func (fz *Fused) freeze(m laneMask) {
+	fz.flush()
+	m.forEach(func(l int) {
+		a := fz.lanes[l]
+		a.exhausted = true
+		a.fill = nil
+	})
+	fz.live = fz.live.andNot(m)
+	for _, fr := range fz.frames {
+		fr.act = fr.act.andNot(m)
+	}
+	fz.ctxMask = fz.ctxMask.andNot(m)
+	fz.syncBase()
 }
 
 // flush folds the accumulated context steps into each active lane's exact
@@ -275,10 +367,10 @@ func (fz *Fused) flush() {
 	}
 }
 
-// setMask flushes and switches the charging context to m.
+// setMask flushes and switches the charging context to the live lanes of m.
 func (fz *Fused) setMask(m laneMask) {
 	fz.flush()
-	fz.ctxMask = m
+	fz.ctxMask = m.and(fz.live)
 	fz.syncBase()
 }
 
@@ -299,7 +391,7 @@ func (fz *Fused) syncBase() {
 // ---------------------------------------------------------------------------
 
 // fcell is one variable binding across lanes: present marks the lanes whose
-// scalar environment holds the binding at all (absent lanes read clean and
+// environment holds the binding at all (absent lanes read clean and
 // are eligible for branch-merge writes), v carries the per-lane values.
 // Invariant: v.mask ⊆ present.
 type fcell struct {
@@ -308,7 +400,8 @@ type fcell struct {
 }
 
 // fenv is the fused variable environment. written tracks per-lane write
-// masks inside switch arms (nil elsewhere), mirroring env.written.
+// masks inside switch arms (nil elsewhere), which the switch join's kill
+// set is computed from.
 type fenv struct {
 	vars    map[string]fcell
 	written map[string]laneMask
@@ -335,8 +428,8 @@ func restrictF(v fval, m laneMask) fval {
 	return v
 }
 
-// envGet reads a binding for the lanes in act, mirroring env.get per lane:
-// present lanes see their value, absent lanes see clean.
+// envGet reads a binding for the lanes in act: present lanes see their
+// value, absent lanes see clean.
 func (fz *Fused) envGet(e *fenv, name string, act laneMask) fval {
 	c, ok := e.vars[name]
 	if !ok {
@@ -364,7 +457,7 @@ func (fz *Fused) blendCell(c fcell, v fval, m laneMask) fcell {
 	return fcell{present: c.present.or(m), v: b.finish()}
 }
 
-// envSet overwrites the binding for the lanes in m, mirroring env.set.
+// envSet overwrites the binding for the lanes in m.
 func (fz *Fused) envSet(e *fenv, name string, v fval, m laneMask) {
 	c, ok := e.vars[name]
 	if !ok || c.present.andNot(m).empty() {
@@ -377,8 +470,10 @@ func (fz *Fused) envSet(e *fenv, name string, v fval, m laneMask) {
 	}
 }
 
-// envMergeSet joins v into the binding for the lanes in m, mirroring
-// env.mergeSet per lane.
+// envMergeSet joins v into the binding for the lanes in m (index
+// assignment and loop bodies). The union is the canonical join, so
+// re-running a loop body or replaying a by-ref summary does not duplicate
+// bookkeeping: merge-setting the same value twice is a no-op.
 func (fz *Fused) envMergeSet(e *fenv, name string, v fval, m laneMask) {
 	c, ok := e.vars[name]
 	switch {
@@ -405,11 +500,13 @@ func (fz *Fused) envMergeSet(e *fenv, name string, v fval, m laneMask) {
 	}
 }
 
-// envMergeFrom applies a branch snapshot, mirroring env.mergeFromExcept per
-// lane: tainted snapshot lanes join into the current value, untainted ones
-// set only where the lane's binding is absent. skip carries per-binding
-// kill masks (nil outside switch joins). Like the scalar mergeFromExcept,
-// it writes bindings directly and never marks written.
+// envMergeFrom applies a branch snapshot per lane: tainted snapshot lanes
+// join into the current value, untainted ones set only where the lane's
+// binding is absent. The join is idempotent and order-independent, so
+// merging N snapshots that agree on a binding leaves it untouched. skip
+// carries per-binding kill masks (nil outside switch joins): bindings every
+// arm overwrote are already resolved and must not be re-merged. It writes
+// bindings directly and never marks written.
 func (fz *Fused) envMergeFrom(e *fenv, snap map[string]fcell, skip map[string]laneMask, act laneMask) {
 	for k, sv := range snap {
 		apply := act.and(sv.present)
@@ -458,48 +555,48 @@ func (fz *Fused) envMergeFrom(e *fenv, snap map[string]fcell, skip map[string]la
 // Regions and blocks
 // ---------------------------------------------------------------------------
 
-func (fz *Fused) runRegionF(r *ir.Region, fr *fframe) {
-	if r == nil || fz.aborted {
+func (fz *Fused) runRegion(r *ir.Region, fr *fframe) {
+	if r == nil || fz.ctxMask.empty() {
 		return
 	}
 	switch r.Kind {
 	case ir.RBasic:
-		fz.runBlockF(r.Blk, fr)
+		fz.runBlock(r.Blk, fr)
 	case ir.RSeq:
 		for _, k := range r.Kids {
-			if fz.aborted {
+			if fz.ctxMask.empty() {
 				return
 			}
-			fz.runRegionF(k, fr)
+			fz.runRegion(k, fr)
 		}
 	case ir.RIf:
 		e := fr.env
 		base := copyFcells(e.vars)
-		fz.runRegionF(r.Then, fr)
+		fz.runRegion(r.Then, fr)
 		thenSnap := copyFcells(e.vars)
 		e.vars = base
 		if r.Else != nil {
-			fz.runRegionF(r.Else, fr)
+			fz.runRegion(r.Else, fr)
 		}
 		fz.envMergeFrom(e, thenSnap, nil, fr.act)
 	case ir.RLoop2:
-		fz.runRegionF(r.Body, fr)
-		fz.runRegionF(r.Body, fr)
+		fz.runRegion(r.Body, fr)
+		fz.runRegion(r.Body, fr)
 	case ir.RForLoop:
-		fz.runRegionF(r.Body, fr)
-		if r.Post != nil && !fz.aborted {
-			fz.runBlockF(r.Post, fr)
+		fz.runRegion(r.Body, fr)
+		if r.Post != nil && !fz.ctxMask.empty() {
+			fz.runBlock(r.Post, fr)
 		}
-		fz.runRegionF(r.Body, fr)
+		fz.runRegion(r.Body, fr)
 	case ir.RSwitch:
-		fz.runSwitchF(r, fr)
+		fz.runSwitch(r, fr)
 	}
 }
 
-// runSwitchF is the fused counterpart of runSwitch, with the kill set
+// runSwitch is the fused counterpart of runSwitch, with the kill set
 // computed per lane as mask algebra: a binding's pre-switch taint dies in
 // exactly the lanes where every arm overwrote it with an untainted value.
-func (fz *Fused) runSwitchF(r *ir.Region, fr *fframe) {
+func (fz *Fused) runSwitch(r *ir.Region, fr *fframe) {
 	e := fr.env
 	act := fr.act
 	base := copyFcells(e.vars)
@@ -510,9 +607,9 @@ func (fz *Fused) runSwitchF(r *ir.Region, fr *fframe) {
 		e.vars = copyFcells(base)
 		e.written = make(map[string]laneMask)
 		if c.Cond != nil {
-			fz.runBlockF(c.Cond, fr)
+			fz.runBlock(c.Cond, fr)
 		}
-		fz.runRegionF(c.Body, fr)
+		fz.runRegion(c.Body, fr)
 		snaps = append(snaps, copyFcells(e.vars))
 		writes = append(writes, e.written)
 	}
@@ -595,24 +692,24 @@ func (fz *Fused) runSwitchF(r *ir.Region, fr *fframe) {
 	}
 }
 
-func (fz *Fused) runBlockF(b *ir.Block, fr *fframe) {
+func (fz *Fused) runBlock(b *ir.Block, fr *fframe) {
 	if b == nil {
 		return
 	}
 	for i := range b.Instrs {
-		if !fz.stepF() {
+		if !fz.step() {
 			return
 		}
-		fz.runInstrF(&b.Instrs[i], fr)
+		fz.runInstr(&b.Instrs[i], fr)
 	}
 }
 
-func (fz *Fused) runBlockValueF(b *ir.Block, fr *fframe) fval {
+func (fz *Fused) runBlockValue(b *ir.Block, fr *fframe) fval {
 	if b == nil {
 		return fval{}
 	}
-	fz.runBlockF(b, fr)
-	return fr.valF(b.Result)
+	fz.runBlock(b, fr)
+	return fr.val(b.Result)
 }
 
 // ---------------------------------------------------------------------------
@@ -740,14 +837,14 @@ func (b *fvalParts) finish() fval {
 // Instructions
 // ---------------------------------------------------------------------------
 
-func (fz *Fused) runInstrF(ins *ir.Instr, fr *fframe) {
+func (fz *Fused) runInstr(ins *ir.Instr, fr *fframe) {
 	e := fr.env
 	regs := *fr.regs
 	switch ins.Op {
 	case ir.OpConst:
 		regs[ins.Dst] = fval{}
 	case ir.OpCopy:
-		regs[ins.Dst] = fr.valF(ins.A)
+		regs[ins.Dst] = fr.val(ins.A)
 	case ir.OpLoadVar:
 		em := fz.epVarMaskFor(ins.Name).and(fr.act)
 		if em.empty() {
@@ -771,24 +868,24 @@ func (fz *Fused) runInstrF(ins *ir.Instr, fr *fframe) {
 	case ir.OpLoadKey:
 		regs[ins.Dst] = fz.envGet(e, ins.Name, fr.act)
 	case ir.OpIndex:
-		regs[ins.Dst] = fz.runIndexF(ins, fr)
+		regs[ins.Dst] = fz.runIndex(ins, fr)
 	case ir.OpUnion:
 		var v fval
 		for _, r := range ins.Args {
-			v = fz.fmerge(v, fr.valF(r), fr.act)
+			v = fz.fmerge(v, fr.val(r), fr.act)
 		}
 		regs[ins.Dst] = v
 	case ir.OpConcat:
-		v := fz.fmerge(fr.valF(ins.A), fr.valF(ins.B), fr.act)
+		v := fz.fmerge(fr.val(ins.A), fr.val(ins.B), fr.act)
 		regs[ins.Dst] = fz.withStep(v, fr.act, ins.Pos, "concatenation", ins.Node)
 	case ir.OpInterp:
 		var v fval
 		for _, r := range ins.Args {
-			v = fz.fmerge(v, fr.valF(r), fr.act)
+			v = fz.fmerge(v, fr.val(r), fr.act)
 		}
 		regs[ins.Dst] = fz.withStep(v, fr.act, ins.Pos, "string interpolation", ins.Node)
 	case ir.OpAssign:
-		rhs := fr.valF(ins.A)
+		rhs := fr.val(ins.A)
 		var v fval
 		switch ins.AKind {
 		case ir.AssignAppend:
@@ -803,56 +900,57 @@ func (fz *Fused) runInstrF(ins *ir.Instr, fr *fframe) {
 		default:
 			v = fval{}
 		}
-		fz.assignLVF(ins.LV, v, e, fr.act)
+		fz.assignLV(ins.LV, v, e, fr.act)
 		regs[ins.Dst] = v
 	case ir.OpAssignTo:
-		fz.assignLVF(ins.LV, fr.valF(ins.A), e, fr.act)
+		fz.assignLV(ins.LV, fr.val(ins.A), e, fr.act)
 	case ir.OpSetVar:
 		if ins.A < 0 {
 			fz.envSet(e, ins.Name, fval{}, fr.act)
 		} else {
-			fz.envSet(e, ins.Name, fr.valF(ins.A), fr.act)
+			fz.envSet(e, ins.Name, fr.val(ins.A), fr.act)
 		}
 	case ir.OpCall:
-		regs[ins.Dst] = fz.runCallF(ins, fr)
+		regs[ins.Dst] = fz.runCall(ins, fr)
 	case ir.OpMethodCall:
-		regs[ins.Dst] = fz.runMethodCallF(ins, fr)
+		regs[ins.Dst] = fz.runMethodCall(ins, fr)
 	case ir.OpStaticCall:
-		regs[ins.Dst] = fz.runStaticCallF(ins, fr)
+		regs[ins.Dst] = fz.runStaticCall(ins, fr)
 	case ir.OpClosure:
-		fz.runClosureF(ins, fr)
+		fz.runClosure(ins, fr)
 	case ir.OpPseudoSink:
-		v := fr.valF(ins.A)
+		v := fr.val(ins.A)
 		m := fz.fnSinkMaskFor(ins.Name).and(fr.act).and(v.mask)
 		m.forEach(func(l int) {
 			fz.lanes[l].checkPseudoSink(ins.Name, ins.Node, ins.Expr, v.get(l), ins.Pos)
 		})
 	case ir.OpNamedSink:
-		v := fr.valF(ins.A)
+		v := fr.val(ins.A)
 		m := fz.fnSinkMaskFor(ins.Name).and(fr.act).and(v.mask)
 		m.forEach(func(l int) {
 			fz.lanes[l].checkNamedSink(ins.Name, ins.Node, ins.Expr, v.get(l), -1, ins.Pos)
 		})
 	case ir.OpReturn:
-		fr.ret = fz.fmerge(fr.ret, fr.valF(ins.A), fr.act)
+		fr.ret = fz.fmerge(fr.ret, fr.val(ins.A), fr.act)
 	}
 }
 
-// runIndexF mirrors runIndex. When only some lanes treat the base variable
-// as an entry point, the base block executes under the narrowed non-entry
-// mask (those are the only lanes that evaluate it in scalar runs — step
-// charges and environment effects included), then the index block runs for
-// everyone.
-func (fz *Fused) runIndexF(ins *ir.Instr, fr *fframe) fval {
+// runIndex evaluates an index read. For lanes that treat the base as an
+// entry-point superglobal ($_GET['id']) only the index subexpression runs
+// and the result is a fresh source; other lanes evaluate base then index and
+// yield the base value. When lanes disagree, the base block executes under
+// the narrowed non-entry mask (step charges and environment effects
+// included), then the index block runs for everyone.
+func (fz *Fused) runIndex(ins *ir.Instr, fr *fframe) fval {
 	act := fr.act
 	var em laneMask
 	if ins.Name != "" {
 		em = fz.epVarMaskFor(ins.Name).and(act)
 	}
 	if em.empty() {
-		v := fz.runBlockValueF(ins.XBlk, fr)
+		v := fz.runBlockValue(ins.XBlk, fr)
 		if ins.IBlk != nil {
-			fz.runBlockF(ins.IBlk, fr)
+			fz.runBlock(ins.IBlk, fr)
 		}
 		return v
 	}
@@ -869,21 +967,18 @@ func (fz *Fused) runIndexF(ins *ir.Instr, fr *fframe) fval {
 	}
 	if em.eq(act) {
 		if ins.IBlk != nil {
-			fz.runBlockF(ins.IBlk, fr)
+			fz.runBlock(ins.IBlk, fr)
 		}
 		return epVal(act)
 	}
 	rest := act.andNot(em)
 	fr.act = rest
 	fz.setMask(rest)
-	base := fz.runBlockValueF(ins.XBlk, fr)
-	fr.act = act
+	base := fz.runBlockValue(ins.XBlk, fr)
+	fr.act = act.and(fz.live)
 	fz.setMask(act)
 	if ins.IBlk != nil {
-		fz.runBlockF(ins.IBlk, fr)
-	}
-	if fz.aborted {
-		return fval{}
+		fz.runBlock(ins.IBlk, fr)
 	}
 	b := fvalParts{act: act}
 	b.addF(em, epVal(em))
@@ -891,9 +986,9 @@ func (fz *Fused) runIndexF(ins *ir.Instr, fr *fframe) fval {
 	return b.finish()
 }
 
-// assignLVF writes through a static assignment target, mirroring assignLV
-// per lane.
-func (fz *Fused) assignLVF(lv *ir.LValue, v fval, e *fenv, act laneMask) {
+// assignLV writes through a static assignment target. Element assignment
+// taints the whole array conservatively.
+func (fz *Fused) assignLV(lv *ir.LValue, v fval, e *fenv, act laneMask) {
 	if lv == nil {
 		return
 	}
@@ -917,15 +1012,16 @@ func (fz *Fused) assignLVF(lv *ir.LValue, v fval, e *fenv, act laneMask) {
 		}
 	case ir.LVList:
 		for _, k := range lv.Kids {
-			fz.assignLVF(k, v, e, act)
+			fz.assignLV(k, v, e, act)
 		}
 	}
 }
 
-// assignToF writes a value through an AST assignment target for the lanes
-// in m, mirroring the walker's assignTo (used for builtin out-params and
-// by-ref writebacks).
-func (fz *Fused) assignToF(lhs ast.Expr, v fval, e *fenv, m laneMask) {
+// assignTo writes a value through an AST assignment target for the lanes
+// in m (builtin out-params, by-ref writebacks and shared-summary replays).
+// Unknown targets such as variable variables are ignored, a documented
+// imprecision WAP shares.
+func (fz *Fused) assignTo(lhs ast.Expr, v fval, e *fenv, m laneMask) {
 	switch t := lhs.(type) {
 	case *ast.Variable:
 		fz.envSet(e, t.Name, v, m)
@@ -950,12 +1046,12 @@ func (fz *Fused) assignToF(lhs ast.Expr, v fval, e *fenv, m laneMask) {
 	case *ast.ListExpr:
 		for _, item := range t.Items {
 			if item != nil {
-				fz.assignToF(item, v, e, m)
+				fz.assignTo(item, v, e, m)
 			}
 		}
 	case *ast.ArrayLit:
 		for _, item := range t.Items {
-			fz.assignToF(item.Value, v, e, m)
+			fz.assignTo(item.Value, v, e, m)
 		}
 	}
 }
@@ -1086,9 +1182,9 @@ func (fz *Fused) sanitizerValue(name string, args []fval, m laneMask) fval {
 	return b.finish()
 }
 
-// checkSinksF runs each masked lane's sink matcher over the call. Lanes
+// checkSinks runs each masked lane's sink matcher over the call. Lanes
 // agreeing on every argument share one materialized []Value.
-func (fz *Fused) checkSinksF(m laneMask, name string, method bool, recv string, ins *ir.Instr, args []fval) {
+func (fz *Fused) checkSinks(m laneMask, name string, method bool, recv string, ins *ir.Instr, args []fval) {
 	parts := []laneMask{m}
 	for _, av := range args {
 		parts = refineSegs(parts, av)
@@ -1105,11 +1201,11 @@ func (fz *Fused) checkSinksF(m laneMask, name string, method bool, recv string, 
 	}
 }
 
-func (fz *Fused) runCallF(ins *ir.Instr, fr *fframe) fval {
+func (fz *Fused) runCall(ins *ir.Instr, fr *fframe) fval {
 	name := ins.Name
 	args := make([]fval, len(ins.Args))
 	for i, r := range ins.Args {
-		args[i] = fr.valF(r)
+		args[i] = fr.val(r)
 	}
 	e := fr.env
 	b := fvalParts{act: fr.act}
@@ -1134,7 +1230,7 @@ func (fz *Fused) runCallF(ins *ir.Instr, fr *fframe) fval {
 		}
 	}
 	if km := fz.fnSinkMaskFor(name).and(rem); !km.empty() {
-		fz.checkSinksF(km, name, false, "", ins, args)
+		fz.checkSinks(km, name, false, "", ins, args)
 	}
 	if propagatesTaint(name) {
 		v := fz.fmergeAll(args, rem)
@@ -1144,13 +1240,13 @@ func (fz *Fused) runCallF(ins *ir.Instr, fr *fframe) fval {
 	switch name {
 	case "preg_match", "preg_match_all":
 		if len(ins.ArgExprs) >= 3 && len(args) >= 2 {
-			fz.assignToF(ins.ArgExprs[2], args[1], e, rem)
+			fz.assignTo(ins.ArgExprs[2], args[1], e, rem)
 		}
 		b.addF(rem, fval{})
 		return b.finish()
 	case "parse_str":
 		if len(ins.ArgExprs) >= 2 && len(args) >= 1 {
-			fz.assignToF(ins.ArgExprs[1], args[0], e, rem)
+			fz.assignTo(ins.ArgExprs[1], args[0], e, rem)
 		}
 		b.addF(rem, fval{})
 		return b.finish()
@@ -1159,25 +1255,25 @@ func (fz *Fused) runCallF(ins *ir.Instr, fr *fframe) fval {
 		return b.finish()
 	case "settype":
 		if len(ins.ArgExprs) >= 1 {
-			fz.assignToF(ins.ArgExprs[0], fval{}, e, rem)
+			fz.assignTo(ins.ArgExprs[0], fval{}, e, rem)
 		}
 		b.addF(rem, fval{})
 		return b.finish()
 	}
-	if fn := fz.resolveFuncF(name, rem); fn != nil && fn.Body != nil && !fz.disableInlining {
-		b.addF(rem, fz.inlineF(fn, ins.ArgExprs, args, ins.Pos, e, rem))
+	if fn := fz.resolveFunc(name, rem); fn != nil && fn.Body != nil && !fz.disableInlining {
+		b.addF(rem, fz.inline(fn, ins.ArgExprs, args, ins.Pos, e, rem))
 		return b.finish()
 	}
 	b.addF(rem, fval{})
 	return b.finish()
 }
 
-func (fz *Fused) runMethodCallF(ins *ir.Instr, fr *fframe) fval {
-	recv := fr.valF(ins.A)
+func (fz *Fused) runMethodCall(ins *ir.Instr, fr *fframe) fval {
+	recv := fr.val(ins.A)
 	name := ins.Name // lower-cased at lowering time
 	args := make([]fval, len(ins.Args))
 	for i, r := range ins.Args {
-		args[i] = fr.valF(r)
+		args[i] = fr.val(r)
 	}
 	b := fvalParts{act: fr.act}
 	rem := fr.act
@@ -1192,21 +1288,21 @@ func (fz *Fused) runMethodCallF(ins *ir.Instr, fr *fframe) fval {
 		}
 	}
 	if km := fz.methSinkMaskFor(name).and(rem); !km.empty() {
-		fz.checkSinksF(km, name, true, ins.Key, ins, args)
+		fz.checkSinks(km, name, true, ins.Key, ins, args)
 	}
-	if m := fz.resolveMethodF(name, rem); m != nil && m.Body != nil && !fz.disableInlining {
-		b.addF(rem, fz.inlineF(m, ins.ArgExprs, args, ins.Pos, fr.env, rem))
+	if m := fz.resolveMethod(name, rem); m != nil && m.Body != nil && !fz.disableInlining {
+		b.addF(rem, fz.inline(m, ins.ArgExprs, args, ins.Pos, fr.env, rem))
 		return b.finish()
 	}
 	b.addF(rem, fz.fmerge(recv, fz.fmergeAll(args, rem), rem))
 	return b.finish()
 }
 
-func (fz *Fused) runStaticCallF(ins *ir.Instr, fr *fframe) fval {
+func (fz *Fused) runStaticCall(ins *ir.Instr, fr *fframe) fval {
 	name := strings.ToLower(ins.Name)
 	args := make([]fval, len(ins.Args))
 	for i, r := range ins.Args {
-		args[i] = fr.valF(r)
+		args[i] = fr.val(r)
 	}
 	b := fvalParts{act: fr.act}
 	rem := fr.act
@@ -1221,19 +1317,19 @@ func (fz *Fused) runStaticCallF(ins *ir.Instr, fr *fframe) fval {
 		}
 	}
 	if km := fz.methSinkMaskFor(name).and(rem); !km.empty() {
-		fz.checkSinksF(km, name, true, strings.ToLower(ins.Key), ins, args)
+		fz.checkSinks(km, name, true, strings.ToLower(ins.Key), ins, args)
 	}
-	// Like the scalar engines, resolved static methods inline regardless of
-	// the DisableInlining ablation.
-	if m := fz.resolveStaticF(ins.Key, ins.Name, rem); m != nil && m.Body != nil {
-		b.addF(rem, fz.inlineF(m, ins.ArgExprs, args, ins.Pos, fr.env, rem))
+	// Resolved static methods inline regardless of the DisableInlining
+	// ablation.
+	if m := fz.resolveStatic(ins.Key, ins.Name, rem); m != nil && m.Body != nil {
+		b.addF(rem, fz.inline(m, ins.ArgExprs, args, ins.Pos, fr.env, rem))
 		return b.finish()
 	}
 	b.addF(rem, fz.fmergeAll(args, rem))
 	return b.finish()
 }
 
-func (fz *Fused) runClosureF(ins *ir.Instr, fr *fframe) {
+func (fz *Fused) runClosure(ins *ir.Instr, fr *fframe) {
 	cf := ins.Closure
 	inner := newFenv()
 	for _, u := range cf.Uses {
@@ -1244,7 +1340,7 @@ func (fz *Fused) runClosureF(ins *ir.Instr, fr *fframe) {
 	}
 	cfr := fz.newFrame(cf.NumRegs, fr.act)
 	cfr.env = inner
-	fz.runRegionF(cf.Body, cfr)
+	fz.runRegion(cf.Body, cfr)
 	fz.releaseFrame(cfr)
 }
 
@@ -1252,7 +1348,7 @@ func (fz *Fused) runClosureF(ins *ir.Instr, fr *fframe) {
 // Resolution (shared lookup, per-lane fill bookkeeping)
 // ---------------------------------------------------------------------------
 
-func (fz *Fused) resolveFuncF(name string, m laneMask) *ast.FunctionDecl {
+func (fz *Fused) resolveFunc(name string, m laneMask) *ast.FunctionDecl {
 	m.forEach(func(l int) { fz.lanes[l].noteResolution(name) })
 	if fz.astFile != nil {
 		if fn, ok := fz.astFile.Funcs[name]; ok && fn.Class == nil {
@@ -1265,7 +1361,7 @@ func (fz *Fused) resolveFuncF(name string, m laneMask) *ast.FunctionDecl {
 	return nil
 }
 
-func (fz *Fused) resolveMethodF(name string, m laneMask) *ast.FunctionDecl {
+func (fz *Fused) resolveMethod(name string, m laneMask) *ast.FunctionDecl {
 	m.forEach(func(l int) { fz.lanes[l].noteResolution(name) })
 	if fz.astFile != nil {
 		for _, cls := range fz.astFile.Classes {
@@ -1282,7 +1378,7 @@ func (fz *Fused) resolveMethodF(name string, m laneMask) *ast.FunctionDecl {
 	return nil
 }
 
-func (fz *Fused) resolveStaticF(class, name string, m laneMask) *ast.FunctionDecl {
+func (fz *Fused) resolveStatic(class, name string, m laneMask) *ast.FunctionDecl {
 	m.forEach(func(l int) {
 		if a := fz.lanes[l]; a.fill != nil {
 			a.fill.impure = true
@@ -1294,16 +1390,17 @@ func (fz *Fused) resolveStaticF(class, name string, m laneMask) *ast.FunctionDec
 			return fn
 		}
 	}
-	return fz.resolveMethodF(strings.ToLower(name), m)
+	return fz.resolveMethod(strings.ToLower(name), m)
 }
 
 // ---------------------------------------------------------------------------
 // Inlining
 // ---------------------------------------------------------------------------
 
-// shareEligibleF mirrors shareEligible for lane l of a fused argument
-// vector.
-func (fz *Fused) shareEligibleF(a *Analyzer, args []fval, l int) bool {
+// shareEligible reports whether lane l's call may consult or fill the
+// shared cache: top-level context, shared cache configured, and every
+// argument free of caller-specific content.
+func (fz *Fused) shareEligible(a *Analyzer, args []fval, l int) bool {
 	if a.cfg.Shared == nil || a.depth != 0 || len(a.analyzing) != 0 || a.fill != nil {
 		return false
 	}
@@ -1315,8 +1412,7 @@ func (fz *Fused) shareEligibleF(a *Analyzer, args []fval, l int) bool {
 	return true
 }
 
-// fenvLane reads one lane's binding from a fused environment, mirroring
-// env.get.
+// fenvLane reads one lane's binding from a fused environment.
 func fenvLane(e *fenv, name string, l int) Value {
 	if c, ok := e.vars[name]; ok && c.present.has(l) {
 		return c.v.get(l)
@@ -1324,10 +1420,12 @@ func fenvLane(e *fenv, name string, l int) Value {
 	return clean()
 }
 
-// consumeSharedF mirrors consumeShared for one lane, replaying the entry's
-// candidates and by-ref effects into the lane's analyzer and the fused
-// caller environment.
-func (fz *Fused) consumeSharedF(a *Analyzer, l int, se *sharedEntry, memoKey string, argExprs []ast.Expr, caller *fenv) Value {
+// consumeShared replays committed entry se at a call site for lane l:
+// report the body's candidates (through the per-task dedup filter, with the
+// candidate file rewritten to the consumer's), re-apply by-ref effects to
+// the caller environment, charge the fill's steps, and install the summary
+// into the lane's memo so later calls behave exactly like memo hits.
+func (fz *Fused) consumeShared(a *Analyzer, l int, se *sharedEntry, memoKey string, argExprs []ast.Expr, caller *fenv) Value {
 	a.sharedHits++
 	a.steps += se.steps
 	for _, c := range se.cands {
@@ -1342,16 +1440,18 @@ func (fz *Fused) consumeSharedF(a *Analyzer, l int, se *sharedEntry, memoKey str
 			if br.val.Tainted {
 				bv.mask = lm
 			}
-			fz.assignToF(argExprs[br.idx], bv, caller, lm)
+			fz.assignTo(argExprs[br.idx], bv, caller, lm)
 		}
 	}
 	a.summaries[memoKey] = &summary{returnValue: se.ret}
 	return se.ret
 }
 
-// finishFillF mirrors finishFill for one lane, reading by-ref out-values
-// from the fused callee environment.
-func (fz *Fused) finishFillF(a *Analyzer, l int, ret Value, fn *ast.FunctionDecl, inner *fenv) {
+// finishFill closes lane a's active fill frame, publishing a pending entry
+// when the fill stayed pure; by-ref out-values are read from the callee
+// environment. (A lane that exhausted its budget mid-fill had the frame
+// dropped when it froze.)
+func (fz *Fused) finishFill(a *Analyzer, l int, ret Value, fn *ast.FunctionDecl, inner *fenv) {
 	fr := a.fill
 	a.fill = nil
 	if fr == nil || fr.impure {
@@ -1366,11 +1466,11 @@ func (fz *Fused) finishFillF(a *Analyzer, l int, ret Value, fn *ast.FunctionDecl
 	a.pending = append(a.pending, PendingSummary{Key: fr.key, entry: e})
 }
 
-// inlineF applies a user function at a call edge for the lanes in rem.
+// inline applies a user function at a call edge for the lanes in rem.
 // Memoized and shared summaries resolve per lane; the lanes left over run
 // the callee body together under a narrowed mask — one body evaluation no
 // matter how many lanes missed.
-func (fz *Fused) inlineF(fn *ast.FunctionDecl, argExprs []ast.Expr, args []fval, callPos token.Position, caller *fenv, rem laneMask) fval {
+func (fz *Fused) inline(fn *ast.FunctionDecl, argExprs []ast.Expr, args []fval, callPos token.Position, caller *fenv, rem laneMask) fval {
 	// Depth, recursion and call-stack state are lockstep across a frame's
 	// lanes (they entered the same chain of bodies), so one representative
 	// decides the guard for all.
@@ -1433,13 +1533,13 @@ func (fz *Fused) inlineF(fn *ast.FunctionDecl, argExprs []ast.Expr, args []fval,
 	var sharedM, fillM laneMask
 	rem2.forEach(func(l int) {
 		a := fz.lanes[l]
-		if !fz.shareEligibleF(a, args, l) {
+		if !fz.shareEligible(a, args, l) {
 			return
 		}
 		sk := SummaryKey{Class: a.class.ID, Fn: fn, NArgs: len(args)}
 		if se := a.sharedLookup(sk); se != nil {
 			a.transferHits++
-			b.addV(oneLane(l), retStep(fz.consumeSharedF(a, l, se, laneKey(l), argExprs, caller)))
+			b.addV(oneLane(l), retStep(fz.consumeShared(a, l, se, laneKey(l), argExprs, caller)))
 			sharedM = sharedM.with(l)
 			return
 		}
@@ -1475,18 +1575,18 @@ func (fz *Fused) inlineF(fn *ast.FunctionDecl, argExprs []ast.Expr, args []fval,
 		case i < len(args):
 			fz.envSet(inner, prm.Name, args[i], missM)
 		case prm.Default != nil:
-			fz.envSet(inner, prm.Name, fz.runBlockValueF(prm.Default, cfr), missM)
+			fz.envSet(inner, prm.Name, fz.runBlockValue(prm.Default, cfr), missM)
 		default:
 			fz.envSet(inner, prm.Name, fval{}, missM)
 		}
 	}
-	fz.runRegionF(cf.Body, cfr)
+	fz.runRegion(cf.Body, cfr)
 	ret := cfr.ret
 
 	// Propagate by-ref parameter taint back to caller arguments.
 	for i, prm := range cf.Params {
 		if prm.ByRef && i < len(argExprs) {
-			fz.assignToF(argExprs[i], fz.envGet(inner, prm.Name, missM), caller, missM)
+			fz.assignTo(argExprs[i], fz.envGet(inner, prm.Name, missM), caller, missM)
 		}
 	}
 
@@ -1498,10 +1598,11 @@ func (fz *Fused) inlineF(fn *ast.FunctionDecl, argExprs []ast.Expr, args []fval,
 	})
 	fz.setMask(prevMask) // flushes body steps into missM lanes
 
-	// Per-lane memo install and fill completion; lanes sharing a return
-	// group share one trace-copied result value (a uniform return over the
-	// whole call collapses to a single uniform cell).
-	missM.forEach(func(l int) {
+	// Per-lane memo install and fill completion for the lanes that finished
+	// the body (a lane that froze inside it is out of the pass); lanes
+	// sharing a return group share one trace-copied result value (a uniform
+	// return over the whole call collapses to a single uniform cell).
+	missM.and(fz.live).forEach(func(l int) {
 		a := fz.lanes[l]
 		rv := ret.get(l)
 		entry := &summary{returnValue: rv}
@@ -1510,7 +1611,7 @@ func (fz *Fused) inlineF(fn *ast.FunctionDecl, argExprs []ast.Expr, args []fval,
 		}
 		a.summaries[laneKey(l)] = entry
 		if fillM.has(l) {
-			fz.finishFillF(a, l, rv, fn, inner)
+			fz.finishFill(a, l, rv, fn, inner)
 		}
 	})
 	if ret.segs == nil && missM.eq(rem) {

@@ -1,11 +1,10 @@
 package taint
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/ir"
-	"repro/internal/php/parser"
 	"repro/internal/vuln"
 )
 
@@ -116,163 +115,105 @@ mysql_query($arr);`,
 
 // fusedLaneState captures everything the engine consumes from one lane.
 type fusedLaneState struct {
-	cands   []string
-	steps   int
-	hits    int
-	misses  int
-	xfers   int
-	pending []SummaryKey
+	cands     []string
+	steps     int
+	exhausted bool
+	stopped   bool
+	hits      int
+	misses    int
+	xfers     int
+	pending   []string
 }
 
-func pendingKeys(ps []PendingSummary) []SummaryKey {
-	out := make([]SummaryKey, len(ps))
-	for i, p := range ps {
-		out[i] = p.Key
+func laneState(fz *Fused, l int) fusedLaneState {
+	st := fusedLaneState{
+		cands:     candDetails(fz.Candidates(l)),
+		steps:     fz.Steps(l),
+		exhausted: fz.Exhausted(l),
+		stopped:   fz.Stopped(l),
+		hits:      fz.SharedHits(l),
+		misses:    fz.SharedMisses(l),
+		xfers:     fz.TransferHits(l),
 	}
-	return out
+	for _, p := range fz.PendingShared(l) {
+		st.pending = append(st.pending, pendingDetail(p))
+	}
+	return st
 }
 
-func sameKeys(a, b []SummaryKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+func (s fusedLaneState) String() string {
+	return fmt.Sprintf("steps=%d exhausted=%v stopped=%v hit=%d miss=%d xfer=%d\n    %s\n    %s",
+		s.steps, s.exhausted, s.stopped, s.hits, s.misses, s.xfers,
+		strings.Join(s.cands, "\n    "), strings.Join(s.pending, "\n    "))
 }
 
-// diffFusedUnfused runs every weapon class over src unfused (one FileIR per
-// class) and fused (one pass), asserting per-lane state is byte-identical.
-func diffFusedUnfused(t *testing.T, src string, mkCfg func(cls *vuln.Class) Config) {
+// diffLanes runs every class over src as one N-lane pass and as N one-lane
+// passes at every budget of the sweep, asserting each lane's state is
+// identical: a lane's outcome — including where and how it degrades when
+// its budget runs out — never depends on the other lanes of its pass.
+// store returns the shared cache for one pass (nil disables it).
+func diffLanes(t *testing.T, src string, store func() *SharedSummaries) {
 	t.Helper()
-	f, errs := parser.Parse("test.php", src)
-	if len(errs) > 0 {
-		t.Fatalf("parse errors: %v", errs)
-	}
-	fir := ir.LowerFile(f)
+	p := parseSrc(t, src)
 	classes := vuln.All()
-
-	want := make([]fusedLaneState, len(classes))
-	for i, cls := range classes {
-		a := New(mkCfg(cls))
-		cands := a.FileIR(f, fir, nil)
-		if a.Exhausted() {
-			t.Fatalf("[%s] unfused run exhausted; raise the test budget", cls.ID)
-		}
-		want[i] = fusedLaneState{
-			cands:   candDetails(cands),
-			steps:   a.Steps(),
-			hits:    a.SharedHits(),
-			misses:  a.SharedMisses(),
-			xfers:   a.TransferHits(),
-			pending: pendingKeys(a.PendingShared()),
-		}
+	clean := 0
+	for _, cls := range classes {
+		a := New(Config{Class: cls})
+		a.FileIR(p.f, p.fir, nil)
+		clean = max(clean, a.Steps())
 	}
-
-	cfgs := make([]Config, len(classes))
-	for i, cls := range classes {
-		cfgs[i] = mkCfg(cls)
+	mk := func(cls *vuln.Class, budget int, shared *SharedSummaries) Config {
+		return Config{Class: cls, MaxSteps: budget, Shared: shared}
 	}
-	fz := NewFused(cfgs)
-	if !fz.FileIR(f, fir, nil) {
-		t.Fatal("fused pass aborted; expected clean completion")
-	}
-	for i, cls := range classes {
-		got := fusedLaneState{
-			cands:   candDetails(fz.Candidates(i)),
-			steps:   fz.Steps(i),
-			hits:    fz.SharedHits(i),
-			misses:  fz.SharedMisses(i),
-			xfers:   fz.TransferHits(i),
-			pending: pendingKeys(fz.PendingShared(i)),
+	for _, budget := range append(budgetSweep(clean), 0) {
+		shared := store()
+		cfgs := make([]Config, len(classes))
+		for i, cls := range classes {
+			cfgs[i] = mk(cls, budget, shared)
 		}
-		if strings.Join(got.cands, "\n") != strings.Join(want[i].cands, "\n") {
-			t.Errorf("[%s] candidate divergence:\nunfused:\n  %s\nfused:\n  %s", cls.ID,
-				strings.Join(want[i].cands, "\n  "), strings.Join(got.cands, "\n  "))
+		fz := NewFused(cfgs)
+		if !fz.FileIR(p.f, p.fir, nil) {
+			t.Fatalf("budget %d: fused pass reported a stop", budget)
 		}
-		if got.steps != want[i].steps {
-			t.Errorf("[%s] steps: unfused %d, fused %d", cls.ID, want[i].steps, got.steps)
+		exhausted := 0
+		for i, cls := range classes {
+			one := NewFused([]Config{mk(cls, budget, store())})
+			one.FileIR(p.f, p.fir, nil)
+			want, got := laneState(one, 0), laneState(fz, i)
+			if want.String() != got.String() {
+				t.Errorf("budget %d, [%s]: lane diverges from its one-lane pass:\none-lane:\n  %s\nfused:\n  %s",
+					budget, cls.ID, want, got)
+			}
+			if got.exhausted {
+				exhausted++
+			}
 		}
-		if got.hits != want[i].hits || got.misses != want[i].misses || got.xfers != want[i].xfers {
-			t.Errorf("[%s] cache counters: unfused hit=%d miss=%d xfer=%d, fused hit=%d miss=%d xfer=%d",
-				cls.ID, want[i].hits, want[i].misses, want[i].xfers, got.hits, got.misses, got.xfers)
-		}
-		if !sameKeys(got.pending, want[i].pending) {
-			t.Errorf("[%s] pending summaries: unfused %v, fused %v", cls.ID, want[i].pending, got.pending)
+		if budget == 0 && exhausted != 0 {
+			t.Errorf("unlimited budget: %d lanes exhausted", exhausted)
 		}
 	}
 }
 
 func TestFusedEquivAllClasses(t *testing.T) {
-	for name, src := range fusedDiffSrcs {
+	for _, name := range sortedProgs() {
 		t.Run(name, func(t *testing.T) {
-			diffFusedUnfused(t, src, func(cls *vuln.Class) Config {
-				return Config{Class: cls}
-			})
+			diffLanes(t, fusedDiffSrcs[name], func() *SharedSummaries { return nil })
 		})
 	}
 }
 
-// TestFusedEquivWithSharedCache pins per-lane shared-summary bookkeeping:
-// hits, misses, transfer counts and pending fills must match an unfused run
-// against an identically seeded store.
+// TestFusedEquivWithSharedCache pins per-lane shared-summary bookkeeping
+// under budget pressure: hits, misses, transfer counts and pending fills
+// must match a one-lane pass against an empty store and against a store
+// warmed by every class's clean run (whose replays are charged to the lane,
+// and refused when they would cross its budget).
 func TestFusedEquivWithSharedCache(t *testing.T) {
-	for name, src := range fusedDiffSrcs {
+	for _, name := range sortedProgs() {
 		t.Run(name, func(t *testing.T) {
-			unfusedShared := NewSharedSummaries()
-			fusedShared := NewSharedSummaries()
-			calls := 0
-			diffFusedUnfused(t, src, func(cls *vuln.Class) Config {
-				// diffFusedUnfused builds unfused configs first, then the
-				// fused slice — give each engine its own empty store.
-				calls++
-				if calls <= len(vuln.All()) {
-					return Config{Class: cls, Shared: unfusedShared}
-				}
-				return Config{Class: cls, Shared: fusedShared}
-			})
+			diffLanes(t, fusedDiffSrcs[name], NewSharedSummaries)
+			p := parseSrc(t, fusedDiffSrcs[name])
+			warm := warmStore(p, vuln.All()...)
+			diffLanes(t, fusedDiffSrcs[name], func() *SharedSummaries { return warm })
 		})
-	}
-}
-
-// TestFusedBudgetAbort pins the demotion trigger: the fused pass must abort
-// exactly when some lane's unfused run would exhaust its step budget, and
-// must complete when no lane would.
-func TestFusedBudgetAbort(t *testing.T) {
-	src := fusedDiffSrcs["functions"]
-	f, errs := parser.Parse("test.php", src)
-	if len(errs) > 0 {
-		t.Fatalf("parse errors: %v", errs)
-	}
-	fir := ir.LowerFile(f)
-	classes := vuln.All()
-
-	maxSteps := 0
-	for _, cls := range classes {
-		a := New(Config{Class: cls})
-		a.FileIR(f, fir, nil)
-		if a.Steps() > maxSteps {
-			maxSteps = a.Steps()
-		}
-	}
-	if maxSteps == 0 {
-		t.Fatal("expected nonzero step counts")
-	}
-
-	mk := func(budget int) []Config {
-		cfgs := make([]Config, len(classes))
-		for i, cls := range classes {
-			cfgs[i] = Config{Class: cls, MaxSteps: budget}
-		}
-		return cfgs
-	}
-	if fz := NewFused(mk(maxSteps)); !fz.FileIR(f, fir, nil) {
-		t.Errorf("fused pass aborted at budget %d, where every lane completes", maxSteps)
-	}
-	if fz := NewFused(mk(maxSteps - 1)); fz.FileIR(f, fir, nil) {
-		t.Errorf("fused pass completed at budget %d, where the furthest lane exhausts", maxSteps-1)
 	}
 }

@@ -4,7 +4,7 @@ package taint
 // fidelity (sink, argument, enclosing function, every source, trace step and
 // sanitizer) in testdata. Regenerate after an intentional change with
 //
-//	GOLDEN_UPDATE=1 go test ./internal/core ./internal/taint -run Golden
+//	GOLDEN_UPDATE=1 go test ./internal/core ./internal/taint
 //
 // (the same switch that rewrites internal/core's golden reports).
 
@@ -395,12 +395,15 @@ func oracleStore(mode string, warm *SharedSummaries) *SharedSummaries {
 	return nil
 }
 
-// warmStore commits the pending summaries of an unbounded run of cls.
-func warmStore(p *parserFile, cls *vuln.Class) *SharedSummaries {
+// warmStore commits the pending summaries of an unbounded run of each
+// class.
+func warmStore(p *parserFile, classes ...*vuln.Class) *SharedSummaries {
 	s := NewSharedSummaries()
-	a := New(Config{Class: cls, Shared: s})
-	a.FileIR(p.f, p.fir, nil)
-	s.Commit(a.PendingShared())
+	for _, cls := range classes {
+		a := New(Config{Class: cls, Shared: s})
+		a.FileIR(p.f, p.fir, nil)
+		s.Commit(a.PendingShared())
+	}
 	return s
 }
 
@@ -486,15 +489,18 @@ func (o budgetOracle) expand() map[string]string {
 	return out
 }
 
-// TestBudgetOracle pins how a per-class run degrades at every step budget:
+// TestBudgetOracle pins how a one-lane pass degrades at every step budget:
 // candidates, the step count (budget+1 once exhausted), the exhausted flag
 // and the summaries it would publish, for every fusedDiffSrcs program ×
 // class × shared-cache state over a budget sweep up to the clean step count.
+// The golden file was recorded by the per-class engine the one-lane pass
+// replaced, so it also pins that a lane degrades exactly as that engine
+// did.
 func TestBudgetOracle(t *testing.T) {
 	got := runBudgetOracle(t, func(p *parserFile, cfg Config) laneOutcome {
-		a := New(cfg)
-		cands := a.FileIR(p.f, p.fir, nil)
-		return laneOutcome{cands: cands, steps: a.Steps(), exhausted: a.Exhausted(), pending: a.PendingShared()}
+		fz := NewFused([]Config{cfg})
+		fz.FileIR(p.f, p.fir, nil)
+		return laneOutcome{cands: fz.Candidates(0), steps: fz.Steps(0), exhausted: fz.Exhausted(0), pending: fz.PendingShared(0)}
 	})
 	const name = "budget_golden.json"
 	if goldenUpdate {

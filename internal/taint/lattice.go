@@ -174,7 +174,7 @@ func (m laneMask) forEach(fn func(lane int)) {
 
 // fval is the fused taint cell: one Value per lane. While every lane agrees
 // the cell stays uniform (segs == nil) and uni is the single shared Value —
-// byte-for-byte what each unfused lane would have computed independently,
+// byte-for-byte what each lane would have computed running alone,
 // since isomorphic evaluation over identical inputs builds identical values.
 // Once lanes diverge (a sanitizer that only some classes recognize, an
 // entry point only some classes taint) the cell spills to segs: a set of

@@ -5,15 +5,18 @@
 //
 // One Analyzer instance is one configured detector — the paper's generic
 // "vulnerability detector" parameterized by an (ep, ss, san) triple. All
-// fifteen classes and every generated weapon run through this engine.
+// fifteen classes and every generated weapon run through one evaluator: the
+// fused IR interpreter in fused.go, which runs any number of detectors as
+// lanes of a single pass over a file's lowered form (one detector is a
+// one-lane pass).
 package taint
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/ir"
 	"repro/internal/php/ast"
 	"repro/internal/php/token"
 	"repro/internal/vuln"
@@ -76,9 +79,8 @@ func capSlice[T any](s []T, limit int) []T {
 // happened in order) a join is a set union: sources, sanitizers and trace
 // steps are deduplicated by content, keeping the first occurrence of each.
 // That makes the join idempotent (join(v, v) == v) and independent of how
-// many branch snapshots mention an unchanged binding — the property the
-// legacy walker and the IR engine both need so branch merges are stable no
-// matter which order snapshots arrive in.
+// many branch snapshots mention an unchanged binding, so branch merges are
+// stable no matter which order snapshots arrive in.
 func join(v, other Value) Value {
 	// Fast paths: joining a value with itself (a branch that never touched
 	// the binding snapshots the identical slices) or with a bottom value is
@@ -258,15 +260,17 @@ type Config struct {
 	ExtraEntryPoints []string
 	// ExtraSinks extends the sink set.
 	ExtraSinks []vuln.Sink
-	// MaxSteps bounds the number of AST nodes this analyzer may visit in one
-	// File run (0 = unlimited). When the budget is exhausted the walk
-	// degrades instead of running away: statement traversal stops, pending
-	// user-function calls conservatively propagate their argument taint, and
-	// Exhausted reports true so callers can record a diagnostic.
+	// MaxSteps bounds the number of IR instructions this analyzer may
+	// execute in one File run (0 = unlimited). When the budget is exhausted
+	// the run degrades instead of running away: evaluation stops, the
+	// candidates found so far are kept, the open shared-cache fill is
+	// dropped, and Exhausted reports true so callers can record a
+	// diagnostic. In a fused pass the budget applies to each lane on its
+	// own.
 	MaxSteps int
 	// Stop is an optional cooperative cancellation flag. When an external
-	// watchdog sets it, the analyzer winds down at the next step check the
-	// same way budget exhaustion does, and Stopped reports true.
+	// watchdog sets it, the run winds down at the next step check the same
+	// way budget exhaustion does, and Stopped reports true.
 	Stop *atomic.Bool
 	// Shared is an optional scan-scoped summary cache consulted (and filled)
 	// for calls whose context is provably file-independent; see cache.go for
@@ -303,47 +307,25 @@ type Analyzer struct {
 	stopped   bool
 
 	// transferHits counts summary transfer-function applications — memoized
-	// or shared summaries applied at a call edge instead of re-walking the
-	// callee body. Only the IR engine increments it; the legacy walker
-	// reports 0.
+	// or shared summaries applied at a call edge instead of re-running the
+	// callee body.
 	transferHits int
 }
 
 // TransferHits reports how many times the last run applied a function
-// summary as a transfer function at a call edge (IR engine only).
+// summary as a transfer function at a call edge.
 func (a *Analyzer) TransferHits() int { return a.transferHits }
 
-// step counts one AST-node visit and flips the analyzer into degraded mode
-// when the budget runs out or the cooperative stop flag is set. It returns
-// false once the walk should wind down.
-func (a *Analyzer) step() bool {
-	if a.exhausted {
-		return false
-	}
-	a.steps++
-	if a.cfg.MaxSteps > 0 && a.steps > a.cfg.MaxSteps {
-		a.exhausted = true
-		return false
-	}
-	// The atomic load is cheap but pointless at full rate; poll every 64
-	// nodes so a watchdog still cuts a runaway walk off within microseconds.
-	if a.cfg.Stop != nil && a.steps%64 == 0 && a.cfg.Stop.Load() {
-		a.stopped = true
-		a.exhausted = true
-		return false
-	}
-	return true
-}
-
 // Exhausted reports whether the last File run ran out of its step budget (or
-// was stopped) and therefore degraded to conservative propagation.
+// was stopped) and therefore degraded.
 func (a *Analyzer) Exhausted() bool { return a.exhausted }
 
 // Stopped reports whether the last File run was cut off by the cooperative
 // Stop flag rather than by the step budget.
 func (a *Analyzer) Stopped() bool { return a.stopped }
 
-// Steps reports how many AST nodes the last File run visited.
+// Steps reports how many IR instructions the last File run executed
+// (budget+1 once the budget is exhausted).
 func (a *Analyzer) Steps() int { return a.steps }
 
 // summary captures the effect of calling a user function with a given
@@ -371,85 +353,26 @@ func New(cfg Config) *Analyzer {
 	}
 }
 
-// File analyzes the top-level statements of a file and returns the candidate
-// vulnerabilities found. Function bodies are analyzed when called; uncalled
-// functions are additionally analyzed with their parameters assumed tainted,
-// which is how WAP inspects library code whose callers are unknown.
+// File analyzes a file and returns the candidate vulnerabilities found: it
+// lowers f and runs FileIR. Function bodies are analyzed when called;
+// uncalled functions are additionally analyzed with clean parameters, which
+// is how WAP inspects library code whose callers are unknown.
 func (a *Analyzer) File(f *ast.File) []*Candidate {
-	a.file = f
-	a.cands = a.cands[:0]
-	a.seen = make(map[string]bool)
-	a.steps = 0
-	a.exhausted = false
-	a.stopped = false
-	a.fill = nil
-	a.pending = nil
-	a.sharedHits = 0
-	a.sharedMisses = 0
-	a.transferHits = 0
-	env := newEnv(nil)
-	a.stmts(f.Stmts, env)
+	return a.FileIR(f, ir.LowerFile(f), nil)
+}
 
-	// Second pass: functions never called from top level, assuming tainted
-	// superglobals only (not tainted params — params of library functions
-	// are an unknown; WAP flags flows from superglobals inside them). The
-	// pass runs in source order (f.Funcs is a map) so the candidate list is
-	// deterministic and the IR engine can mirror it exactly.
-	for _, fn := range sortedFuncs(f) {
-		if a.exhausted {
-			break
-		}
-		if fn.Body == nil || a.analyzing[fn] {
-			continue
-		}
-		a.analyzeUncalled(fn)
-	}
+// FileIR analyzes f through its lowered form fir (which must be the lowering
+// of f) and returns the candidates found. prov optionally resolves
+// cross-file declarations to already-lowered functions; nil lowers them on
+// demand. The run is a one-lane fused pass, so a single class and every
+// class of a multi-lane pass share one evaluator.
+func (a *Analyzer) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) []*Candidate {
+	newFused([]*Analyzer{a}).FileIR(f, fir, prov)
 	return a.cands
 }
 
-// sortedFuncs returns the file's registered function declarations in source
-// position order, deduplicated by declaration identity.
-func sortedFuncs(f *ast.File) []*ast.FunctionDecl {
-	fns := make([]*ast.FunctionDecl, 0, len(f.Funcs))
-	seen := make(map[*ast.FunctionDecl]bool, len(f.Funcs))
-	for _, fn := range f.Funcs {
-		if !seen[fn] {
-			seen[fn] = true
-			fns = append(fns, fn)
-		}
-	}
-	sort.Slice(fns, func(i, j int) bool {
-		a, b := fns[i], fns[j]
-		if a.Position.Line != b.Position.Line {
-			return a.Position.Line < b.Position.Line
-		}
-		if a.Position.Column != b.Position.Column {
-			return a.Position.Column < b.Position.Column
-		}
-		return a.Name < b.Name
-	})
-	return fns
-}
-
-func (a *Analyzer) analyzeUncalled(fn *ast.FunctionDecl) {
-	prev := a.curFunc
-	a.curFunc = fn.Name
-	a.analyzing[fn] = true
-	env := newEnv(nil)
-	for _, p := range fn.Params {
-		if p.Default != nil {
-			env.set(p.Name, a.expr(p.Default, env))
-		} else {
-			env.set(p.Name, clean())
-		}
-	}
-	a.stmts(fn.Body.Stmts, env)
-	delete(a.analyzing, fn)
-	a.curFunc = prev
-}
-
 func (a *Analyzer) report(c *Candidate) {
-	if c.Value.Tainted == false {
+	if !c.Value.Tainted {
 		return
 	}
 	// Tee into an active shared-cache fill before the dedup check: a
@@ -465,276 +388,6 @@ func (a *Analyzer) report(c *Candidate) {
 	}
 	a.seen[k] = true
 	a.cands = append(a.cands, c)
-}
-
-// ---------------------------------------------------------------------------
-// Environment
-// ---------------------------------------------------------------------------
-
-// env is a variable taint environment with optional parent (for globals).
-type env struct {
-	vars   map[string]Value
-	parent *env
-	// written, when non-nil, records every binding name this env has set or
-	// merge-set since the map was installed. The IR engine uses it to compute
-	// per-branch write sets for its path-sensitive switch join; the legacy
-	// walker never installs it.
-	written map[string]bool
-}
-
-func newEnv(parent *env) *env {
-	return &env{vars: make(map[string]Value), parent: parent}
-}
-
-func (e *env) get(name string) Value {
-	if v, ok := e.vars[name]; ok {
-		return v
-	}
-	if e.parent != nil {
-		return e.parent.get(name)
-	}
-	return clean()
-}
-
-func (e *env) set(name string, v Value) {
-	e.vars[name] = v
-	if e.written != nil {
-		e.written[name] = true
-	}
-}
-
-// mergeSet unions taint into an existing binding (used for index assignment
-// and loop bodies). The union is the canonical join, so re-running a loop
-// body (the walker's two-pass widening) or replaying a by-ref summary does
-// not duplicate bookkeeping: merge-setting the same value twice is a no-op.
-func (e *env) mergeSet(name string, v Value) {
-	e.vars[name] = join(e.get(name), v)
-	if e.written != nil {
-		e.written[name] = true
-	}
-}
-
-// snapshot copies the current bindings (for branch merging).
-func (e *env) snapshot() map[string]Value {
-	return copyBindings(e.vars)
-}
-
-func copyBindings(m map[string]Value) map[string]Value {
-	out := make(map[string]Value, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// mergeFrom unions bindings from a branch snapshot. Each binding is combined
-// with the canonical join, which is idempotent and order-independent: merging
-// N snapshots that agree on a binding leaves it untouched, no matter the
-// order the snapshots are applied in.
-func (e *env) mergeFrom(snap map[string]Value) {
-	e.mergeFromExcept(snap, nil)
-}
-
-// mergeFromExcept is mergeFrom with a kill set: bindings in skip were
-// already resolved by a path-sensitive join (every branch overwrote them),
-// so the stale pre-branch value must not be re-merged.
-func (e *env) mergeFromExcept(snap map[string]Value, skip map[string]bool) {
-	for k, v := range snap {
-		if skip[k] {
-			continue
-		}
-		if v.Tainted {
-			e.vars[k] = join(e.get(k), v)
-		} else if _, ok := e.vars[k]; !ok {
-			e.vars[k] = v
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Statements
-// ---------------------------------------------------------------------------
-
-func (a *Analyzer) stmts(list []ast.Stmt, e *env) Value {
-	var ret Value
-	for _, s := range list {
-		if a.exhausted {
-			break
-		}
-		ret = ret.merge(a.stmt(s, e))
-	}
-	return ret
-}
-
-// stmt analyzes one statement; the returned value accumulates possible
-// return values of the enclosing function.
-func (a *Analyzer) stmt(s ast.Stmt, e *env) Value {
-	if !a.step() {
-		return clean()
-	}
-	switch x := s.(type) {
-	case *ast.ExprStmt:
-		a.expr(x.X, e)
-	case *ast.EchoStmt:
-		for _, arg := range x.Args {
-			v := a.expr(arg, e)
-			a.checkPseudoSink("echo", x, arg, v, x.Position)
-		}
-	case *ast.BlockStmt:
-		return a.stmts(x.Stmts, e)
-	case *ast.IfStmt:
-		a.expr(x.Cond, e)
-		base := e.snapshot()
-		var ret Value
-		ret = ret.merge(a.stmts(x.Then.Stmts, e))
-		thenSnap := e.snapshot()
-		// Restore base, run else, then merge both.
-		e.vars = base
-		if x.Else != nil {
-			ret = ret.merge(a.stmt(x.Else, e))
-		}
-		e.mergeFrom(thenSnap)
-		return ret
-	case *ast.WhileStmt:
-		a.expr(x.Cond, e)
-		// Two passes propagate taint introduced by the body to earlier uses.
-		ret := a.stmts(x.Body.Stmts, e)
-		ret = ret.merge(a.stmts(x.Body.Stmts, e))
-		return ret
-	case *ast.DoWhileStmt:
-		ret := a.stmts(x.Body.Stmts, e)
-		ret = ret.merge(a.stmts(x.Body.Stmts, e))
-		a.expr(x.Cond, e)
-		return ret
-	case *ast.ForStmt:
-		for _, ex := range x.Init {
-			a.expr(ex, e)
-		}
-		for _, ex := range x.Cond {
-			a.expr(ex, e)
-		}
-		ret := a.stmts(x.Body.Stmts, e)
-		for _, ex := range x.Post {
-			a.expr(ex, e)
-		}
-		ret = ret.merge(a.stmts(x.Body.Stmts, e))
-		return ret
-	case *ast.ForeachStmt:
-		subj := a.expr(x.Subject, e)
-		if x.Key != nil {
-			a.assignTo(x.Key, subj, e)
-		}
-		a.assignTo(x.Value, subj, e)
-		ret := a.stmts(x.Body.Stmts, e)
-		ret = ret.merge(a.stmts(x.Body.Stmts, e))
-		return ret
-	case *ast.SwitchStmt:
-		a.expr(x.Subject, e)
-		// Cases are alternative branches: run each against the entry state
-		// and merge the results (fallthrough is over-approximated by the
-		// merge).
-		base := e.snapshot()
-		var ret Value
-		snaps := make([]map[string]Value, 0, len(x.Cases))
-		for _, c := range x.Cases {
-			e.vars = copyBindings(base)
-			if c.Cond != nil {
-				a.expr(c.Cond, e)
-			}
-			for _, st := range c.Body {
-				ret = ret.merge(a.stmt(st, e))
-			}
-			snaps = append(snaps, e.snapshot())
-		}
-		e.vars = base
-		for _, s := range snaps {
-			e.mergeFrom(s)
-		}
-		return ret
-	case *ast.ReturnStmt:
-		if x.Result != nil {
-			return a.expr(x.Result, e)
-		}
-	case *ast.ThrowStmt:
-		a.expr(x.X, e)
-	case *ast.TryStmt:
-		ret := a.stmts(x.Body.Stmts, e)
-		for _, c := range x.Catches {
-			if c.Var != "" {
-				e.set(c.Var, clean())
-			}
-			ret = ret.merge(a.stmts(c.Body.Stmts, e))
-		}
-		if x.Finally != nil {
-			ret = ret.merge(a.stmts(x.Finally.Stmts, e))
-		}
-		return ret
-	case *ast.GlobalStmt:
-		// Globals are unknown; be conservative and treat as clean (WAP does
-		// not track globals across scripts either).
-		for _, n := range x.Names {
-			e.set(n, clean())
-		}
-	case *ast.StaticVarStmt:
-		for i, n := range x.Names {
-			if x.Inits[i] != nil {
-				e.set(n, a.expr(x.Inits[i], e))
-			} else {
-				e.set(n, clean())
-			}
-		}
-	case *ast.UnsetStmt:
-		for _, arg := range x.Args {
-			if v, ok := arg.(*ast.Variable); ok {
-				e.set(v.Name, clean())
-			}
-		}
-	case *ast.IncludeStmt:
-		v := a.expr(x.X, e)
-		a.checkPseudoSink("include", x, x.X, v, x.Position)
-	case *ast.FunctionDecl, *ast.ClassDecl, *ast.InlineHTMLStmt,
-		*ast.BreakStmt, *ast.ContinueStmt:
-		// Declarations analyzed on call; HTML/flow have no taint effect.
-	}
-	return clean()
-}
-
-// assignTo writes a value to an assignable expression.
-func (a *Analyzer) assignTo(lhs ast.Expr, v Value, e *env) {
-	switch t := lhs.(type) {
-	case *ast.Variable:
-		e.set(t.Name, v)
-	case *ast.IndexExpr:
-		if base := rootVar(t.X); base != "" {
-			// Element assignment taints the whole array conservatively.
-			if v.Tainted {
-				e.mergeSet(base, v)
-			}
-		}
-	case *ast.PropExpr:
-		if key := propKey(t); key != "" {
-			if v.Tainted {
-				e.mergeSet(key, v)
-			} else {
-				e.set(key, v)
-			}
-		}
-	case *ast.StaticPropExpr:
-		key := "::" + strings.ToLower(t.Class) + "::" + t.Name
-		e.set(key, v)
-	case *ast.ListExpr:
-		for _, item := range t.Items {
-			if item != nil {
-				a.assignTo(item, v, e)
-			}
-		}
-	case *ast.ArrayLit:
-		for _, item := range t.Items {
-			a.assignTo(item.Value, v, e)
-		}
-	case *ast.VarVar:
-		// Unknown target: ignore (documented imprecision, as in WAP).
-	}
 }
 
 // rootVar returns the base variable name of nested index expressions.
