@@ -121,7 +121,7 @@ type Options struct {
 	// whose replay is indistinguishable from recomputation); the switch
 	// exists for benchmarking and for the identity tests that prove it.
 	DisableSummaryCache bool
-	// DisableSinkPrefilter turns off the lexical sink pre-filter that skips
+	// DisableSinkPrefilter turns off the sink pre-filter that skips
 	// (file, class) tasks provably unable to produce findings. Findings are
 	// identical either way.
 	DisableSinkPrefilter bool

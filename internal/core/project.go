@@ -55,56 +55,20 @@ type SourceFile struct {
 // SourceFile can serve concurrent scans (wapd jobs sharing a baseline).
 type fileMemo struct {
 	mu sync.Mutex
-	// lowered is the lower-cased source (sink pre-filter input).
-	lowered   string
-	loweredOK bool
-	// called is the set of statically named callables the file mentions.
-	called map[string]bool
-	// tokens memoizes sink-token lexical presence in the lowered source.
-	tokens map[string]bool
+	// vocab is the file's call-site vocabulary (closure edges and sink
+	// pre-filter input).
+	vocab *fileVocab
 }
 
-// loweredSrc returns strings.ToLower(Src), computed once.
-func (f *SourceFile) loweredSrc() string {
+// vocab returns the file's call-site vocabulary, computed once. The result
+// is shared: callers must treat it as read-only.
+func (f *SourceFile) vocab() *fileVocab {
 	f.memo.mu.Lock()
 	defer f.memo.mu.Unlock()
-	if !f.memo.loweredOK {
-		f.memo.lowered = strings.ToLower(f.Src)
-		f.memo.loweredOK = true
+	if f.memo.vocab == nil {
+		f.memo.vocab = scanVocab(f.AST)
 	}
-	return f.memo.lowered
-}
-
-// hasToken reports whether the lowered source contains tok, memoized per
-// token. Callers must not pass attacker-controlled token sets: the memo
-// grows by one entry per distinct token ever asked (sink names, in practice).
-func (f *SourceFile) hasToken(tok string) bool {
-	f.memo.mu.Lock()
-	defer f.memo.mu.Unlock()
-	if !f.memo.loweredOK {
-		f.memo.lowered = strings.ToLower(f.Src)
-		f.memo.loweredOK = true
-	}
-	present, ok := f.memo.tokens[tok]
-	if !ok {
-		present = strings.Contains(f.memo.lowered, tok)
-		if f.memo.tokens == nil {
-			f.memo.tokens = make(map[string]bool)
-		}
-		f.memo.tokens[tok] = present
-	}
-	return present
-}
-
-// calledNames returns the file's statically named callables, computed once.
-// The returned map is shared: callers must treat it as read-only.
-func (f *SourceFile) calledNames() map[string]bool {
-	f.memo.mu.Lock()
-	defer f.memo.mu.Unlock()
-	if f.memo.called == nil {
-		f.memo.called = calledNames(f.AST)
-	}
-	return f.memo.called
+	return f.memo.vocab
 }
 
 // LoadStats describes how the parse front end ran for one project load.
