@@ -64,8 +64,8 @@ func TestLoadMapDeterministicOrder(t *testing.T) {
 	if f1 == nil || f2 == nil {
 		t.Fatal("function missing")
 	}
-	if f1.Pos().File != "a.php" || f2.Pos().File != "a.php" {
-		t.Errorf("indexing not deterministic: %s vs %s", f1.Pos().File, f2.Pos().File)
+	if f1.Lines.File != "a.php" || f2.Lines.File != "a.php" {
+		t.Errorf("indexing not deterministic: %s vs %s", f1.Lines.File, f2.Lines.File)
 	}
 }
 

@@ -50,7 +50,8 @@ type edit struct {
 // Apply rewrites src, fixing each candidate with the fix registered for
 // fixID(candidate). It returns the corrected source and the list of applied
 // corrections. Candidates whose positions cannot be resolved are skipped
-// with an error entry.
+// with an error entry; that includes expressions re-parsed from a braced
+// string interpolation, whose positions lie past the end of the source.
 func (c *Corrector) Apply(src string, cands []*taint.Candidate, fixID func(*taint.Candidate) string) (string, []Correction, error) {
 	var edits []edit
 	var corrections []Correction
@@ -65,8 +66,8 @@ func (c *Corrector) Apply(src string, cands []*taint.Candidate, fixID func(*tain
 		if cand.TaintedExpr == nil {
 			continue
 		}
-		start := cand.TaintedExpr.Pos().Offset
-		end := cand.TaintedExpr.End().Offset
+		start := int(cand.TaintedExpr.Pos())
+		end := int(cand.TaintedExpr.End())
 		if start < 0 || end > len(src) || start >= end {
 			continue
 		}

@@ -7,11 +7,14 @@ import (
 )
 
 // Node is the interface implemented by every AST node.
+//
+// Positions are byte offsets into the node's file (see token.Pos); the
+// file's LineTable resolves them to lines and columns.
 type Node interface {
 	// Pos returns the position of the first token of the node.
-	Pos() token.Position
+	Pos() token.Pos
 	// End returns the position one past the node's last token.
-	End() token.Position
+	End() token.Pos
 }
 
 // Expr is an expression node.
@@ -32,7 +35,9 @@ type Stmt interface {
 
 // File is a parsed PHP source file.
 type File struct {
-	Name  string
+	Name string
+	// Lines resolves the Pos of every node in the file.
+	Lines *token.LineTable
 	Stmts []Stmt
 	// Funcs indexes every function declaration in the file (including
 	// methods, keyed by lower-case name; methods as Class::method).
@@ -42,19 +47,19 @@ type File struct {
 }
 
 // Pos implements Node.
-func (f *File) Pos() token.Position {
+func (f *File) Pos() token.Pos {
 	if len(f.Stmts) > 0 {
 		return f.Stmts[0].Pos()
 	}
-	return token.Position{File: f.Name, Line: 1, Column: 1}
+	return 0
 }
 
 // End implements Node.
-func (f *File) End() token.Position {
+func (f *File) End() token.Pos {
 	if n := len(f.Stmts); n > 0 {
 		return f.Stmts[n-1].End()
 	}
-	return token.Position{File: f.Name, Line: 1, Column: 1}
+	return 0
 }
 
 // ---------------------------------------------------------------------------
@@ -64,8 +69,8 @@ func (f *File) End() token.Position {
 // InlineHTMLStmt is raw output text between PHP regions.
 type InlineHTMLStmt struct {
 	Text     string
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // ExprStmt is an expression used as a statement.
@@ -76,14 +81,14 @@ type ExprStmt struct {
 // EchoStmt is `echo e1, e2, ...;` (print is parsed as an expression).
 type EchoStmt struct {
 	Args     []Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // BlockStmt is `{ ... }`.
 type BlockStmt struct {
 	Stmts    []Stmt
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // IfStmt is if/elseif/else. Elifs are nested in Else as IfStmts.
@@ -91,21 +96,21 @@ type IfStmt struct {
 	Cond     Expr
 	Then     *BlockStmt
 	Else     Stmt // *BlockStmt, *IfStmt, or nil
-	Position token.Position
+	Position token.Pos
 }
 
 // WhileStmt is a while loop.
 type WhileStmt struct {
 	Cond     Expr
 	Body     *BlockStmt
-	Position token.Position
+	Position token.Pos
 }
 
 // DoWhileStmt is a do { } while (cond); loop.
 type DoWhileStmt struct {
 	Body     *BlockStmt
 	Cond     Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // ForStmt is a C-style for loop.
@@ -114,7 +119,7 @@ type ForStmt struct {
 	Cond     []Expr
 	Post     []Expr
 	Body     *BlockStmt
-	Position token.Position
+	Position token.Pos
 }
 
 // ForeachStmt is `foreach (x as $k => $v) body`.
@@ -124,63 +129,63 @@ type ForeachStmt struct {
 	Value    Expr
 	ByRef    bool
 	Body     *BlockStmt
-	Position token.Position
+	Position token.Pos
 }
 
 // SwitchStmt is a switch with cases.
 type SwitchStmt struct {
 	Subject  Expr
 	Cases    []*CaseClause
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // CaseClause is one `case expr:` or `default:` clause.
 type CaseClause struct {
 	Cond     Expr // nil for default
 	Body     []Stmt
-	Position token.Position
+	Position token.Pos
 }
 
 // BreakStmt is `break [n];`.
 type BreakStmt struct {
-	Position token.Position
+	Position token.Pos
 }
 
 // ContinueStmt is `continue [n];`.
 type ContinueStmt struct {
-	Position token.Position
+	Position token.Pos
 }
 
 // ReturnStmt is `return [expr];`.
 type ReturnStmt struct {
 	Result   Expr // may be nil
-	Position token.Position
+	Position token.Pos
 }
 
 // GlobalStmt is `global $a, $b;`.
 type GlobalStmt struct {
 	Names    []string
-	Position token.Position
+	Position token.Pos
 }
 
 // StaticVarStmt is `static $a = init;` inside a function.
 type StaticVarStmt struct {
 	Names    []string
 	Inits    []Expr // parallel to Names; entries may be nil
-	Position token.Position
+	Position token.Pos
 }
 
 // UnsetStmt is `unset($a, $b);`.
 type UnsetStmt struct {
 	Args     []Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // ThrowStmt is `throw expr;`.
 type ThrowStmt struct {
 	X        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // TryStmt is try/catch/finally.
@@ -188,7 +193,7 @@ type TryStmt struct {
 	Body     *BlockStmt
 	Catches  []*CatchClause
 	Finally  *BlockStmt // may be nil
-	Position token.Position
+	Position token.Pos
 }
 
 // CatchClause is one catch block.
@@ -196,7 +201,7 @@ type CatchClause struct {
 	Types    []string
 	Var      string // bound variable name without $; may be ""
 	Body     *BlockStmt
-	Position token.Position
+	Position token.Pos
 }
 
 // FunctionDecl declares a function or method.
@@ -207,8 +212,11 @@ type FunctionDecl struct {
 	ByRef    bool
 	Class    *ClassDecl // enclosing class for methods, nil for functions
 	IsStatic bool
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
+	// Lines is the line table of the file declaring the function, so a
+	// declaration resolved from another file still resolves its positions.
+	Lines *token.LineTable
 }
 
 // Param is a function parameter.
@@ -218,7 +226,7 @@ type Param struct {
 	ByRef    bool
 	Variadic bool
 	TypeHint string // raw type text, "" when absent
-	Position token.Position
+	Position token.Pos
 }
 
 // ClassDecl declares a class or interface.
@@ -230,8 +238,8 @@ type ClassDecl struct {
 	Props       []*PropertyDecl
 	Consts      []*ConstDecl
 	IsInterface bool
-	Position    token.Position
-	EndPos      token.Position
+	Position    token.Pos
+	EndPos      token.Pos
 }
 
 // PropertyDecl is a class property declaration.
@@ -239,14 +247,14 @@ type PropertyDecl struct {
 	Name     string // without $
 	Default  Expr   // may be nil
 	IsStatic bool
-	Position token.Position
+	Position token.Pos
 }
 
 // ConstDecl is a class or global constant declaration.
 type ConstDecl struct {
 	Name     string
 	Value    Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // IncludeStmt is include/require[_once] used at statement level. Include
@@ -255,7 +263,7 @@ type IncludeStmt struct {
 	X        Expr
 	Once     bool
 	Require  bool
-	Position token.Position
+	Position token.Pos
 }
 
 // ---------------------------------------------------------------------------
@@ -265,68 +273,68 @@ type IncludeStmt struct {
 // Variable is `$name`.
 type Variable struct {
 	Name     string // without $
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // VarVar is `$$expr` (variable variable).
 type VarVar struct {
 	X        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // Ident is a bare identifier: function name in calls, constant, class name.
 type Ident struct {
 	Name     string
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	Text     string
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
 	Text     string
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // StringLit is a string literal with no interpolation.
 type StringLit struct {
 	Value    string
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // InterpString is a double-quoted/heredoc string with interpolation. Parts
 // alternate literals and embedded expressions.
 type InterpString struct {
 	Parts    []Expr // *StringLit or variable-ish exprs
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // BoolLit is true/false.
 type BoolLit struct {
 	Value    bool
-	Position token.Position
+	Position token.Pos
 }
 
 // NullLit is null.
 type NullLit struct {
-	Position token.Position
+	Position token.Pos
 }
 
 // ArrayLit is array(...) or [...].
 type ArrayLit struct {
 	Items    []*ArrayItem
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // ArrayItem is one element of an array literal.
@@ -334,15 +342,15 @@ type ArrayItem struct {
 	Key      Expr // may be nil
 	Value    Expr
 	ByRef    bool
-	Position token.Position
+	Position token.Pos
 }
 
 // IndexExpr is `x[i]`; Index may be nil for `x[] = v` appends.
 type IndexExpr struct {
 	X        Expr
 	Index    Expr
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // PropExpr is `x->prop` (Prop may be a dynamic expression in {$...} form, in
@@ -351,24 +359,24 @@ type PropExpr struct {
 	X        Expr
 	Name     string
 	Dyn      Expr
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // StaticPropExpr is `Class::$prop`.
 type StaticPropExpr struct {
 	Class    string
 	Name     string
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // ClassConstExpr is `Class::CONST`.
 type ClassConstExpr struct {
 	Class    string
 	Name     string
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // CallExpr is a function call `f(args)` where Fn is an Ident, Variable (for
@@ -377,8 +385,8 @@ type CallExpr struct {
 	Fn       Expr
 	Args     []Expr
 	ArgByRef []bool // parallel to Args
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // MethodCallExpr is `x->m(args)`.
@@ -387,8 +395,8 @@ type MethodCallExpr struct {
 	Name     string // "" when dynamic
 	DynName  Expr   // dynamic method name expression
 	Args     []Expr
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // StaticCallExpr is `Class::m(args)`.
@@ -396,8 +404,8 @@ type StaticCallExpr struct {
 	Class    string
 	Name     string
 	Args     []Expr
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // NewExpr is `new Class(args)`.
@@ -405,8 +413,8 @@ type NewExpr struct {
 	Class     string // "" when the class is an expression
 	ClassExpr Expr
 	Args      []Expr
-	Position  token.Position
-	EndPos    token.Position
+	Position  token.Pos
+	EndPos    token.Pos
 }
 
 // AssignExpr is `lhs op rhs` for any assignment operator; Op distinguishes
@@ -416,14 +424,14 @@ type AssignExpr struct {
 	Op       token.Kind
 	Rhs      Expr
 	ByRef    bool
-	Position token.Position
+	Position token.Pos
 }
 
 // ListExpr is `list($a, $b)` or `[$a, $b]` destructuring target.
 type ListExpr struct {
 	Items    []Expr // entries may be nil for skipped positions
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // BinaryExpr is a binary operation.
@@ -431,14 +439,14 @@ type BinaryExpr struct {
 	X        Expr
 	Op       token.Kind
 	Y        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // UnaryExpr is a prefix unary operation (!x, -x, ~x, @x, +x).
 type UnaryExpr struct {
 	Op       token.Kind
 	X        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // IncDecExpr is ++x, --x, x++, x--.
@@ -446,14 +454,14 @@ type IncDecExpr struct {
 	X        Expr
 	Op       token.Kind // Inc or Dec
 	Prefix   bool
-	Position token.Position
+	Position token.Pos
 }
 
 // CastExpr is `(int) x` etc.
 type CastExpr struct {
 	Kind     token.Kind // one of the Cast* kinds
 	X        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // TernaryExpr is `cond ? a : b`; A may be nil for the `?:` short form.
@@ -461,33 +469,33 @@ type TernaryExpr struct {
 	Cond     Expr
 	A        Expr
 	B        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // IssetExpr is `isset(a, b, ...)`.
 type IssetExpr struct {
 	Args     []Expr
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // EmptyExpr is `empty(x)`.
 type EmptyExpr struct {
 	X        Expr
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // ExitExpr is `exit(x)` / `die(x)`; X may be nil.
 type ExitExpr struct {
 	X        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // PrintExpr is `print x`.
 type PrintExpr struct {
 	X        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // IncludeExpr is include/require used in expression position.
@@ -495,13 +503,13 @@ type IncludeExpr struct {
 	X        Expr
 	Once     bool
 	Require  bool
-	Position token.Position
+	Position token.Pos
 }
 
 // CloneExpr is `clone x`.
 type CloneExpr struct {
 	X        Expr
-	Position token.Position
+	Position token.Pos
 }
 
 // ClosureExpr is an anonymous function, including arrow functions.
@@ -510,8 +518,8 @@ type ClosureExpr struct {
 	Uses     []*ClosureUse
 	Body     *BlockStmt // arrow fn bodies become a single ReturnStmt
 	IsArrow  bool
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // ClosureUse is one `use ($x, &$y)` binding.
@@ -524,15 +532,15 @@ type ClosureUse struct {
 type InstanceofExpr struct {
 	X        Expr
 	Class    string
-	Position token.Position
+	Position token.Pos
 }
 
 // MatchExpr is a PHP 8 match expression.
 type MatchExpr struct {
 	Subject  Expr
 	Arms     []*MatchArm
-	Position token.Position
-	EndPos   token.Position
+	Position token.Pos
+	EndPos   token.Pos
 }
 
 // MatchArm is one `cond1, cond2 => result` arm; Conds is nil for default.
@@ -543,7 +551,7 @@ type MatchArm struct {
 
 // BadExpr is a placeholder emitted on parse errors so analysis can continue.
 type BadExpr struct {
-	Position token.Position
+	Position token.Pos
 }
 
 // ---------------------------------------------------------------------------
@@ -551,22 +559,22 @@ type BadExpr struct {
 // ---------------------------------------------------------------------------
 
 // Pos implements Node.
-func (s *InlineHTMLStmt) Pos() token.Position { return s.Position }
+func (s *InlineHTMLStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *InlineHTMLStmt) End() token.Position { return s.EndPos }
+func (s *InlineHTMLStmt) End() token.Pos { return s.EndPos }
 
 // Pos implements Node.
-func (s *ExprStmt) Pos() token.Position { return s.X.Pos() }
+func (s *ExprStmt) Pos() token.Pos { return s.X.Pos() }
 
 // End implements Node.
-func (s *ExprStmt) End() token.Position { return s.X.End() }
+func (s *ExprStmt) End() token.Pos { return s.X.End() }
 
 // Pos implements Node.
-func (s *EchoStmt) Pos() token.Position { return s.Position }
+func (s *EchoStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *EchoStmt) End() token.Position {
+func (s *EchoStmt) End() token.Pos {
 	if n := len(s.Args); n > 0 {
 		return s.Args[n-1].End()
 	}
@@ -574,16 +582,16 @@ func (s *EchoStmt) End() token.Position {
 }
 
 // Pos implements Node.
-func (s *BlockStmt) Pos() token.Position { return s.Position }
+func (s *BlockStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *BlockStmt) End() token.Position { return s.EndPos }
+func (s *BlockStmt) End() token.Pos { return s.EndPos }
 
 // Pos implements Node.
-func (s *IfStmt) Pos() token.Position { return s.Position }
+func (s *IfStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *IfStmt) End() token.Position {
+func (s *IfStmt) End() token.Pos {
 	if s.Else != nil {
 		return s.Else.End()
 	}
@@ -594,40 +602,40 @@ func (s *IfStmt) End() token.Position {
 }
 
 // Pos implements Node.
-func (s *WhileStmt) Pos() token.Position { return s.Position }
+func (s *WhileStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *WhileStmt) End() token.Position { return s.Body.End() }
+func (s *WhileStmt) End() token.Pos { return s.Body.End() }
 
 // Pos implements Node.
-func (s *DoWhileStmt) Pos() token.Position { return s.Position }
+func (s *DoWhileStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *DoWhileStmt) End() token.Position { return s.Cond.End() }
+func (s *DoWhileStmt) End() token.Pos { return s.Cond.End() }
 
 // Pos implements Node.
-func (s *ForStmt) Pos() token.Position { return s.Position }
+func (s *ForStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *ForStmt) End() token.Position { return s.Body.End() }
+func (s *ForStmt) End() token.Pos { return s.Body.End() }
 
 // Pos implements Node.
-func (s *ForeachStmt) Pos() token.Position { return s.Position }
+func (s *ForeachStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *ForeachStmt) End() token.Position { return s.Body.End() }
+func (s *ForeachStmt) End() token.Pos { return s.Body.End() }
 
 // Pos implements Node.
-func (s *SwitchStmt) Pos() token.Position { return s.Position }
+func (s *SwitchStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *SwitchStmt) End() token.Position { return s.EndPos }
+func (s *SwitchStmt) End() token.Pos { return s.EndPos }
 
 // Pos implements Node.
-func (c *CaseClause) Pos() token.Position { return c.Position }
+func (c *CaseClause) Pos() token.Pos { return c.Position }
 
 // End implements Node.
-func (c *CaseClause) End() token.Position {
+func (c *CaseClause) End() token.Pos {
 	if n := len(c.Body); n > 0 {
 		return c.Body[n-1].End()
 	}
@@ -635,22 +643,22 @@ func (c *CaseClause) End() token.Position {
 }
 
 // Pos implements Node.
-func (s *BreakStmt) Pos() token.Position { return s.Position }
+func (s *BreakStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *BreakStmt) End() token.Position { return s.Position }
+func (s *BreakStmt) End() token.Pos { return s.Position }
 
 // Pos implements Node.
-func (s *ContinueStmt) Pos() token.Position { return s.Position }
+func (s *ContinueStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *ContinueStmt) End() token.Position { return s.Position }
+func (s *ContinueStmt) End() token.Pos { return s.Position }
 
 // Pos implements Node.
-func (s *ReturnStmt) Pos() token.Position { return s.Position }
+func (s *ReturnStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *ReturnStmt) End() token.Position {
+func (s *ReturnStmt) End() token.Pos {
 	if s.Result != nil {
 		return s.Result.End()
 	}
@@ -658,34 +666,34 @@ func (s *ReturnStmt) End() token.Position {
 }
 
 // Pos implements Node.
-func (s *GlobalStmt) Pos() token.Position { return s.Position }
+func (s *GlobalStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *GlobalStmt) End() token.Position { return s.Position }
+func (s *GlobalStmt) End() token.Pos { return s.Position }
 
 // Pos implements Node.
-func (s *StaticVarStmt) Pos() token.Position { return s.Position }
+func (s *StaticVarStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *StaticVarStmt) End() token.Position { return s.Position }
+func (s *StaticVarStmt) End() token.Pos { return s.Position }
 
 // Pos implements Node.
-func (s *UnsetStmt) Pos() token.Position { return s.Position }
+func (s *UnsetStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *UnsetStmt) End() token.Position { return s.Position }
+func (s *UnsetStmt) End() token.Pos { return s.Position }
 
 // Pos implements Node.
-func (s *ThrowStmt) Pos() token.Position { return s.Position }
+func (s *ThrowStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *ThrowStmt) End() token.Position { return s.X.End() }
+func (s *ThrowStmt) End() token.Pos { return s.X.End() }
 
 // Pos implements Node.
-func (s *TryStmt) Pos() token.Position { return s.Position }
+func (s *TryStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *TryStmt) End() token.Position {
+func (s *TryStmt) End() token.Pos {
 	if s.Finally != nil {
 		return s.Finally.End()
 	}
@@ -696,190 +704,190 @@ func (s *TryStmt) End() token.Position {
 }
 
 // Pos implements Node.
-func (s *FunctionDecl) Pos() token.Position { return s.Position }
+func (s *FunctionDecl) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *FunctionDecl) End() token.Position { return s.EndPos }
+func (s *FunctionDecl) End() token.Pos { return s.EndPos }
 
 // Pos implements Node.
-func (s *ClassDecl) Pos() token.Position { return s.Position }
+func (s *ClassDecl) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *ClassDecl) End() token.Position { return s.EndPos }
+func (s *ClassDecl) End() token.Pos { return s.EndPos }
 
 // Pos implements Node.
-func (s *IncludeStmt) Pos() token.Position { return s.Position }
+func (s *IncludeStmt) Pos() token.Pos { return s.Position }
 
 // End implements Node.
-func (s *IncludeStmt) End() token.Position { return s.X.End() }
+func (s *IncludeStmt) End() token.Pos { return s.X.End() }
 
 // Pos implements Node.
-func (e *Variable) Pos() token.Position { return e.Position }
+func (e *Variable) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *Variable) End() token.Position { return e.EndPos }
+func (e *Variable) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *VarVar) Pos() token.Position { return e.Position }
+func (e *VarVar) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *VarVar) End() token.Position { return e.X.End() }
+func (e *VarVar) End() token.Pos { return e.X.End() }
 
 // Pos implements Node.
-func (e *Ident) Pos() token.Position { return e.Position }
+func (e *Ident) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *Ident) End() token.Position { return e.EndPos }
+func (e *Ident) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *IntLit) Pos() token.Position { return e.Position }
+func (e *IntLit) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *IntLit) End() token.Position { return e.EndPos }
+func (e *IntLit) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *FloatLit) Pos() token.Position { return e.Position }
+func (e *FloatLit) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *FloatLit) End() token.Position { return e.EndPos }
+func (e *FloatLit) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *StringLit) Pos() token.Position { return e.Position }
+func (e *StringLit) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *StringLit) End() token.Position { return e.EndPos }
+func (e *StringLit) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *InterpString) Pos() token.Position { return e.Position }
+func (e *InterpString) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *InterpString) End() token.Position { return e.EndPos }
+func (e *InterpString) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *BoolLit) Pos() token.Position { return e.Position }
+func (e *BoolLit) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *BoolLit) End() token.Position { return e.Position }
+func (e *BoolLit) End() token.Pos { return e.Position }
 
 // Pos implements Node.
-func (e *NullLit) Pos() token.Position { return e.Position }
+func (e *NullLit) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *NullLit) End() token.Position { return e.Position }
+func (e *NullLit) End() token.Pos { return e.Position }
 
 // Pos implements Node.
-func (e *ArrayLit) Pos() token.Position { return e.Position }
+func (e *ArrayLit) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *ArrayLit) End() token.Position { return e.EndPos }
+func (e *ArrayLit) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *IndexExpr) Pos() token.Position { return e.Position }
+func (e *IndexExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *IndexExpr) End() token.Position { return e.EndPos }
+func (e *IndexExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *PropExpr) Pos() token.Position { return e.Position }
+func (e *PropExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *PropExpr) End() token.Position { return e.EndPos }
+func (e *PropExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *StaticPropExpr) Pos() token.Position { return e.Position }
+func (e *StaticPropExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *StaticPropExpr) End() token.Position { return e.EndPos }
+func (e *StaticPropExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *ClassConstExpr) Pos() token.Position { return e.Position }
+func (e *ClassConstExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *ClassConstExpr) End() token.Position { return e.EndPos }
+func (e *ClassConstExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *CallExpr) Pos() token.Position { return e.Position }
+func (e *CallExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *CallExpr) End() token.Position { return e.EndPos }
+func (e *CallExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *MethodCallExpr) Pos() token.Position { return e.Position }
+func (e *MethodCallExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *MethodCallExpr) End() token.Position { return e.EndPos }
+func (e *MethodCallExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *StaticCallExpr) Pos() token.Position { return e.Position }
+func (e *StaticCallExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *StaticCallExpr) End() token.Position { return e.EndPos }
+func (e *StaticCallExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *NewExpr) Pos() token.Position { return e.Position }
+func (e *NewExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *NewExpr) End() token.Position { return e.EndPos }
+func (e *NewExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *AssignExpr) Pos() token.Position { return e.Position }
+func (e *AssignExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *AssignExpr) End() token.Position { return e.Rhs.End() }
+func (e *AssignExpr) End() token.Pos { return e.Rhs.End() }
 
 // Pos implements Node.
-func (e *ListExpr) Pos() token.Position { return e.Position }
+func (e *ListExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *ListExpr) End() token.Position { return e.EndPos }
+func (e *ListExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *BinaryExpr) Pos() token.Position { return e.Position }
+func (e *BinaryExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *BinaryExpr) End() token.Position { return e.Y.End() }
+func (e *BinaryExpr) End() token.Pos { return e.Y.End() }
 
 // Pos implements Node.
-func (e *UnaryExpr) Pos() token.Position { return e.Position }
+func (e *UnaryExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *UnaryExpr) End() token.Position { return e.X.End() }
+func (e *UnaryExpr) End() token.Pos { return e.X.End() }
 
 // Pos implements Node.
-func (e *IncDecExpr) Pos() token.Position { return e.Position }
+func (e *IncDecExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *IncDecExpr) End() token.Position { return e.X.End() }
+func (e *IncDecExpr) End() token.Pos { return e.X.End() }
 
 // Pos implements Node.
-func (e *CastExpr) Pos() token.Position { return e.Position }
+func (e *CastExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *CastExpr) End() token.Position { return e.X.End() }
+func (e *CastExpr) End() token.Pos { return e.X.End() }
 
 // Pos implements Node.
-func (e *TernaryExpr) Pos() token.Position { return e.Position }
+func (e *TernaryExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *TernaryExpr) End() token.Position { return e.B.End() }
+func (e *TernaryExpr) End() token.Pos { return e.B.End() }
 
 // Pos implements Node.
-func (e *IssetExpr) Pos() token.Position { return e.Position }
+func (e *IssetExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *IssetExpr) End() token.Position { return e.EndPos }
+func (e *IssetExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *EmptyExpr) Pos() token.Position { return e.Position }
+func (e *EmptyExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *EmptyExpr) End() token.Position { return e.EndPos }
+func (e *EmptyExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *ExitExpr) Pos() token.Position { return e.Position }
+func (e *ExitExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *ExitExpr) End() token.Position {
+func (e *ExitExpr) End() token.Pos {
 	if e.X != nil {
 		return e.X.End()
 	}
@@ -887,46 +895,46 @@ func (e *ExitExpr) End() token.Position {
 }
 
 // Pos implements Node.
-func (e *PrintExpr) Pos() token.Position { return e.Position }
+func (e *PrintExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *PrintExpr) End() token.Position { return e.X.End() }
+func (e *PrintExpr) End() token.Pos { return e.X.End() }
 
 // Pos implements Node.
-func (e *IncludeExpr) Pos() token.Position { return e.Position }
+func (e *IncludeExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *IncludeExpr) End() token.Position { return e.X.End() }
+func (e *IncludeExpr) End() token.Pos { return e.X.End() }
 
 // Pos implements Node.
-func (e *CloneExpr) Pos() token.Position { return e.Position }
+func (e *CloneExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *CloneExpr) End() token.Position { return e.X.End() }
+func (e *CloneExpr) End() token.Pos { return e.X.End() }
 
 // Pos implements Node.
-func (e *ClosureExpr) Pos() token.Position { return e.Position }
+func (e *ClosureExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *ClosureExpr) End() token.Position { return e.EndPos }
+func (e *ClosureExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *InstanceofExpr) Pos() token.Position { return e.Position }
+func (e *InstanceofExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *InstanceofExpr) End() token.Position { return e.Position }
+func (e *InstanceofExpr) End() token.Pos { return e.Position }
 
 // Pos implements Node.
-func (e *MatchExpr) Pos() token.Position { return e.Position }
+func (e *MatchExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *MatchExpr) End() token.Position { return e.EndPos }
+func (e *MatchExpr) End() token.Pos { return e.EndPos }
 
 // Pos implements Node.
-func (e *BadExpr) Pos() token.Position { return e.Position }
+func (e *BadExpr) Pos() token.Pos { return e.Position }
 
 // End implements Node.
-func (e *BadExpr) End() token.Position { return e.Position }
+func (e *BadExpr) End() token.Pos { return e.Position }
 
 // ---------------------------------------------------------------------------
 // Marker methods

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/php/ast"
 	"repro/internal/php/parser"
+	"repro/internal/php/token"
 )
 
 // fingerprint renders a structural summary of a tree: node kinds plus the
@@ -185,11 +186,11 @@ func TestAllNodeSpans(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			pos, end := n.Pos(), n.End()
-			if end.Offset < pos.Offset {
+			if end < pos {
 				t.Errorf("%q: %T end %v before pos %v", src, n, end, pos)
 			}
-			if pos.Line < 1 {
-				t.Errorf("%q: %T invalid line %d", src, n, pos.Line)
+			if at := f.Lines.Position(pos); at.Line < 1 || at.File != "span.php" {
+				t.Errorf("%q: %T invalid position %v", src, n, at)
 			}
 			return true
 		})
@@ -229,9 +230,12 @@ func TestCalleeName(t *testing.T) {
 }
 
 func TestFilePosEmpty(t *testing.T) {
-	f := &ast.File{Name: "empty.php"}
-	if f.Pos().Line != 1 || f.End().Line != 1 {
-		t.Errorf("empty file pos = %v end = %v", f.Pos(), f.End())
+	f := &ast.File{Name: "empty.php", Lines: token.NewLineTable("empty.php", "")}
+	if p := f.Lines.Position(f.Pos()); p.Line != 1 || p.Column != 1 {
+		t.Errorf("empty file pos = %v", p)
+	}
+	if p := f.Lines.Position(f.End()); p.Line != 1 || p.Column != 1 {
+		t.Errorf("empty file end = %v", p)
 	}
 }
 

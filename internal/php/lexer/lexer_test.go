@@ -262,13 +262,15 @@ func TestOperators(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks := lexAll(t, "<?php\n$x = 1;\n$y = 2;")
+	src := "<?php\n$x = 1;\n$y = 2;"
+	toks := lexAll(t, src)
+	lines := token.NewLineTable("t.php", src)
 	// $x on line 2, $y on line 3.
-	if toks[0].Pos.Line != 2 {
-		t.Errorf("$x line = %d, want 2", toks[0].Pos.Line)
+	if got := lines.Position(toks[0].Pos); got.Line != 2 || got.Column != 1 {
+		t.Errorf("$x at %v, want line 2, column 1", got)
 	}
-	if toks[4].Pos.Line != 3 {
-		t.Errorf("$y line = %d, want 3 (token %v)", toks[4].Pos.Line, toks[4])
+	if got := lines.Position(toks[4].Pos); got.Line != 3 {
+		t.Errorf("$y line = %d, want 3 (token %v)", got.Line, toks[4])
 	}
 }
 
@@ -325,12 +327,12 @@ func TestLexerTotalQuick(t *testing.T) {
 func TestLexerPositionsMonotonicQuick(t *testing.T) {
 	f := func(s string) bool {
 		toks, _ := Tokens("q.php", "<?php "+s)
-		last := 0
+		var last token.Pos
 		for _, tk := range toks {
-			if tk.Pos.Offset < last {
+			if tk.Pos < last {
 				return false
 			}
-			last = tk.Pos.Offset
+			last = tk.Pos
 		}
 		return true
 	}

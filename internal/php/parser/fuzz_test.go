@@ -35,7 +35,7 @@ func FuzzParse(f *testing.F) {
 			if n == nil {
 				t.Fatal("nil node")
 			}
-			if n.End().Offset < n.Pos().Offset {
+			if n.End() < n.Pos() {
 				t.Fatalf("node %T: end before pos", n)
 			}
 			return true

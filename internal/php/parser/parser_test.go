@@ -588,7 +588,7 @@ func TestNodeSpansQuick(t *testing.T) {
 			t.Fatalf("%q: %v", src, errs)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if n.End().Offset < n.Pos().Offset {
+			if n.End() < n.Pos() {
 				t.Errorf("%q: node %T end %v before pos %v", src, n, n.End(), n.Pos())
 			}
 			return true
