@@ -55,9 +55,12 @@ chaos-backend:
 weapons-gate:
 	$(GO) run ./cmd/weaponsmith -gate weapons/*.weapon
 
-# Mirror of the CI fuzz smoke: 30s over each parser fuzz target and over the
-# AST-to-IR lowering (never panics, deterministic, accounts for every node).
+# Mirror of the CI fuzz smoke: 30s over each parser fuzz target, over the
+# line table's position resolution (matches a byte walk for every token) and
+# over the AST-to-IR lowering (never panics, deterministic, accounts for
+# every node).
 fuzz-smoke:
+	$(GO) test ./internal/php/lexer -run '^$$' -fuzz=FuzzPositions -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzParse -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzPrintRoundtrip -fuzztime=30s
 	$(GO) test ./internal/ir -run '^$$' -fuzz=FuzzLower -fuzztime=30s
