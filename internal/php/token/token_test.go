@@ -112,3 +112,37 @@ func TestPositionRendering(t *testing.T) {
 		t.Errorf("pos without column = %q", noCol.String())
 	}
 }
+
+func TestLineTableFragments(t *testing.T) {
+	src := "ab\ncd\n"
+	lt := NewLineTable("f.php", src)
+	outer := NewLineTable("f.php", src)
+	base := lt.AddFragment("<?php x\ny;")
+	nested := lt.AddFragment("<?php z;")
+	if base <= Pos(len(src)) || nested <= base {
+		t.Fatalf("fragment bases %d, %d overlap the %d-byte source", base, nested, len(src))
+	}
+	for _, c := range []struct {
+		p                  Pos
+		off, line, col     int
+		fromOuterUnchanged bool
+	}{
+		{p: 0, off: 0, line: 1, col: 1, fromOuterUnchanged: true},
+		{p: 4, off: 4, line: 2, col: 2, fromOuterUnchanged: true},
+		{p: 6, off: 6, line: 3, col: 1, fromOuterUnchanged: true},
+		{p: base + 6, off: 6, line: 1, col: 7},
+		{p: base + 8, off: 8, line: 2, col: 1},
+		{p: nested + 6, off: 6, line: 1, col: 7},
+	} {
+		got := lt.Position(c.p)
+		if got.File != "f.php" || got.Offset != c.off || got.Line != c.line || got.Column != c.col {
+			t.Errorf("Position(%d) = %+v, want offset %d at %d:%d", c.p, got, c.off, c.line, c.col)
+		}
+		if c.fromOuterUnchanged && outer.Position(c.p) != got {
+			t.Errorf("Position(%d) changed when fragments were added", c.p)
+		}
+	}
+	if got := (*LineTable)(nil).Position(5); got.IsValid() || got.Offset != 5 {
+		t.Errorf("nil table resolved 5 to %+v", got)
+	}
+}
