@@ -26,11 +26,12 @@ serve: wapd
 
 # Durability suite under the race detector: the fault-injection harness, the
 # job journal, result-store self-healing, and the crash-resume determinism
-# tests (kill at every journal record boundary, corrupt every record kind).
-# Mirrors the CI chaos job.
+# tests (kill at every journal record boundary, corrupt every record kind),
+# and the warm-equals-cold report pins. Mirrors the CI chaos job.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/journal/... ./internal/resultstore/...
 	$(GO) test -race -count=1 ./internal/core/ -run 'TestCheckpoint|TestIncremental'
+	$(GO) test -race -count=1 ./internal/report/ -run 'TestIncrementalByteIdentical|TestWeaponSwapIncrementalByteIdentical'
 	$(GO) test -race -count=1 ./internal/server/ -run 'TestCrashResume|TestCorruptRecord|TestCleanDrain|TestForcedDrain|TestAsync'
 
 # Backend fault suite under the race detector: the network chaos seam, the

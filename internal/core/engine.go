@@ -290,13 +290,6 @@ type Engine struct {
 	// engine is safe even across concurrent scans.
 	digestOnce sync.Once
 	digestVal  string
-
-	// reuseCache holds, per project name, the decoded findings of the last
-	// persisted snapshot, so an in-process warm rescan skips re-decoding
-	// store entries. Generations are replaced wholesale (copy-on-write):
-	// readers keep the map reference they grabbed at plan time.
-	reuseMu    sync.Mutex
-	reuseCache map[string]map[string]*decodedTask
 }
 
 // BreakerSnapshot reports each class breaker's current state for health
@@ -599,23 +592,16 @@ func (e *Engine) AnalyzeScan(ctx context.Context, p *Project, so ScanOpts) (*Rep
 				n, plural(n, "y", "ies")),
 		})
 	}
-	exec := e.executePlan(ctx, p, plan, stats, so)
-	return e.mergeScan(ctx, plan, exec, stats, rep, start)
+	ck := newCheckpointer(p, plan, so, stats)
+	exec := e.executePlan(ctx, p, plan, stats, ck)
+	return e.mergeScan(ctx, plan, exec, ck, stats, rep, start)
 }
 
-// execState is the execute stage's output. results/clean/steps are aligned
-// with plan.tasks; slots of reused tasks stay zero (the merge stage splices
+// execState is the execute stage's output. results is aligned with
+// plan.tasks; slots of reused tasks stay nil (the merge stage splices
 // plan.reused over them).
 type execState struct {
-	results [][]*Finding
-	// clean marks tasks that completed cleanly on their first attempt — the
-	// only tasks persistSnapshot may store. A recovery on a later ladder
-	// attempt is deliberately excluded: a task that needed retries faulted
-	// under this exact input, so it re-executes next scan too.
-	clean []bool
-	// steps is the step count of task i's clean first attempt, persisted
-	// so later scans can account the work a reuse saves.
-	steps     []int
+	results   [][]*Finding
 	taskDiags []Diagnostic
 	// executed/completed count execution-queue tasks only (reused tasks are
 	// never incomplete), for the cancellation diagnostic's accounting.
@@ -625,15 +611,12 @@ type execState struct {
 }
 
 // executePlan runs the plan's execution queue through the worker pool and
-// fault-isolation machinery.
-func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, stats *statsCollector, so ScanOpts) *execState {
+// fault-isolation machinery, handing every disposition to the checkpointer.
+func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, stats *statsCollector, ck *checkpointer) *execState {
 	exec := &execState{
 		results:  make([][]*Finding, len(plan.tasks)),
-		clean:    make([]bool, len(plan.tasks)),
-		steps:    make([]int, len(plan.tasks)),
 		executed: len(plan.execIdx),
 	}
-	ck := newCheckpointer(p, plan, so, stats)
 	if !e.opts.DisableSummaryCache {
 		exec.shared = taint.NewSharedSummaries()
 	}
@@ -795,15 +778,10 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					stats.recordTask(t.cls.ID, out, wall)
 					shared.Commit(out.pending)
 					results[i] = out.findings
-					if attempt == 0 {
-						// First-attempt completions are the only persistable
-						// outcome: see execState.clean.
-						exec.clean[i] = true
-						exec.steps[i] = out.steps
-						ck.taskDone(i, out.findings, out.steps, true)
-					} else {
-						ck.taskDone(i, nil, 0, false)
-					}
+					// First-attempt completions are the only persistable
+					// outcome: a task that needed retries faulted under this
+					// exact input, so it re-executes next scan too.
+					ck.taskDone(i, out.findings, out.steps, attempt == 0)
 					if e.breakers != nil {
 						e.breakers.recordSuccess(t.cls.ID, l.probe)
 					}
@@ -927,7 +905,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 // reused results spliced over their grid slots, findings flattened in grid
 // order, stored-XSS links recomputed over the combined findings, and — on a
 // complete scan with a store attached — the new snapshot persisted.
-func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState, stats *statsCollector, rep *Report, start time.Time) (*Report, error) {
+func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState, ck *checkpointer, stats *statsCollector, rep *Report, start time.Time) (*Report, error) {
 	sortDiagnostics(exec.taskDiags)
 	rep.Diagnostics = append(rep.Diagnostics, exec.taskDiags...)
 	var irc *ir.Cache
@@ -979,7 +957,7 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 		rep.Findings = append(rep.Findings, fs...)
 	}
 	rep.linkStoredXSS()
-	e.persistSnapshot(ctx, rep.Project, plan, exec)
+	ck.finish(ctx)
 	if plan.store != nil {
 		rep.Stats.Backend = plan.store.BackendState()
 	}

@@ -38,10 +38,6 @@ type scanPlan struct {
 	reused   [][]*Finding
 	reusedOK []bool
 	entries  []*resultstore.TaskEntry
-	// closures holds, per task, the parsed instances of every file in the
-	// task file's reachable closure (nil without store) — the validity key
-	// of the engine's decoded-findings cache.
-	closures [][]*SourceFile
 	// execIdx lists the task indices the execute stage must run.
 	execIdx []int
 
@@ -51,48 +47,6 @@ type scanPlan struct {
 	// carries the load's full self-healing account (quarantine, salvage).
 	status   resultstore.LoadStatus
 	loadInfo resultstore.LoadInfo
-}
-
-// decodedTask is one reusable task result in memory: the findings as decoded
-// (or freshly produced), the snapshot entry they round-trip to, and the
-// closure file instances they reference. It is only valid while every file
-// in the closure is the same parsed instance — guaranteed across scans for
-// unchanged files by parse reuse (LoadOptions.Prev / LoadMapIncremental),
-// and checked by pointer before use, so a project re-parsed from scratch
-// simply falls back to decoding the snapshot entry.
-type decodedTask struct {
-	closure  []*SourceFile
-	findings []*Finding
-	entry    *resultstore.TaskEntry
-}
-
-func sameFiles(a, b []*SourceFile) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// projectCache returns the current decoded-findings generation for a project
-// (nil when none); setProjectCache installs the next generation.
-func (e *Engine) projectCache(name string) map[string]*decodedTask {
-	e.reuseMu.Lock()
-	defer e.reuseMu.Unlock()
-	return e.reuseCache[name]
-}
-
-func (e *Engine) setProjectCache(name string, m map[string]*decodedTask) {
-	e.reuseMu.Lock()
-	defer e.reuseMu.Unlock()
-	if e.reuseCache == nil {
-		e.reuseCache = make(map[string]map[string]*decodedTask)
-	}
-	e.reuseCache[name] = m
 }
 
 // planScan builds the scan plan. The (file, class) grid is enumerated in
@@ -108,25 +62,23 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 
 	plan := &scanPlan{store: store}
 	var (
-		snap      *resultstore.Snapshot
-		cHashes   []string
-		ix        *nodeIndexer
-		reach     [][]int
-		closures  [][]*SourceFile
-		prevCache map[string]*decodedTask
+		snap    *resultstore.Snapshot
+		cHashes []string
 	)
 	if store != nil {
 		plan.digest = e.configDigest()
 		snap, plan.loadInfo = store.LoadWithInfoContext(ctx, p.Name, plan.digest)
 		plan.status = plan.loadInfo.Status
-		reach = fileClosures(p)
+		// The fingerprints hash the same call closures the pre-filter
+		// walks; compute them only when there is no pre-filter to borrow
+		// them from.
+		var reach [][]int
 		if pf != nil {
 			reach = pf.reach
+		} else {
+			reach = fileClosures(p)
 		}
 		cHashes = closureHashes(p, reach)
-		ix = newNodeIndexer(p)
-		closures = make([][]*SourceFile, len(p.Files))
-		prevCache = e.projectCache(p.Name)
 	}
 
 	for fi, file := range p.Files {
@@ -141,33 +93,14 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 			plan.reusedOK = append(plan.reusedOK, false)
 			plan.entries = append(plan.entries, nil)
 			fp := ""
-			var closure []*SourceFile
 			if store != nil {
 				fp = taskFingerprint(plan.digest, cls.ID, cHashes[fi])
-				if closures[fi] == nil {
-					cl := make([]*SourceFile, len(reach[fi]))
-					for k, j := range reach[fi] {
-						cl[k] = p.Files[j]
-					}
-					closures[fi] = cl
-				}
-				closure = closures[fi]
 			}
 			plan.fingerprints = append(plan.fingerprints, fp)
-			plan.closures = append(plan.closures, closure)
 			if snap != nil {
 				if entry := snap.Tasks[fp]; entry != nil {
 					stats.recordFingerprintHit()
-					// Fast path: the previous generation already decoded this
-					// entry against the very same parsed files.
-					if ce := prevCache[fp]; ce != nil && sameFiles(ce.closure, closure) {
-						plan.reused[i] = ce.findings
-						plan.reusedOK[i] = true
-						plan.entries[i] = entry
-						stats.recordReused(cls.ID, entry.Steps, len(ce.findings))
-						continue
-					}
-					if fs, ok := ix.decodeTask(entry); ok {
+					if fs, ok := decodeTask(p, entry); ok {
 						plan.reused[i] = fs
 						plan.reusedOK[i] = true
 						plan.entries[i] = entry
@@ -183,44 +116,4 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 		}
 	}
 	return plan
-}
-
-// persistSnapshot writes the scan's new snapshot: reused entries re-persisted
-// verbatim plus every freshly executed task that completed cleanly on its
-// first attempt. Faulted, retried (even when the ladder recovered them),
-// breaker-skipped and cancelled tasks are left out, so they re-execute next
-// scan. The whole-snapshot write drops entries for fingerprints no longer in
-// the plan (changed or removed files), pruning the store as the tree evolves.
-// Persistence is best-effort: a failed save costs the next scan's warm start,
-// never this scan's report.
-func (e *Engine) persistSnapshot(ctx context.Context, p *Project, plan *scanPlan, exec *execState) {
-	if plan.store == nil {
-		return
-	}
-	snap := resultstore.NewSnapshot(p.Name, plan.digest)
-	next := make(map[string]*decodedTask, len(plan.tasks))
-	ix := newNodeIndexer(p)
-	for i, t := range plan.tasks {
-		fp := plan.fingerprints[i]
-		switch {
-		case plan.reusedOK[i]:
-			snap.Tasks[fp] = plan.entries[i]
-			next[fp] = &decodedTask{closure: plan.closures[i], findings: plan.reused[i], entry: plan.entries[i]}
-		case exec.clean[i]:
-			fs, ok := ix.encodeTask(exec.results[i])
-			if !ok {
-				continue
-			}
-			entry := &resultstore.TaskEntry{
-				File: t.file.Path, Class: string(t.cls.ID),
-				Steps: exec.steps[i], Findings: fs,
-			}
-			snap.Tasks[fp] = entry
-			next[fp] = &decodedTask{closure: plan.closures[i], findings: exec.results[i], entry: entry}
-		}
-	}
-	// The in-memory generation mirrors exactly what was persisted, replaced
-	// wholesale so stale fingerprints drop out with the snapshot's.
-	e.setProjectCache(p.Name, next)
-	_ = plan.store.SaveContext(ctx, snap)
 }

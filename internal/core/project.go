@@ -58,6 +58,11 @@ type fileMemo struct {
 	// vocab is the file's call-site vocabulary (closure edges and sink
 	// pre-filter input).
 	vocab *fileVocab
+	// nodes is the file's ast.Inspect preorder and index its reverse: the
+	// node addresses stored findings use (see persist.go). Only files a
+	// persisted or decoded finding references ever build them.
+	nodes []ast.Node
+	index map[ast.Node]int
 }
 
 // vocab returns the file's call-site vocabulary, computed once. The result
@@ -69,6 +74,46 @@ func (f *SourceFile) vocab() *fileVocab {
 		f.memo.vocab = scanVocab(f.AST)
 	}
 	return f.memo.vocab
+}
+
+// preorder returns the file's nodes in ast.Inspect order, computed once.
+// Caller holds f.memo.mu.
+func (f *SourceFile) preorder() []ast.Node {
+	if f.memo.nodes == nil {
+		nodes := []ast.Node{}
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			nodes = append(nodes, n)
+			return true
+		})
+		f.memo.nodes = nodes
+	}
+	return f.memo.nodes
+}
+
+// nodeAt returns the node at preorder index i.
+func (f *SourceFile) nodeAt(i int) (ast.Node, bool) {
+	f.memo.mu.Lock()
+	defer f.memo.mu.Unlock()
+	nodes := f.preorder()
+	if i < 0 || i >= len(nodes) {
+		return nil, false
+	}
+	return nodes[i], true
+}
+
+// nodeIndex returns n's preorder index within the file.
+func (f *SourceFile) nodeIndex(n ast.Node) (int, bool) {
+	f.memo.mu.Lock()
+	defer f.memo.mu.Unlock()
+	if f.memo.index == nil {
+		nodes := f.preorder()
+		f.memo.index = make(map[ast.Node]int, len(nodes))
+		for i, m := range nodes {
+			f.memo.index[m] = i
+		}
+	}
+	i, ok := f.memo.index[n]
+	return i, ok
 }
 
 // LoadStats describes how the parse front end ran for one project load.
