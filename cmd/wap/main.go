@@ -34,7 +34,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/atomicfile"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/resultstore"
@@ -317,7 +317,7 @@ func run(args []string) (int, error) {
 			}
 			// Atomic write: corrected copies sit next to user PHP sources,
 			// and a crash mid-write must never leave a truncated file.
-			if err := atomicfile.WriteFile(out, []byte(src), 0o644); err != nil {
+			if err := chaos.WriteFileAtomic(chaos.OS, out, []byte(src), 0o644, true); err != nil {
 				return exitFatal, err
 			}
 			fmt.Printf("fixed %s -> %s (%d corrections)\n", path, out, len(applied[path]))

@@ -339,11 +339,13 @@ func (f *injFile) Close() error {
 func (f *injFile) Chmod(mode os.FileMode) error { return f.f.Chmod(mode) }
 func (f *injFile) Name() string                 { return f.f.Name() }
 
-// WriteFileAtomic is internal/atomicfile's temp-write-rename through the FS
-// seam: data lands in a temp file in path's directory, is optionally synced,
-// and is renamed over path. On any error the temp file is removed and the
-// previous contents of path are untouched (fault injection aside — a
-// TornRename rule deliberately violates that guarantee to test readers).
+// WriteFileAtomic writes data to path through the FS seam: data lands in a
+// temp file in path's directory, is chmod-ed to perm, optionally synced, and
+// is renamed over path, so a crash mid-write can only leave a stray temp
+// file behind, never a truncated target. On any error the temp file is
+// removed and the previous contents of path are untouched (fault injection
+// aside — a TornRename rule deliberately violates that guarantee to test
+// readers).
 func WriteFileAtomic(fsys FS, path string, data []byte, perm os.FileMode, sync bool) (err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {

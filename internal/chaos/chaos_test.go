@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -169,6 +170,76 @@ func TestWriteFileAtomicSyncOptional(t *testing.T) {
 	}
 	if in.OpCount(OpSync) != 1 {
 		t.Errorf("sync=true synced %d time(s), want 1", in.OpCount(OpSync))
+	}
+}
+
+// The next three tests drive WriteFileAtomic through the real filesystem
+// (OS, sync on), the way the report store, the weapons-dir write and
+// wap -fix call it.
+
+func TestWriteFileCreatesWithContentAndMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.php")
+	if err := WriteFileAtomic(OS, path, []byte("<?php echo 1;"), 0o644, true); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "<?php echo 1;" {
+		t.Errorf("content = %q", got)
+	}
+	// CreateTemp opens 0600; the requested perm must be applied before
+	// the file becomes visible under its final name.
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode().Perm() != 0o644 {
+		t.Errorf("mode = %v, want 0644", info.Mode().Perm())
+	}
+}
+
+func TestWriteFileReplacesExisting(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.php")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(OS, path, []byte("new contents"), 0o644, true); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(path)
+	if string(got) != "new contents" {
+		t.Errorf("content = %q", got)
+	}
+}
+
+// TestWriteFileFailureLeavesTargetIntact points the write at a missing
+// directory and asserts the original file (in a good directory) survives a
+// failed sibling write; and that a failure never leaves temp litter behind.
+func TestWriteFileFailureLeavesTargetIntact(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "keep.php")
+	if err := os.WriteFile(path, []byte("precious"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A write into a nonexistent directory fails up front.
+	bad := filepath.Join(dir, "missing", "out.php")
+	if err := WriteFileAtomic(OS, bad, []byte("x"), 0o644, true); err == nil {
+		t.Fatal("write into missing directory succeeded")
+	}
+	got, _ := os.ReadFile(path)
+	if string(got) != "precious" {
+		t.Errorf("unrelated file changed: %q", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("temp litter left behind: %s", e.Name())
+		}
 	}
 }
 

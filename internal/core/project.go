@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/intern"
 	"repro/internal/ir"
 	"repro/internal/php/ast"
 	"repro/internal/php/parser"
@@ -407,7 +406,6 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 	if workers < 1 {
 		workers = 1
 	}
-	tab := intern.NewTable()
 	start := time.Now()
 	results := make([]loadResult, len(slots))
 	var cursor atomic.Int64
@@ -426,7 +424,7 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 				once.Do(func() { firstErr = cerr })
 				return
 			}
-			results[i] = executeSlot(&slots[i], opts.Prev, tab)
+			results[i] = executeSlot(&slots[i], opts.Prev)
 		}
 	}
 	if workers == 1 {
@@ -466,9 +464,8 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 
 // executeSlot loads one file: read (for dir loads), hash, then either adopt
 // prev's byte-identical parse — memoized artifacts (lowered source, called
-// names) travel with the reused SourceFile — or parse fresh through the
-// shared intern table.
-func executeSlot(s *loadSlot, prev *Project, tab *intern.Table) loadResult {
+// names) travel with the reused SourceFile — or parse fresh.
+func executeSlot(s *loadSlot, prev *Project) loadResult {
 	src := s.src
 	if s.read {
 		data, err := os.ReadFile(s.abs)
@@ -498,7 +495,7 @@ func executeSlot(s *loadSlot, prev *Project, tab *intern.Table) loadResult {
 			return res
 		}
 	}
-	f, errs := parser.ParseInterned(s.rel, src, tab)
+	f, errs := parser.Parse(s.rel, src)
 	sf := &SourceFile{
 		Path:      s.rel,
 		Src:       src,

@@ -10,7 +10,6 @@ package lexer
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/php/token"
 )
@@ -50,28 +49,6 @@ func New(file, src string) *Lexer {
 	return &Lexer{src: src, file: file}
 }
 
-// pool recycles Lexer structs across files. A pooled lexer is zeroed on
-// release, all but the cleared capacity of its parts scratch, so no source
-// text, tokens, or errors can leak into the next file.
-var pool = sync.Pool{New: func() any { return new(Lexer) }}
-
-// newPooled returns a recycled lexer initialised for src. Pair with release.
-func newPooled(file, src string, base token.Pos) *Lexer {
-	l := pool.Get().(*Lexer)
-	*l = Lexer{src: src, file: file, base: base, parts: l.parts}
-	return l
-}
-
-// release scrubs every reference held by the lexer (source, errors, pending
-// tokens, the parts scratch's contents) and returns it to the pool, keeping
-// only the scratch's capacity. The caller must copy out l.errs first.
-func (l *Lexer) release() {
-	parts := l.parts[:0]
-	clear(parts[:cap(parts)])
-	*l = Lexer{parts: parts}
-	pool.Put(l)
-}
-
 // Errors returns the lexical errors encountered so far.
 func (l *Lexer) Errors() []*Error { return l.errs }
 
@@ -86,9 +63,8 @@ func Tokens(file, src string) ([]token.Token, []*Error) {
 }
 
 // TokensAppend scans the whole input, appending every token including the
-// final EOF token to buf, and returns the extended slice. The lexer itself is
-// recycled through an internal pool; ownership of buf stays with the caller,
-// which lets callers reuse token buffers across files.
+// final EOF token to buf, and returns the extended slice. Ownership of buf
+// stays with the caller, which lets callers reuse token buffers across files.
 func TokensAppend(file, src string, buf []token.Token) ([]token.Token, []*Error) {
 	return TokensAt(file, src, 0, buf)
 }
@@ -97,7 +73,7 @@ func TokensAppend(file, src string, buf []token.Token) ([]token.Token, []*Error)
 // every token position is shifted by base (see token.LineTable.AddFragment).
 // Error positions stay relative to src.
 func TokensAt(file, src string, base token.Pos, buf []token.Token) ([]token.Token, []*Error) {
-	l := newPooled(file, src, base)
+	l := &Lexer{src: src, file: file, base: base}
 	for {
 		t := l.Next()
 		buf = append(buf, t)
@@ -105,9 +81,7 @@ func TokensAt(file, src string, base token.Pos, buf []token.Token) ([]token.Toke
 			break
 		}
 	}
-	errs := l.errs
-	l.release()
-	return buf, errs
+	return buf, l.errs
 }
 
 func (l *Lexer) pos() token.Pos { return l.base + token.Pos(l.off) }
@@ -693,15 +667,12 @@ func (l *Lexer) scanHeredoc(start token.Pos) token.Token {
 				if nowdoc {
 					return token.Token{Kind: token.StringLit, Value: body, Pos: start, End: l.pos()}
 				}
-				// Re-scan body for interpolation using a pooled sub-lexer.
+				// Re-scan body for interpolation using a sub-lexer.
 				// scanInterpolated(0) terminates at end of input, so the body
 				// needs no sentinel byte appended.
-				sub := newPooled(l.file, body, 0)
-				sub.inPHP = true
+				sub := &Lexer{src: body, file: l.file, inPHP: true}
 				parts, _ := sub.scanInterpolated(0)
-				t := l.templateToken(start, parts)
-				sub.release()
-				return t
+				return l.templateToken(start, parts)
 			}
 		}
 		// Advance to next line.

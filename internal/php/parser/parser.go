@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/intern"
 	"repro/internal/php/ast"
 	"repro/internal/php/lexer"
 	"repro/internal/php/token"
@@ -65,7 +64,6 @@ type Parser struct {
 	errs  []*Error
 	file  string
 	lines *token.LineTable
-	tab   *intern.Table
 
 	depth    int
 	degraded bool
@@ -86,12 +84,9 @@ type Parser struct {
 
 // tokBufPool recycles token buffers across files; buffers are cleared before
 // re-pooling so no token (or the strings it references) survives a file.
-// parserPool recycles the Parser scratch state itself. Both are reentrant:
-// buildInterp re-parses braced interpolations through Parse recursively.
-var (
-	tokBufPool = sync.Pool{New: func() any { return new([]token.Token) }}
-	parserPool = sync.Pool{New: func() any { return new(Parser) }}
-)
+// It is reentrant: buildInterp re-parses braced interpolations through
+// parseAt recursively.
+var tokBufPool = sync.Pool{New: func() any { return new([]token.Token) }}
 
 // enter counts one level of parse nesting; it reports false — after
 // recording a single Degraded error — once the bound is exceeded. Callers
@@ -127,21 +122,13 @@ func (p *Parser) bailExpr() ast.Expr {
 // Parse lexes and parses src, returning the file AST and any errors. The AST
 // is always non-nil; with errors it contains the recoverable prefix.
 func Parse(file, src string) (*ast.File, []*Error) {
-	return ParseInterned(file, src, nil)
-}
-
-// ParseInterned is Parse with a project-scoped intern table: declaration map
-// keys are canonicalized through tab so a loader sharing one table across
-// files deduplicates repeated lowered names. A nil table is valid and interns
-// nothing; the resulting AST is identical either way.
-func ParseInterned(file, src string, tab *intern.Table) (*ast.File, []*Error) {
-	return parseAt(file, src, 0, token.NewLineTable(file, src), tab)
+	return parseAt(file, src, 0, token.NewLineTable(file, src))
 }
 
 // parseAt parses src lexed at Pos base, recording lines as the table that
 // resolves the AST's positions: the file's own table, or — for a braced
 // interpolation re-parsed as a fragment — the enclosing file's.
-func parseAt(file, src string, base token.Pos, lines *token.LineTable, tab *intern.Table) (*ast.File, []*Error) {
+func parseAt(file, src string, base token.Pos, lines *token.LineTable) (*ast.File, []*Error) {
 	bufp := tokBufPool.Get().(*[]token.Token)
 	buf := *bufp
 	if cap(buf) == 0 {
@@ -149,8 +136,7 @@ func parseAt(file, src string, base token.Pos, lines *token.LineTable, tab *inte
 	}
 	toks, lexErrs := lexer.TokensAt(file, src, base, buf[:0])
 
-	p := parserPool.Get().(*Parser)
-	*p = Parser{toks: toks, file: file, lines: lines, tab: tab}
+	p := &Parser{toks: toks, file: file, lines: lines}
 	for _, le := range lexErrs {
 		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
 	}
@@ -176,56 +162,53 @@ func parseAt(file, src string, base token.Pos, lines *token.LineTable, tab *inte
 			p.next()
 		}
 	}
-	indexDecls(f, f.Stmts, tab)
-	errs := p.errs
+	indexDecls(f, f.Stmts)
 
-	// Recycle the scratch state. The AST copies every string and position it
+	// Recycle the token buffer. The AST copies every string and position it
 	// needs out of the token stream, so the buffer is scrubbed (dropping Parts
 	// slices and string references) and reused by the next file.
 	clear(toks)
 	*bufp = toks[:0]
 	tokBufPool.Put(bufp)
-	*p = Parser{}
-	parserPool.Put(p)
-	return f, errs
+	return f, p.errs
 }
 
 // indexDecls records function and class declarations (recursively through
-// blocks and control flow) in the file's lookup maps. Map keys are lowered
-// through tab (nil behaves like strings.ToLower) so repeated names across a
-// project share one canonical string.
-func indexDecls(f *ast.File, stmts []ast.Stmt, tab *intern.Table) {
+// blocks and control flow) in the file's lookup maps, keyed by lower-case
+// name.
+func indexDecls(f *ast.File, stmts []ast.Stmt) {
 	for _, s := range stmts {
 		switch d := s.(type) {
 		case *ast.FunctionDecl:
-			f.Funcs[tab.Lower(d.Name)] = d
+			f.Funcs[strings.ToLower(d.Name)] = d
 			if d.Body != nil {
-				indexDecls(f, d.Body.Stmts, tab) // nested declarations
+				indexDecls(f, d.Body.Stmts) // nested declarations
 			}
 		case *ast.ClassDecl:
-			f.Classes[tab.Lower(d.Name)] = d
+			cls := strings.ToLower(d.Name)
+			f.Classes[cls] = d
 			for _, m := range d.Methods {
-				f.Funcs[tab.Intern(tab.Lower(d.Name)+"::"+tab.Lower(m.Name))] = m
+				f.Funcs[cls+"::"+strings.ToLower(m.Name)] = m
 			}
 		case *ast.BlockStmt:
-			indexDecls(f, d.Stmts, tab)
+			indexDecls(f, d.Stmts)
 		case *ast.IfStmt:
 			if d.Then != nil {
-				indexDecls(f, d.Then.Stmts, tab)
+				indexDecls(f, d.Then.Stmts)
 			}
 			if d.Else != nil {
-				indexDecls(f, []ast.Stmt{d.Else}, tab)
+				indexDecls(f, []ast.Stmt{d.Else})
 			}
 		case *ast.WhileStmt:
-			indexDecls(f, d.Body.Stmts, tab)
+			indexDecls(f, d.Body.Stmts)
 		case *ast.ForStmt:
-			indexDecls(f, d.Body.Stmts, tab)
+			indexDecls(f, d.Body.Stmts)
 		case *ast.ForeachStmt:
-			indexDecls(f, d.Body.Stmts, tab)
+			indexDecls(f, d.Body.Stmts)
 		case *ast.TryStmt:
-			indexDecls(f, d.Body.Stmts, tab)
+			indexDecls(f, d.Body.Stmts)
 			for _, c := range d.Catches {
-				indexDecls(f, c.Body.Stmts, tab)
+				indexDecls(f, c.Body.Stmts)
 			}
 		}
 	}
@@ -1656,7 +1639,7 @@ func (p *Parser) buildInterp(t token.Token) ast.Expr {
 		case part.Expr != "":
 			// Re-parse the braced expression as a fragment of this file.
 			src := "<?php " + part.Expr + ";"
-			sub, errs := parseAt(p.file, src, p.lines.AddFragment(src), p.lines, p.tab)
+			sub, errs := parseAt(p.file, src, p.lines.AddFragment(src), p.lines)
 			if len(errs) == 0 && len(sub.Stmts) == 1 {
 				if es, ok := sub.Stmts[0].(*ast.ExprStmt); ok {
 					e = es.X

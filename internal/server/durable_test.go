@@ -502,3 +502,52 @@ func TestAsyncRejectionLeavesNoResumableState(t *testing.T) {
 		t.Errorf("journal holds %d accepted / %d done records, want 3 / 1 (rejected job neutralized)", accepted, doneRecs)
 	}
 }
+
+// TestDoneAsyncJobReleasesRequest pins that a finished async job keeps its
+// response but not its uploaded source tree, both for a job that ran in this
+// process and for a done job replayed from the journal. Suspended jobs keep
+// theirs (TestForcedDrainSuspendsDurableJob resumes from it).
+func TestDoneAsyncJobReleasesRequest(t *testing.T) {
+	heldFiles := func(s *Server, id string) map[string]string {
+		s.jobMu.Lock()
+		defer s.jobMu.Unlock()
+		st := s.jobs[id]
+		if st == nil {
+			t.Fatalf("job %s not tracked", id)
+		}
+		if st.status != StatusDone {
+			t.Fatalf("job %s status %q, want done", id, st.status)
+		}
+		return st.req.Files
+	}
+	eng := testEngine(t, nil)
+
+	jnl := openJournalT(t, filepath.Join(t.TempDir(), "wapd.journal"))
+	s, hs := newTestServer(t, Config{Engine: eng, Workers: 1, Journal: jnl})
+	acc := postAsync(t, hs.URL, ScanRequest{Name: "app", Files: map[string]string{"a.php": xssPage}})
+	if st := pollJobDone(t, hs.URL, acc.ID); st.Result == nil || st.Result.Report == nil {
+		t.Fatalf("done job lost its result: %+v", st)
+	}
+	if files := heldFiles(s, acc.ID); files != nil {
+		t.Errorf("done job still holds its request files: %v", files)
+	}
+
+	// A crash after the done record: replay sees accepted then done.
+	jpath := filepath.Join(t.TempDir(), "wapd.journal")
+	w, _, err := journal.Open(jpath, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := ScanRequest{Name: "app", Async: true, Files: map[string]string{"a.php": xssPage}}
+	if _, err := w.Append(journal.JobAccepted, "job-7", acceptedPayload{Req: req}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(journal.JobDone, "job-7", donePayload{}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	s2, _ := newTestServer(t, Config{Engine: eng, Workers: 1, Journal: openJournalT(t, jpath)})
+	if files := heldFiles(s2, "job-7"); files != nil {
+		t.Errorf("replayed done job still holds its request files: %v", files)
+	}
+}

@@ -42,7 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/atomicfile"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/report"
@@ -412,6 +412,7 @@ func (s *Server) replayJournal() {
 		case journal.JobDone:
 			if st := s.jobs[rec.Job]; st != nil {
 				st.status = StatusDone
+				st.req = ScanRequest{}
 			}
 		}
 	}
@@ -781,13 +782,15 @@ func (s *Server) checkpointEvery() int {
 
 // finishJob dispositions a completed job: async jobs keep their response for
 // GET /jobs/{id} and get a done journal record; sync jobs hand the response
-// to the waiting connection.
+// to the waiting connection. A done job's request (its uploaded source tree)
+// is dropped: only compaction reads it, and compaction skips done jobs.
 func (s *Server) finishJob(j *job, resp *ScanResponse) {
 	if j.async {
 		s.jobMu.Lock()
 		if st := s.jobs[j.id]; st != nil {
 			st.status = StatusDone
 			st.resp = resp
+			st.req = ScanRequest{}
 		}
 		s.jobMu.Unlock()
 		s.journalAppend(journal.JobDone, j.id, donePayload{Error: resp.Error})
@@ -841,7 +844,7 @@ func (s *Server) persistReport(id string, rep *report.JSONReport) {
 		return
 	}
 	_ = os.MkdirAll(s.cfg.ReportDir, 0o755)
-	_ = atomicfile.WriteFile(filepath.Join(s.cfg.ReportDir, id+".json"), data, 0o644)
+	_ = chaos.WriteFileAtomic(chaos.OS, filepath.Join(s.cfg.ReportDir, id+".json"), data, 0o644, true)
 }
 
 // health is the body of /healthz and /readyz.

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/atomicfile"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/weapon"
 )
@@ -197,7 +197,7 @@ func (s *Server) admitWeapon(source string) (*weapon.RegEntry, string, *weaponEr
 	persistErr := ""
 	if wp.dir != "" {
 		path := filepath.Join(wp.dir, string(entry.Weapon.Class.ID)+".weapon")
-		if err := atomicfile.WriteFile(path, []byte(source), 0o644); err != nil {
+		if err := chaos.WriteFileAtomic(chaos.OS, path, []byte(source), 0o644, true); err != nil {
 			persistErr = err.Error()
 		}
 	}
