@@ -35,15 +35,17 @@ chaos:
 	$(GO) test -race -count=1 ./internal/server/ -run 'TestCrashResume|TestCorruptRecord|TestCleanDrain|TestForcedDrain|TestAsync'
 
 # Backend fault suite under the race detector: the network chaos seam, the
-# result-store fault envelope (retries, budget, breaker), write-behind
-# shedding, the HTTP blob protocol, and the degrade-to-cacheless determinism
-# bar (scans over a down/flaky/lying tier must produce byte-identical
-# findings at sequential and parallel schedules). The closing one-iteration
+# shared circuit breaker and retry backoff, the result-store fault envelope
+# (retries, budget, breaker), write-behind shedding, the HTTP blob
+# protocol, and the degrade-to-cacheless determinism bar (scans over a
+# down/flaky/lying tier must produce byte-identical findings at sequential
+# and parallel schedules). The closing one-iteration
 # bench confirms the local-disk store path still runs — trend the real ns/op
 # with `make bench` / `make bench-compare`, which fail on a >10% regression.
 # Mirrors the CI chaos job's backend steps.
 chaos-backend:
 	$(GO) test -race -count=1 ./internal/chaos/ -run 'TestRoundTripper'
+	$(GO) test -race -count=1 ./internal/breaker/
 	$(GO) test -race -count=1 ./internal/resultstore/...
 	$(GO) test -race -count=1 ./internal/core/ -run 'TestScanOver|TestBackendBreaker|TestScanStatsBackend'
 	$(GO) test -race -count=1 ./internal/server/ -run 'TestCacheServe|TestHealthz|TestListener'

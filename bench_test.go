@@ -399,14 +399,14 @@ func BenchmarkAnalyzeAppIncremental(b *testing.B) {
 	edit := paths[0]
 	proj := core.LoadMap(app.Name, files)
 	// Cold scan: populates the store so every iteration below is warm.
-	if _, err := eng.AnalyzeContextStore(ctx, proj, store); err != nil {
+	if _, err := eng.AnalyzeScan(ctx, proj, core.ScanOpts{Store: store}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		files[edit] = app.Files[edit] + fmt.Sprintf("\n<!-- edit %d -->\n", i)
 		next := core.LoadMapIncremental(app.Name, files, proj)
-		if _, err := eng.AnalyzeContextStore(ctx, next, store); err != nil {
+		if _, err := eng.AnalyzeScan(ctx, next, core.ScanOpts{Store: store}); err != nil {
 			b.Fatal(err)
 		}
 		proj = next

@@ -192,10 +192,12 @@ func run(args []string) (int, error) {
 	// previous run's per-task results and persists its own. -cache-backend
 	// swaps the local directory for a shared remote tier behind the fault
 	// envelope: the scan's findings cannot depend on the tier being up.
+	// Only the main scan uses it; a -compare baseline scan runs storeless.
+	var store *resultstore.Store
 	switch {
 	case *cacheBE != "":
 		env := resultstore.NewEnvelope(httpbackend.New(*cacheBE, nil), resultstore.EnvelopeConfig{})
-		store, err := resultstore.OpenBackend(env, resultstore.Options{
+		store, err = resultstore.OpenBackend(env, resultstore.Options{
 			MaxBytes:    *cacheMax,
 			WriteBehind: true,
 		})
@@ -203,17 +205,15 @@ func run(args []string) (int, error) {
 			return exitFatal, err
 		}
 		defer store.Close()
-		opts.ResultStore = store
 	case *incr || *cacheDir != "":
 		storeDir := *cacheDir
 		if storeDir == "" {
 			storeDir = filepath.Join(dir, ".wap-cache")
 		}
-		store, err := resultstore.OpenOptions(storeDir, resultstore.Options{MaxBytes: *cacheMax})
+		store, err = resultstore.OpenOptions(storeDir, resultstore.Options{MaxBytes: *cacheMax})
 		if err != nil {
 			return exitFatal, err
 		}
-		opts.ResultStore = store
 	}
 
 	eng, err := core.New(opts)
@@ -241,7 +241,7 @@ func run(args []string) (int, error) {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	rep, err := eng.AnalyzeContext(ctx, proj)
+	rep, err := eng.AnalyzeScan(ctx, proj, core.ScanOpts{Store: store})
 	if err != nil {
 		// A scan cut short by the -timeout deadline still yields partial
 		// results with a diagnostic; anything else is fatal.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/chaos"
 	"repro/internal/resultstore"
 	"repro/internal/resultstore/httpbackend"
@@ -203,7 +204,7 @@ func TestBackendBreakerOpensDuringScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.BackendState()
-	if st.Envelope == nil || st.Envelope.Breaker != resultstore.BreakerOpen {
+	if st.Envelope == nil || st.Envelope.Breaker != breaker.Open {
 		t.Fatalf("breaker = %+v after a failing scan at threshold 1, want open", st.Envelope)
 	}
 

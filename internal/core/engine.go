@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/corrector"
 	"repro/internal/dataset"
 	"repro/internal/ir"
@@ -125,12 +125,6 @@ type Options struct {
 	// (file, class) tasks provably unable to produce findings. Findings are
 	// identical either way.
 	DisableSinkPrefilter bool
-	// ResultStore, when set, makes every scan incremental: cleanly completed
-	// (file, class) tasks are persisted keyed by closure fingerprint, and
-	// later scans reuse stored results for tasks whose fingerprints match.
-	// Reports are byte-identical to a full scan (Stats aside, which account
-	// reuse). AnalyzeContextStore overrides it per call.
-	ResultStore *resultstore.Store
 	// WeaponSetRevision is the hot-reload registry revision this engine's
 	// weapon set was derived from (0 when weapons are fixed for the process
 	// lifetime). It is folded into the config digest, so every weapon
@@ -151,13 +145,13 @@ const DefaultTaskBudget = 5 << 20
 // Options.RetryBackoff is zero.
 const DefaultRetryBackoff = 50 * time.Millisecond
 
-const (
-	// minRetryBudget floors the shrinking retry budget so a retried task
-	// can still make progress before degrading conservatively.
-	minRetryBudget = 4096
-	// maxRetryBackoff caps the exponential backoff between attempts.
-	maxRetryBackoff = 2 * time.Second
-)
+// DefaultBreakerCooldown is how long an open breaker waits before admitting
+// a half-open probe when Options.BreakerCooldown is zero.
+const DefaultBreakerCooldown = 30 * time.Second
+
+// minRetryBudget floors the shrinking retry budget so a retried task can
+// still make progress before degrading conservatively.
+const minRetryBudget = 4096
 
 // Finding is one analyzed candidate vulnerability.
 type Finding struct {
@@ -295,11 +289,59 @@ type Engine struct {
 // BreakerSnapshot reports each class breaker's current state for health
 // endpoints. It returns nil when breakers are disabled, and only classes
 // that have executed at least one task appear.
-func (e *Engine) BreakerSnapshot() map[vuln.ClassID]BreakerStatus {
+func (e *Engine) BreakerSnapshot() map[vuln.ClassID]breaker.Status {
 	if e.breakers == nil {
 		return nil
 	}
 	return e.breakers.snapshot()
+}
+
+// classBreakers holds one circuit breaker per vulnerability class. The
+// state is engine-scoped, not scan-scoped: a class that faults repeatedly
+// across jobs trips open so one pathological weapon cannot keep consuming
+// the worker pool, and recovers via a half-open probe after the cool-down.
+// Breakers only ever skip tasks (diagnostics-only degradation); findings
+// for every other class are unaffected.
+type classBreakers struct {
+	threshold int
+	cooldown  time.Duration
+
+	mu      sync.Mutex
+	byClass map[vuln.ClassID]*breaker.Breaker // filled on a class's first task
+}
+
+func newClassBreakers(threshold int, cooldown time.Duration) *classBreakers {
+	if cooldown <= 0 {
+		cooldown = DefaultBreakerCooldown
+	}
+	return &classBreakers{
+		threshold: threshold,
+		cooldown:  cooldown,
+		byClass:   make(map[vuln.ClassID]*breaker.Breaker),
+	}
+}
+
+// of returns the class's breaker, creating it closed on first use.
+func (b *classBreakers) of(id vuln.ClassID) *breaker.Breaker {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	br := b.byClass[id]
+	if br == nil {
+		br = breaker.New(b.threshold, b.cooldown, nil)
+		b.byClass[id] = br
+	}
+	return br
+}
+
+// snapshot copies every breaker's current status.
+func (b *classBreakers) snapshot() map[vuln.ClassID]breaker.Status {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[vuln.ClassID]breaker.Status, len(b.byClass))
+	for id, br := range b.byClass {
+		out[id] = br.Status()
+	}
+	return out
 }
 
 // New builds an engine. Classifiers are trained lazily on first use (or via
@@ -477,8 +519,9 @@ type attemptResult struct {
 
 // lane is one (file, class) task on the retry ladder.
 type lane struct {
-	idx   int  // position in the scan plan's task grid
-	probe bool // admitted as its class breaker's half-open probe
+	idx   int              // position in the scan plan's task grid
+	brk   *breaker.Breaker // its class's breaker; nil when breakers are off
+	probe bool             // admitted as brk's half-open probe
 	start time.Time
 	// lastFault is the fault of the lane's latest failed attempt;
 	// bestPartial keeps the sound-prefix findings of its deepest
@@ -518,23 +561,22 @@ type lane struct {
 //
 // The report is complete and deterministic for everything not listed in its
 // Diagnostics, regardless of Parallelism, and — Stats and Duration aside —
-// byte-identical whether its tasks executed or were reused.
+// byte-identical whether its tasks executed or were reused. AnalyzeContext
+// runs without a result store; AnalyzeScan attaches one.
 func (e *Engine) AnalyzeContext(ctx context.Context, p *Project) (*Report, error) {
-	return e.AnalyzeContextStore(ctx, p, e.opts.ResultStore)
-}
-
-// AnalyzeContextStore is AnalyzeContext against an explicit result store;
-// nil runs a full scan with no persistence. Store faults never fail the
-// scan: an unreadable or invalidated snapshot means a full re-execute, and a
-// failed save costs only the next scan's warm start.
-func (e *Engine) AnalyzeContextStore(ctx context.Context, p *Project, store *resultstore.Store) (*Report, error) {
-	return e.AnalyzeScan(ctx, p, ScanOpts{Store: store})
+	return e.AnalyzeScan(ctx, p, ScanOpts{})
 }
 
 // ScanOpts carries the per-scan durability knobs AnalyzeScan accepts beyond
 // the engine's own options.
 type ScanOpts struct {
-	// Store is the result store for this scan; nil means full scan, no
+	// Store, when set, makes the scan incremental: cleanly completed (file,
+	// class) tasks are persisted keyed by closure fingerprint, and tasks
+	// whose fingerprints match the stored snapshot are reused instead of
+	// executed. Reports are byte-identical to a full scan (Stats aside,
+	// which account reuse). Store faults never fail the scan: an unreadable
+	// or invalidated snapshot means a full re-execute, and a failed save
+	// costs only the next scan's warm start. nil means a full scan with no
 	// persistence.
 	Store *resultstore.Store
 	// CheckpointEvery, with a store attached, persists a partial snapshot
@@ -555,8 +597,9 @@ type ScanOpts struct {
 	Resumes int
 }
 
-// AnalyzeScan is AnalyzeContext with explicit scan options; the durable job
-// path uses it to attach mid-scan checkpointing.
+// AnalyzeScan is AnalyzeContext with explicit scan options: the only way
+// to attach a result store, and the durable job path's way to attach
+// mid-scan checkpointing.
 func (e *Engine) AnalyzeScan(ctx context.Context, p *Project, so ScanOpts) (*Report, error) {
 	if !e.trained {
 		if err := e.Train(); err != nil {
@@ -679,11 +722,10 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 	}
 
 	releaseProbes := func(set []*lane) {
-		if e.breakers == nil {
-			return
-		}
 		for _, l := range set {
-			e.breakers.releaseProbe(tasks[l.idx].cls.ID, l.probe)
+			if l.brk != nil {
+				l.brk.Release(l.probe)
+			}
 		}
 	}
 
@@ -782,8 +824,8 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					// outcome: a task that needed retries faulted under this
 					// exact input, so it re-executes next scan too.
 					ck.taskDone(i, out.findings, out.steps, attempt == 0)
-					if e.breakers != nil {
-						e.breakers.recordSuccess(t.cls.ID, l.probe)
+					if l.brk != nil {
+						l.brk.Success()
 					}
 					if attempt > 0 {
 						stats.recordRecovered(t.cls.ID)
@@ -811,8 +853,8 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 						Retries: attempt,
 					})
 					results[i] = l.bestPartial
-					if e.breakers != nil {
-						e.breakers.recordFault(t.cls.ID, l.probe)
+					if l.brk != nil {
+						l.brk.Fault(l.probe)
 					}
 					continue
 				}
@@ -826,7 +868,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			}
 			set = retry
 			attemptBudget = shrinkBudget(attemptBudget)
-			if !sleepBackoff(ctx, e.retryBackoff(attempt)) {
+			if !breaker.Sleep(ctx, e.retryBackoff(attempt)) {
 				// Cancelled during backoff: same disposition as interrupted.
 				releaseProbes(set)
 				return
@@ -842,10 +884,12 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		set := make([]*lane, 0, len(idxs))
 		for _, i := range idxs {
 			t := tasks[i]
+			var brk *breaker.Breaker
 			probe := false
 			if e.breakers != nil {
+				brk = e.breakers.of(t.cls.ID)
 				var ok bool
-				ok, probe = e.breakers.allow(t.cls.ID)
+				ok, probe = brk.Allow()
 				if !ok {
 					completed.Add(1)
 					ck.taskDone(i, nil, 0, false)
@@ -857,7 +901,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					continue
 				}
 			}
-			set = append(set, &lane{idx: i, probe: probe, start: start})
+			set = append(set, &lane{idx: i, brk: brk, probe: probe, start: start})
 		}
 		if len(set) > 0 {
 			runLadder(set, 0, budget)
@@ -980,37 +1024,13 @@ func shrinkBudget(b int) int {
 	return b
 }
 
-// retryBackoff computes the jittered exponential backoff before retry
-// attempt+1. The ±50% jitter keeps simultaneously faulting tasks from
-// retrying in lock-step.
+// retryBackoff is the jittered exponential backoff before retry attempt+1.
 func (e *Engine) retryBackoff(attempt int) time.Duration {
 	base := e.opts.RetryBackoff
-	if base < 0 {
-		return 0
-	}
 	if base == 0 {
 		base = DefaultRetryBackoff
 	}
-	d := base << attempt
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)+1))
-}
-
-// sleepBackoff waits d, returning false when ctx dies first.
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return breaker.Backoff(base, attempt)
 }
 
 func plural(n int, one, many string) string {

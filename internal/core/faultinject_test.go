@@ -247,7 +247,7 @@ func TestRunawayLoopNestingIsBounded(t *testing.T) {
 		if len(diagsOfKind(rep, DiagBudget)) == 0 {
 			t.Errorf("runaway walk recorded no budget diagnostic: %v", rep.Diagnostics)
 		}
-	case <-time.After(30 * time.Second):
+	case <-time.After(30 * time.Second * raceSlowdown):
 		t.Fatal("analysis did not terminate: step budget is not enforced")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/vuln"
 )
 
@@ -78,7 +79,7 @@ func TestFusedPanicDemotesWithoutLosingFindings(t *testing.T) {
 		// The fused fault itself must not be charged: with threshold 1 any
 		// breaker charge would trip the class open.
 		for id, st := range e.BreakerSnapshot() {
-			if st.State != BreakerClosed || st.Faults != 0 {
+			if st.State != breaker.Closed || st.Faults != 0 {
 				t.Errorf("parallelism %d: breaker %s = %s/%d faults, want closed/0", par, id, st.State, st.Faults)
 			}
 		}
@@ -158,10 +159,10 @@ func TestFusedPersistentFaultChargesOnlyFaultingClass(t *testing.T) {
 		t.Error("innocent class lost its finding while sharing fused groups with the faulting one")
 	}
 	snap := e.BreakerSnapshot()
-	if st := snap[vuln.XSSR]; st.State != BreakerOpen {
+	if st := snap[vuln.XSSR]; st.State != breaker.Open {
 		t.Errorf("xss-r breaker = %s, want open", st.State)
 	}
-	if st, ok := snap[vuln.SQLI]; ok && (st.State != BreakerClosed || st.Faults != 0) {
+	if st, ok := snap[vuln.SQLI]; ok && (st.State != breaker.Closed || st.Faults != 0) {
 		t.Errorf("sqli breaker = %s/%d faults, want closed/0", st.State, st.Faults)
 	}
 }

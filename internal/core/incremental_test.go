@@ -81,7 +81,7 @@ func findingKeys(rep *Report) []string {
 func scanWithStore(t *testing.T, opts Options, files map[string]string, store *resultstore.Store) *Report {
 	t.Helper()
 	e := newTestEngine(t, opts)
-	rep, err := e.AnalyzeContextStore(context.Background(), LoadMap("app", files), store)
+	rep, err := e.AnalyzeScan(context.Background(), LoadMap("app", files), ScanOpts{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +276,10 @@ func TestIncrementalBreakerSkippedTaskNeverPersisted(t *testing.T) {
 	}
 	e := newTestEngine(t, opts)
 	ctx := context.Background()
-	if _, err := e.AnalyzeContextStore(ctx, LoadMap("app", files), store); err != nil {
+	if _, err := e.AnalyzeScan(ctx, LoadMap("app", files), ScanOpts{Store: store}); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := e.AnalyzeContextStore(ctx, LoadMap("app", files), store)
+	rep2, err := e.AnalyzeScan(ctx, LoadMap("app", files), ScanOpts{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestIncrementalCancelledScanPersistsNothing(t *testing.T) {
 	if err := e.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AnalyzeContextStore(ctx, LoadMap("app", files), store); err == nil {
+	if _, err := e.AnalyzeScan(ctx, LoadMap("app", files), ScanOpts{Store: store}); err == nil {
 		t.Fatal("cancelled scan reported no error")
 	}
 	warm := scanWithStore(t, incrementalOpts(), files, store)
@@ -466,11 +466,11 @@ func TestIncrementalReusedFindingsBindLiveAST(t *testing.T) {
 		store := openTestStore(t, t.TempDir())
 		e := newTestEngine(t, Options{Mode: ModeWAPe, Seed: 1, Parallelism: 1})
 		p1 := LoadMap(app.Name, app.Files)
-		cold, err := e.AnalyzeContextStore(ctx, p1, store)
+		cold, err := e.AnalyzeScan(ctx, p1, ScanOpts{Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := e.AnalyzeContextStore(ctx, LoadMapIncremental(app.Name, app.Files, p1), store)
+		warm, err := e.AnalyzeScan(ctx, LoadMapIncremental(app.Name, app.Files, p1), ScanOpts{Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,11 +483,11 @@ func TestIncrementalReusedFindingsBindLiveAST(t *testing.T) {
 	t.Run("concurrent", func(t *testing.T) {
 		store := openTestStore(t, t.TempDir())
 		e := newTestEngine(t, Options{Mode: ModeWAPe, Seed: 1, Parallelism: 3})
-		if _, err := e.AnalyzeContextStore(ctx, LoadMap(app.Name, app.Files), store); err != nil {
+		if _, err := e.AnalyzeScan(ctx, LoadMap(app.Name, app.Files), ScanOpts{Store: store}); err != nil {
 			t.Fatal(err)
 		}
 		p1 := LoadMap(app.Name, app.Files)
-		cold, err := e.AnalyzeContextStore(ctx, p1, nil)
+		cold, err := e.AnalyzeScan(ctx, p1, ScanOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +501,7 @@ func TestIncrementalReusedFindingsBindLiveAST(t *testing.T) {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				reps[k], errs[k] = e.AnalyzeContextStore(ctx, shared, store)
+				reps[k], errs[k] = e.AnalyzeScan(ctx, shared, ScanOpts{Store: store})
 			}(k)
 		}
 		wg.Wait()

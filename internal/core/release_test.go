@@ -48,7 +48,7 @@ func TestFinishedScanReleasesASTs(t *testing.T) {
 				for _, sf := range p.Files {
 					files = append(files, weak.Make(sf.AST))
 				}
-				rep, err := e.AnalyzeContextStore(context.Background(), p, store)
+				rep, err := e.AnalyzeScan(context.Background(), p, core.ScanOpts{Store: store})
 				if err != nil {
 					t.Fatal(err)
 				}

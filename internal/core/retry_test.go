@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/vuln"
 )
 
@@ -243,7 +244,7 @@ func TestPersistentClassFaultTripsBreaker(t *testing.T) {
 	if !hasFinding(rep, "q.php", vuln.SQLI) {
 		t.Error("unrelated class lost its finding while the breaker tripped")
 	}
-	if st := e.BreakerSnapshot()[vuln.XSSR]; st.State != BreakerOpen {
+	if st := e.BreakerSnapshot()[vuln.XSSR]; st.State != breaker.Open {
 		t.Errorf("breaker state = %s, want open", st.State)
 	}
 
@@ -284,7 +285,7 @@ func TestBreakerRecoversAfterCooldown(t *testing.T) {
 	if _, err := e.Analyze(breakerProject()); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.BreakerSnapshot()[vuln.XSSR]; st.State != BreakerOpen {
+	if st := e.BreakerSnapshot()[vuln.XSSR]; st.State != breaker.Open {
 		t.Fatalf("breaker state = %s, want open", st.State)
 	}
 
@@ -305,54 +306,8 @@ func TestBreakerRecoversAfterCooldown(t *testing.T) {
 			t.Errorf("finding for %s missing after breaker recovery", f)
 		}
 	}
-	if st := e.BreakerSnapshot()[vuln.XSSR]; st.State != BreakerClosed {
+	if st := e.BreakerSnapshot()[vuln.XSSR]; st.State != breaker.Closed {
 		t.Errorf("breaker state = %s, want closed after successful probe", st.State)
-	}
-}
-
-// TestBreakerHalfOpenProbeFailureReopens drives the state machine directly:
-// a failed probe re-opens the breaker for a fresh cool-down.
-func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	b := newClassBreakers(2, time.Minute)
-	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
-
-	id := vuln.XSSR
-	if ok, probe := b.allow(id); !ok || probe {
-		t.Fatalf("closed breaker: allow = %v, %v", ok, probe)
-	}
-	b.recordFault(id, false)
-	b.recordFault(id, false)
-	if ok, _ := b.allow(id); ok {
-		t.Fatal("breaker did not open at the threshold")
-	}
-
-	// Cool-down passes: exactly one probe is admitted; a second concurrent
-	// task of the class is still skipped.
-	now = now.Add(2 * time.Minute)
-	ok, probe := b.allow(id)
-	if !ok || !probe {
-		t.Fatalf("after cool-down: allow = %v, %v, want probe", ok, probe)
-	}
-	if ok, _ := b.allow(id); ok {
-		t.Fatal("second task admitted while the probe is in flight")
-	}
-	// The probe fails: re-open, full cool-down again.
-	b.recordFault(id, true)
-	if st := b.snapshot()[id]; st.State != BreakerOpen {
-		t.Fatalf("state after failed probe = %s, want open", st.State)
-	}
-	if ok, _ := b.allow(id); ok {
-		t.Fatal("breaker admitted a task right after a failed probe")
-	}
-	// Next cool-down, successful probe: closed for good.
-	now = now.Add(2 * time.Minute)
-	if ok, probe := b.allow(id); !ok || !probe {
-		t.Fatal("no probe after second cool-down")
-	}
-	b.recordSuccess(id, true)
-	if st := b.snapshot()[id]; st.State != BreakerClosed {
-		t.Fatalf("state after successful probe = %s, want closed", st.State)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/breaker"
 	"repro/internal/core"
 	"repro/internal/resultstore"
 )
@@ -16,7 +17,7 @@ func backendStats() *core.ScanStats {
 		Queued: 6, Written: 4, Shed: 1, Superseded: 1,
 		QueueDepth: 1, QueueCap: 32,
 		Envelope: &resultstore.EnvelopeState{
-			Breaker: resultstore.BreakerOpen, Refused: 7, Retries: 9,
+			Breaker: breaker.Open, Refused: 7, Retries: 9,
 		},
 	}
 	return s
@@ -43,7 +44,7 @@ func TestBackendStatsInRenderers(t *testing.T) {
 	}
 	js := ToJSON(rep)
 	if js.Stats.Backend == nil || js.Stats.Backend.Kind != "http" ||
-		js.Stats.Backend.Envelope == nil || js.Stats.Backend.Envelope.Breaker != resultstore.BreakerOpen {
+		js.Stats.Backend.Envelope == nil || js.Stats.Backend.Envelope.Breaker != breaker.Open {
 		t.Errorf("JSON backend account = %+v", js.Stats.Backend)
 	}
 

@@ -189,12 +189,12 @@ func TestIncrementalByteIdentical(t *testing.T) {
 		eng := newEngine()
 		ctx := context.Background()
 		proj := core.LoadMap(app.Name, app.Files)
-		if _, err := eng.AnalyzeContextStore(ctx, proj, store); err != nil {
+		if _, err := eng.AnalyzeScan(ctx, proj, core.ScanOpts{Store: store}); err != nil {
 			t.Fatal(err)
 		}
 		// Warm, unchanged: every task comes back from the store.
 		warmProj := core.LoadMapIncremental(app.Name, app.Files, proj)
-		warmRep, err := eng.AnalyzeContextStore(ctx, warmProj, store)
+		warmRep, err := eng.AnalyzeScan(ctx, warmProj, core.ScanOpts{Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestIncrementalByteIdentical(t *testing.T) {
 		}
 		// Warm, one file edited: reused and fresh results spliced.
 		editProj := core.LoadMapIncremental(app.Name, edited, warmProj)
-		editRep, err := eng.AnalyzeContextStore(ctx, editProj, store)
+		editRep, err := eng.AnalyzeScan(ctx, editProj, core.ScanOpts{Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ gate_sink("payload=" . $y);
 	// Warm the store under the pre-swap weapon set.
 	base := newBase()
 	proj := core.LoadMap("swapapp", files)
-	if _, err := base.AnalyzeContextStore(ctx, proj, store); err != nil {
+	if _, err := base.AnalyzeScan(ctx, proj, core.ScanOpts{Store: store}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -336,7 +336,7 @@ gate_sink("payload=" . $y);
 		t.Fatal(err)
 	}
 	warmProj := core.LoadMapIncremental("swapapp", files, proj)
-	swapRep, err := swapped.AnalyzeContextStore(ctx, warmProj, store)
+	swapRep, err := swapped.AnalyzeScan(ctx, warmProj, core.ScanOpts{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ gate_sink("payload=" . $y);
 	// A second post-swap rescan is warm again — under the NEW digest — and
 	// still byte-identical.
 	warm2 := core.LoadMapIncremental("swapapp", files, warmProj)
-	rep2, err := swapped.AnalyzeContextStore(ctx, warm2, store)
+	rep2, err := swapped.AnalyzeScan(ctx, warm2, core.ScanOpts{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // openMemStore returns a store over a fresh MemBackend. Write-behind is off
@@ -320,7 +322,7 @@ func TestBackendStateSurfacesEnvelope(t *testing.T) {
 	mem := NewMemBackend()
 	mem.GetHook = func(string) error { return errors.New("down") }
 	env := NewEnvelope(mem, EnvelopeConfig{RetryMax: -1, BreakerThreshold: 1})
-	env.sleep = func(time.Duration) {}
+	env.sleep = func(context.Context, time.Duration) bool { return true }
 	store, err := OpenBackend(env, Options{WriteBehind: true})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +335,7 @@ func TestBackendStateSurfacesEnvelope(t *testing.T) {
 	if st == nil || st.Kind != "mem" {
 		t.Fatalf("BackendState = %+v, want the wrapped tier's kind", st)
 	}
-	if st.Envelope == nil || st.Envelope.Breaker != BreakerOpen || st.Envelope.Failures != 1 {
+	if st.Envelope == nil || st.Envelope.Breaker != breaker.Open || st.Envelope.Failures != 1 {
 		t.Errorf("envelope account = %+v, want open breaker with 1 failure", st.Envelope)
 	}
 }

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // Envelope wraps a remote Backend in the full fault budget, so a tier that
@@ -20,26 +21,24 @@ import (
 //     from a shared budget that refills on success — a tier that flakes on
 //     every op exhausts the budget and degrades to single attempts instead
 //     of multiplying its own latency;
-//   - a backend-scoped circuit breaker (the same closed/open/half-open
-//     machinery as the engine's per-class breakers): after BreakerThreshold
-//     consecutive terminal failures the breaker opens and every op is
-//     refused immediately with ErrDegraded; after BreakerCooldown one probe
-//     op is admitted, and its outcome closes or re-opens the breaker. A
-//     dead tier therefore costs one probe per cooldown, not one timeout
-//     per task.
+//   - a backend-scoped circuit breaker (a breaker.Breaker, the engine's
+//     per-class machine): after BreakerThreshold consecutive terminal
+//     failures the breaker opens and every op is refused immediately with
+//     ErrDegraded; after BreakerCooldown one probe op is admitted, and its
+//     outcome closes or re-opens the breaker. A dead tier therefore costs
+//     one probe per cooldown, not one timeout per task.
 //
 // ErrNotFound is a definitive answer, never a fault: it does not consume
-// retries and does not count against the breaker.
+// retries and does not count against the breaker. Neither is an op whose
+// caller gave up (scan cancelled, server draining): it is not retried, not
+// counted as a failure, and a probe it held is handed back.
 type Envelope struct {
 	inner Backend
 	cfg   EnvelopeConfig
+	brk   *breaker.Breaker // nil when BreakerThreshold < 0
 
-	mu       sync.Mutex
-	state    BreakerState
-	faults   int
-	openedAt time.Time
-	probing  bool
-	budget   int
+	mu     sync.Mutex
+	budget int
 
 	ops      int64
 	failures int64
@@ -50,20 +49,8 @@ type Envelope struct {
 
 	// test seams
 	now   func() time.Time
-	sleep func(time.Duration)
-	rng   *rand.Rand
+	sleep func(context.Context, time.Duration) bool
 }
-
-// BreakerState is the envelope breaker's position, mirroring the engine's
-// per-class breaker states.
-type BreakerState string
-
-// Breaker states.
-const (
-	BreakerClosed   BreakerState = "closed"
-	BreakerOpen     BreakerState = "open"
-	BreakerHalfOpen BreakerState = "half-open"
-)
 
 // EnvelopeConfig tunes the fault budget. Zero values apply the defaults.
 type EnvelopeConfig struct {
@@ -73,7 +60,8 @@ type EnvelopeConfig struct {
 	// attempt). Default 2; negative disables retries.
 	RetryMax int
 	// RetryBackoff is the base backoff before the first retry; later
-	// retries double it, and every wait is jittered ±50%. Default 50ms.
+	// retries double it up to breaker.MaxBackoff, and every wait is
+	// jittered ±50%. Default 50ms.
 	RetryBackoff time.Duration
 	// RetryBudget bounds retries across all ops: each retry spends one
 	// token, each success refills one (up to the budget), so a persistently
@@ -101,14 +89,15 @@ const (
 // EnvelopeState is the envelope's observability account, surfaced in
 // Report.Stats and /healthz.
 type EnvelopeState struct {
-	Breaker BreakerState `json:"breaker"`
+	Breaker breaker.State `json:"breaker"`
 	// Faults is the consecutive terminal-failure count driving the breaker.
 	Faults int `json:"faults,omitempty"`
 	// RetryAt is when an open breaker admits its half-open probe.
 	RetryAt time.Time `json:"retry_at,omitempty"`
-	// Ops counts operations attempted; Failures terminal failures; Retries
-	// retry attempts spent; Refused ops answered ErrDegraded by an open
-	// breaker without touching the tier.
+	// Ops counts operations attempted; Failures terminal failures (an op
+	// its caller abandoned is not one); Retries retry attempts spent;
+	// Refused ops answered ErrDegraded by an open breaker without touching
+	// the tier.
 	Ops      int64 `json:"ops,omitempty"`
 	Failures int64 `json:"failures,omitempty"`
 	Retries  int64 `json:"retries,omitempty"`
@@ -138,20 +127,19 @@ func NewEnvelope(b Backend, cfg EnvelopeConfig) *Envelope {
 	if cfg.BreakerCooldown == 0 {
 		cfg.BreakerCooldown = DefaultBreakerCooldown
 	}
-	return &Envelope{
-		inner: b,
-		cfg:   cfg,
-		state: BreakerClosed,
-		budget: func() int {
-			if cfg.RetryBudget < 0 {
-				return 0
-			}
-			return cfg.RetryBudget
-		}(),
-		now:   time.Now,
-		sleep: time.Sleep,
-		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
+	e := &Envelope{
+		inner:  b,
+		cfg:    cfg,
+		budget: max(cfg.RetryBudget, 0),
+		now:    time.Now,
+		sleep:  breaker.Sleep,
 	}
+	if cfg.BreakerThreshold > 0 {
+		// The clock reads e.now on every call, so the test seam reaches
+		// the breaker too.
+		e.brk = breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown, func() time.Time { return e.now() })
+	}
+	return e
 }
 
 // Inner returns the wrapped backend (the serving mode exposes it directly).
@@ -160,10 +148,8 @@ func (e *Envelope) Inner() Backend { return e.inner }
 // EnvelopeState snapshots the account.
 func (e *Envelope) EnvelopeState() EnvelopeState {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	st := EnvelopeState{
-		Breaker:     e.state,
-		Faults:      e.faults,
+		Breaker:     breaker.Closed,
 		Ops:         e.ops,
 		Failures:    e.failures,
 		Retries:     e.retries,
@@ -171,74 +157,40 @@ func (e *Envelope) EnvelopeState() EnvelopeState {
 		LastError:   e.lastErr,
 		LastErrorAt: e.lastAt,
 	}
-	if e.state == BreakerOpen {
-		st.RetryAt = e.openedAt.Add(e.cfg.BreakerCooldown)
+	e.mu.Unlock()
+	if e.brk != nil {
+		bs := e.brk.Status()
+		st.Breaker, st.Faults, st.RetryAt = bs.State, bs.Faults, bs.RetryAt
 	}
 	return st
 }
 
-// allow reports whether an op may run now; probe marks the half-open probe,
-// whose disposition must be handed back via recordSuccess/recordFailure.
-func (e *Envelope) allow() (ok, probe bool) {
-	if e.cfg.BreakerThreshold < 0 {
-		return true, false
+func (e *Envelope) recordSuccess() {
+	if e.brk != nil {
+		e.brk.Success()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch e.state {
-	case BreakerOpen:
-		if e.now().Sub(e.openedAt) < e.cfg.BreakerCooldown {
-			e.refused++
-			return false, false
-		}
-		e.state = BreakerHalfOpen
-		e.probing = true
-		return true, true
-	case BreakerHalfOpen:
-		if e.probing {
-			e.refused++
-			return false, false
-		}
-		e.probing = true
-		return true, true
-	default:
-		return true, false
-	}
-}
-
-func (e *Envelope) recordSuccess(probe bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.faults = 0
-	e.state = BreakerClosed
-	e.probing = false
 	if e.cfg.RetryBudget > 0 && e.budget < e.cfg.RetryBudget {
 		e.budget++
 	}
 }
 
 func (e *Envelope) recordFailure(probe bool, err error) {
+	if e.brk != nil {
+		e.brk.Fault(probe)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.failures++
 	e.lastErr = err.Error()
 	e.lastAt = e.now()
-	if e.cfg.BreakerThreshold < 0 {
-		return
-	}
-	if probe || e.state == BreakerHalfOpen {
-		e.state = BreakerOpen
-		e.openedAt = e.now()
-		e.probing = false
-		return
-	}
-	if e.state == BreakerOpen {
-		return
-	}
-	e.faults++
-	if e.faults >= e.cfg.BreakerThreshold {
-		e.state = BreakerOpen
-		e.openedAt = e.now()
+}
+
+// release hands back an op its caller abandoned; nothing is charged.
+func (e *Envelope) release(probe bool) {
+	if e.brk != nil {
+		e.brk.Release(probe)
 	}
 }
 
@@ -259,20 +211,17 @@ func (e *Envelope) spendRetry() bool {
 	return true
 }
 
-// backoff returns the jittered wait before retry attempt i (0-based).
-func (e *Envelope) backoff(i int) time.Duration {
-	d := e.cfg.RetryBackoff << uint(i)
-	e.mu.Lock()
-	jitter := 0.5 + e.rng.Float64() // ×[0.5, 1.5)
-	e.mu.Unlock()
-	return time.Duration(float64(d) * jitter)
-}
-
 // run executes op under the breaker, per-attempt deadline and retry policy.
 func (e *Envelope) run(ctx context.Context, name string, op func(context.Context) error) error {
-	ok, probe := e.allow()
-	if !ok {
-		return fmt.Errorf("%w (%s)", ErrDegraded, name)
+	probe := false
+	if e.brk != nil {
+		var ok bool
+		if ok, probe = e.brk.Allow(); !ok {
+			e.mu.Lock()
+			e.refused++
+			e.mu.Unlock()
+			return fmt.Errorf("%w (%s)", ErrDegraded, name)
+		}
 	}
 	e.mu.Lock()
 	e.ops++
@@ -285,20 +234,23 @@ func (e *Envelope) run(ctx context.Context, name string, op func(context.Context
 		if err == nil || errors.Is(err, ErrNotFound) {
 			// A definitive answer: the tier is healthy even when the blob
 			// is absent.
-			e.recordSuccess(probe)
+			e.recordSuccess()
 			return err
 		}
 		if ctx.Err() != nil {
 			// The caller gave up (scan cancelled, drain): not the tier's
 			// fault, and retrying on its behalf would outlive the caller.
-			e.recordFailure(probe, err)
+			e.release(probe)
 			return err
 		}
 		if attempt >= e.cfg.RetryMax || e.cfg.RetryMax < 0 || !e.spendRetry() {
 			e.recordFailure(probe, err)
 			return err
 		}
-		e.sleep(e.backoff(attempt))
+		if !e.sleep(ctx, breaker.Backoff(e.cfg.RetryBackoff, attempt)) {
+			e.release(probe)
+			return err
+		}
 	}
 }
 

@@ -4,20 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // testEnvelope wraps mem in an envelope with deterministic seams: a manual
-// clock, recorded (not slept) backoffs, and a fixed-seed RNG.
+// clock and recorded (not slept) backoffs.
 func testEnvelope(mem *MemBackend, cfg EnvelopeConfig) (*Envelope, *time.Time, *[]time.Duration) {
 	e := NewEnvelope(mem, cfg)
 	now := time.Unix(1700000000, 0)
 	var sleeps []time.Duration
 	e.now = func() time.Time { return now }
-	e.sleep = func(d time.Duration) { sleeps = append(sleeps, d) }
-	e.rng = rand.New(rand.NewSource(1))
+	e.sleep = func(_ context.Context, d time.Duration) bool { sleeps = append(sleeps, d); return true }
 	return e, &now, &sleeps
 }
 
@@ -41,7 +41,7 @@ func TestEnvelopeRetriesTransientFault(t *testing.T) {
 		t.Fatalf("Get after transient faults = (%q, %v), want recovered blob", data, err)
 	}
 	st := env.EnvelopeState()
-	if st.Retries != 2 || st.Failures != 0 || st.Breaker != BreakerClosed {
+	if st.Retries != 2 || st.Failures != 0 || st.Breaker != breaker.Closed {
 		t.Errorf("state after recovered op = %+v, want 2 retries, 0 failures, closed breaker", st)
 	}
 	if len(*sleeps) != 2 {
@@ -69,7 +69,7 @@ func TestEnvelopeNotFoundIsDefinitive(t *testing.T) {
 		}
 	}
 	st := env.EnvelopeState()
-	if st.Breaker != BreakerClosed || st.Failures != 0 || st.Retries != 0 {
+	if st.Breaker != breaker.Closed || st.Failures != 0 || st.Retries != 0 {
 		t.Errorf("ErrNotFound counted as a fault: %+v", st)
 	}
 	if calls != 5 || len(*sleeps) != 0 {
@@ -107,6 +107,97 @@ func TestEnvelopeCallerCancelStopsRetries(t *testing.T) {
 	}
 	if calls != 1 || len(*sleeps) != 0 {
 		t.Errorf("cancelled caller still cost %d attempts, %d sleeps; retrying would outlive the caller", calls, len(*sleeps))
+	}
+}
+
+// TestEnvelopeCallerCancelDoesNotChargeBreaker cancels the caller mid-op:
+// the tier is not at fault, so the op neither counts toward the breaker's
+// faults nor as a terminal failure, and a healthy op afterwards still runs.
+func TestEnvelopeCallerCancelDoesNotChargeBreaker(t *testing.T) {
+	mem := NewMemBackend()
+	if err := mem.Put(context.Background(), "aa.json", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	var cancel context.CancelFunc
+	mem.GetHook = func(string) error {
+		if cancel != nil {
+			cancel()
+			return errors.New("interrupted")
+		}
+		return nil
+	}
+	env, _, _ := testEnvelope(mem, EnvelopeConfig{RetryMax: 2, BreakerThreshold: 2})
+
+	for i := 0; i < 2; i++ {
+		var ctx context.Context
+		ctx, cancel = context.WithCancel(context.Background())
+		if _, err := env.Get(ctx, "aa.json"); err == nil {
+			t.Fatal("Get under a cancelled caller succeeded")
+		}
+	}
+	st := env.EnvelopeState()
+	if st.Breaker != breaker.Closed || st.Faults != 0 || st.Failures != 0 || st.Retries != 0 {
+		t.Fatalf("state after caller-cancelled ops = %+v, want closed, no faults, failures or retries", st)
+	}
+	cancel = nil
+	if data, err := env.Get(context.Background(), "aa.json"); err != nil || string(data) != "x" {
+		t.Fatalf("healthy Get after caller-cancelled ops = (%q, %v), want the blob", data, err)
+	}
+	if st := env.EnvelopeState(); st.Breaker != breaker.Closed {
+		t.Errorf("breaker = %s after a healthy op, want closed", st.Breaker)
+	}
+}
+
+// TestEnvelopeCallerCancelReleasesProbe cancels the caller of the half-open
+// probe: the breaker stays half-open with the probe slot free, so the next
+// op probes the tier instead of waiting out another cooldown.
+func TestEnvelopeCallerCancelReleasesProbe(t *testing.T) {
+	mem := NewMemBackend()
+	if err := mem.Put(context.Background(), "aa.json", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	down := true
+	var cancel context.CancelFunc
+	calls := 0
+	mem.GetHook = func(string) error {
+		calls++
+		if cancel != nil {
+			cancel()
+			return errors.New("interrupted")
+		}
+		if down {
+			return errors.New("down")
+		}
+		return nil
+	}
+	env, now, _ := testEnvelope(mem, EnvelopeConfig{
+		RetryMax: -1, BreakerThreshold: 1, BreakerCooldown: time.Second,
+	})
+
+	env.Get(context.Background(), "aa.json")
+	if st := env.EnvelopeState(); st.Breaker != breaker.Open {
+		t.Fatalf("breaker = %s, want open", st.Breaker)
+	}
+	*now = now.Add(2 * time.Second)
+
+	var ctx context.Context
+	ctx, cancel = context.WithCancel(context.Background())
+	if _, err := env.Get(ctx, "aa.json"); err == nil {
+		t.Fatal("cancelled probe reported success")
+	}
+	if st := env.EnvelopeState(); st.Breaker != breaker.HalfOpen || st.Failures != 1 {
+		t.Fatalf("state after cancelled probe = %+v, want half-open with 1 failure", st)
+	}
+
+	cancel, down, calls = nil, false, 0
+	if _, err := env.Get(context.Background(), "aa.json"); err != nil {
+		t.Fatalf("next op after cancelled probe = %v, want it admitted as the probe", err)
+	}
+	if calls != 1 {
+		t.Errorf("next op made %d tier calls, want 1", calls)
+	}
+	if st := env.EnvelopeState(); st.Breaker != breaker.Closed {
+		t.Errorf("breaker = %s after a successful probe, want closed", st.Breaker)
 	}
 }
 
@@ -176,12 +267,12 @@ func TestEnvelopeBreakerLifecycle(t *testing.T) {
 
 	// Two consecutive terminal failures trip the breaker open.
 	env.Get(ctx, "aa.json")
-	if st := env.EnvelopeState(); st.Breaker != BreakerClosed {
+	if st := env.EnvelopeState(); st.Breaker != breaker.Closed {
 		t.Fatalf("breaker opened below threshold: %+v", st)
 	}
 	env.Get(ctx, "aa.json")
 	st := env.EnvelopeState()
-	if st.Breaker != BreakerOpen {
+	if st.Breaker != breaker.Open {
 		t.Fatalf("breaker = %s after %d consecutive failures, want open", st.Breaker, st.Failures)
 	}
 	if want := now.Add(10 * time.Second); !st.RetryAt.Equal(want) {
@@ -210,7 +301,7 @@ func TestEnvelopeBreakerLifecycle(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("half-open probe made %d attempts, want 1", calls)
 	}
-	if st := env.EnvelopeState(); st.Breaker != BreakerOpen {
+	if st := env.EnvelopeState(); st.Breaker != breaker.Open {
 		t.Fatalf("breaker = %s after failed probe, want re-opened", st.Breaker)
 	}
 	// Still inside the new cooldown: refused again.
@@ -225,7 +316,7 @@ func TestEnvelopeBreakerLifecycle(t *testing.T) {
 	if _, err := env.Get(ctx, "aa.json"); err != nil {
 		t.Fatalf("successful probe = %v", err)
 	}
-	if st := env.EnvelopeState(); st.Breaker != BreakerClosed {
+	if st := env.EnvelopeState(); st.Breaker != breaker.Closed {
 		t.Fatalf("breaker = %s after successful probe, want closed", st.Breaker)
 	}
 	// And stays closed for normal traffic.
@@ -252,7 +343,7 @@ func TestEnvelopeHalfOpenAdmitsOneProbe(t *testing.T) {
 	go func() { release <- struct{}{} }()
 	env.Get(ctx, "aa.json")
 	<-entered // drain the tripping call's token
-	if st := env.EnvelopeState(); st.Breaker != BreakerOpen {
+	if st := env.EnvelopeState(); st.Breaker != breaker.Open {
 		t.Fatalf("breaker = %s, want open", st.Breaker)
 	}
 	*now = now.Add(2 * time.Second)

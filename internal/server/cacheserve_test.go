@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/resultstore"
 	"repro/internal/resultstore/httpbackend"
 )
@@ -120,7 +121,7 @@ func TestHealthzReportsBackendState(t *testing.T) {
 		if h.Backend.QueueCap == 0 {
 			t.Errorf("%s backend missing the write-behind queue bound: %+v", path, h.Backend)
 		}
-		if h.Backend.Envelope == nil || h.Backend.Envelope.Breaker != resultstore.BreakerOpen {
+		if h.Backend.Envelope == nil || h.Backend.Envelope.Breaker != breaker.Open {
 			t.Errorf("%s backend missing the open breaker: %+v", path, h.Backend.Envelope)
 		}
 		if h.Backend.Envelope != nil && h.Backend.Envelope.LastError == "" {

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -877,7 +878,7 @@ type health struct {
 	Backend *resultstore.BackendState `json:"backend,omitempty"`
 	// Breakers maps class → breaker status for every class whose breaker
 	// has state; open entries mean that class is currently diagnostics-only.
-	Breakers map[string]core.BreakerStatus `json:"breakers,omitempty"`
+	Breakers map[string]breaker.Status `json:"breakers,omitempty"`
 	// WeaponRevision is the hot-reload registry revision the serving engine
 	// was derived at (0 = startup weapon set); Weapons lists the serving
 	// engine's weapon class IDs; WeaponErrors lists -weapons-dir spec files
@@ -916,7 +917,7 @@ func (s *Server) healthSnapshot() health {
 	h.Ready = !h.Draining && h.QueueLen < h.QueueCap
 	eng := s.engine()
 	if snap := eng.BreakerSnapshot(); len(snap) > 0 {
-		h.Breakers = make(map[string]core.BreakerStatus, len(snap))
+		h.Breakers = make(map[string]breaker.Status, len(snap))
 		for id, st := range snap {
 			h.Breakers[string(id)] = st
 		}
