@@ -40,8 +40,8 @@ chaos:
 # protocol, and the degrade-to-cacheless determinism bar (scans over a
 # down/flaky/lying tier must produce byte-identical findings at sequential
 # and parallel schedules). The closing one-iteration
-# bench confirms the local-disk store path still runs — trend the real ns/op
-# with `make bench` / `make bench-compare`, which fail on a >10% regression.
+# bench confirms the local-disk store path still runs — measure real cost
+# with `bash cmd/wapbench/run.sh` and compare runs with its `-compare`.
 # Mirrors the CI chaos job's backend steps.
 chaos-backend:
 	$(GO) test -race -count=1 ./internal/chaos/ -run 'TestRoundTripper'
@@ -101,12 +101,14 @@ bench-smoke:
 # report must match its golden file in internal/core/testdata/golden byte for
 # byte at parallelism 1 and 3 (TestGoldenReports), plus the taint-level
 # golden listings, the budget-degrade oracle and the lane-independence
-# sweep. Regenerate after an intentional change with
-# GOLDEN_UPDATE=1 go test ./internal/core ./internal/taint and
-# review the diff. Mirrors the CI golden job.
+# sweep, and the report layer's contract: text and HTML print the same scan
+# account, and warm rescans render byte-identical reports. Regenerate after
+# an intentional change with GOLDEN_UPDATE=1 go test ./internal/core
+# ./internal/taint and review the diff. Mirrors the CI golden job.
 golden:
 	$(GO) test -race -count=1 ./internal/core/ -run 'TestGolden|TestFinishedScan'
 	$(GO) test -race -count=1 ./internal/taint/ -run 'TestIR|TestBudgetOracle|TestFused'
+	$(GO) test -race -count=1 ./internal/report/ -run 'TestStatsRenderersAgree|TestStatsInRenderers|TestIncrementalByteIdentical'
 
 # The benchmark's own module: vet and test cmd/wapbench, which guards the
 # engine API it calls. Mirrors the CI wapbench job.

@@ -226,7 +226,7 @@ func BenchmarkLoadDir(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proj, err := core.LoadDir(app.Name, dir)
+		proj, err := core.LoadDirContext(context.Background(), app.Name, dir, core.LoadOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func BenchmarkAnalyzeAppIncremental(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		files[edit] = app.Files[edit] + fmt.Sprintf("\n<!-- edit %d -->\n", i)
-		next := core.LoadMapIncremental(app.Name, files, proj)
+		next := core.LoadMapOptions(app.Name, files, core.LoadOptions{Prev: proj})
 		if _, err := eng.AnalyzeScan(ctx, next, core.ScanOpts{Store: store}); err != nil {
 			b.Fatal(err)
 		}

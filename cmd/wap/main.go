@@ -65,7 +65,7 @@ func run(args []string) (int, error) {
 		v21      = fs.Bool("v21", false, "run as the original WAP v2.1 (8 classes, old predictor)")
 		fix      = fs.Bool("fix", false, "write corrected copies of vulnerable files (*.fixed.php)")
 		showFP   = fs.Bool("show-fp", false, "also list candidates predicted to be false positives")
-		stats    = fs.Bool("stats", false, "print scan statistics (tasks, AST steps, summary cache, per-class wall time)")
+		stats    = fs.Bool("stats", false, "print scan statistics (tasks, IR steps, summary cache, per-class wall time)")
 		jsonOut  = fs.Bool("json", false, "emit the report as JSON on stdout")
 		htmlOut  = fs.String("html", "", "write an HTML report to this file")
 		seed     = fs.Int64("seed", 2016, "training seed for the false positive predictor")
@@ -228,7 +228,7 @@ func run(args []string) (int, error) {
 	}
 
 	loadOpts := core.LoadOptions{MaxFileSize: *maxFile, Parallelism: *par}
-	proj, err := core.LoadDirOptions(filepath.Base(dir), dir, loadOpts)
+	proj, err := core.LoadDirContext(context.Background(), filepath.Base(dir), dir, loadOpts)
 	if err != nil {
 		return exitFatal, err
 	}
@@ -250,7 +250,7 @@ func run(args []string) (int, error) {
 		}
 	}
 	if *compare != "" {
-		oldProj, err := core.LoadDirOptions(filepath.Base(*compare), *compare, loadOpts)
+		oldProj, err := core.LoadDirContext(context.Background(), filepath.Base(*compare), *compare, loadOpts)
 		if err != nil {
 			return exitFatal, err
 		}

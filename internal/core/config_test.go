@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,7 +145,7 @@ mysql_query("SELECT " . app_clean($_GET['q']));
 	if err := e.Train(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadDir("auto", dir)
+	p, err := LoadDirContext(context.Background(), "auto", dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -181,7 +180,7 @@ type Report struct {
 	// NOT listed here; an empty slice means full coverage.
 	Diagnostics []Diagnostic
 	// Stats is the scan's performance account: tasks executed and skipped,
-	// AST steps, shared-cache traffic and per-class wall time. It describes
+	// IR steps, shared-cache traffic and per-class wall time. It describes
 	// the work performed, never the findings (which are cache-independent),
 	// and is schedule-dependent, so comparisons should exclude it.
 	Stats *ScanStats
@@ -914,13 +913,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 	// send loop that cancellation could leave blocked, and group order —
 	// hence output order — stays deterministic.
 	units := fuseGroups(plan)
-	workers := e.opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
+	workers := parallelism(e.opts.Parallelism)
 	if workers > len(units) && len(units) > 0 {
 		workers = len(units)
 	}
@@ -975,38 +968,32 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 			exec.results[i] = plan.reused[i]
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	err := ctx.Err()
+	if err != nil {
 		rep.Diagnostics = append(rep.Diagnostics, Diagnostic{
 			Kind: DiagTimeout,
 			Message: fmt.Sprintf("scan cancelled (%v) with %d of %d tasks incomplete; findings below are the completed subset",
 				err, int64(exec.executed)-exec.completed, exec.executed),
 			Elapsed: time.Since(start),
 		})
-		for _, fs := range exec.results {
-			rep.Findings = append(rep.Findings, fs...)
-		}
-		// The completed subset can still contain matching write/read pairs;
-		// a partial report links them like a full one would. Nothing is
-		// persisted: a snapshot from a cancelled scan would drop every
-		// unfinished task's entry, erasing a prior warm state for no gain.
-		rep.linkStoredXSS()
-		if plan.store != nil {
-			rep.Stats.Backend = plan.store.BackendState()
-		}
-		rep.Duration = time.Since(start)
-		return rep, err
 	}
-
 	for _, fs := range exec.results {
 		rep.Findings = append(rep.Findings, fs...)
 	}
+	// A cancelled scan's completed subset can still contain matching
+	// write/read pairs; a partial report links them like a full one would.
 	rep.linkStoredXSS()
-	ck.finish(ctx)
+	// Nothing is persisted after a cancellation: a snapshot from a cancelled
+	// scan would drop every unfinished task's entry, erasing a prior warm
+	// state for no gain.
+	if err == nil {
+		ck.finish(ctx)
+	}
 	if plan.store != nil {
 		rep.Stats.Backend = plan.store.BackendState()
 	}
 	rep.Duration = time.Since(start)
-	return rep, nil
+	return rep, err
 }
 
 // shrinkBudget halves the step budget for the next retry attempt, so a
@@ -1069,12 +1056,15 @@ func (rep *Report) linkStoredXSS() {
 }
 
 // fixIDFor returns the fix function name used for the class (weapon fix
-// when the class came from a weapon).
-func (e *Engine) fixIDFor(cls *vuln.Class) string {
-	if w, ok := e.weapons[cls.ID]; ok {
+// when the class came from a weapon), "" for an unknown class.
+func (e *Engine) fixIDFor(id vuln.ClassID) string {
+	if w, ok := e.weapons[id]; ok {
 		return w.Fix.ID
 	}
-	return cls.FixID
+	if cls := vuln.Get(id); cls != nil {
+		return cls.FixID
+	}
+	return ""
 }
 
 // predict classifies a symptom set, returning the decision and the votes.
@@ -1114,13 +1104,7 @@ func (e *Engine) FixProject(rep *Report) (map[string]string, map[string][]correc
 			return nil, nil, fmt.Errorf("core: fix: file %q not in project", path)
 		}
 		out, corrs, err := e.corrector.Apply(sf.Src, cands, func(c *taint.Candidate) string {
-			if w, ok := e.weapons[c.Class]; ok {
-				return w.Fix.ID
-			}
-			if cls := vuln.Get(c.Class); cls != nil {
-				return cls.FixID
-			}
-			return ""
+			return e.fixIDFor(c.Class)
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: fix %s: %w", path, err)

@@ -388,7 +388,7 @@ func TestLoadMapIncrementalParseReuse(t *testing.T) {
 	p1 := LoadMap("app", files)
 	edited := incrementalFiles()
 	edited["xss.php"] = `<?php echo $_POST['x'];`
-	p2 := LoadMapIncremental("app", edited, p1)
+	p2 := LoadMapOptions("app", edited, LoadOptions{Prev: p1})
 	if p2.File("lib.php") != p1.File("lib.php") {
 		t.Error("unchanged file was re-parsed instead of reused")
 	}
@@ -453,7 +453,7 @@ func (l *execLog) calls() []string {
 }
 
 // TestIncrementalReusedFindingsBindLiveAST pins that a warm rescan sharing
-// the parsed files (LoadMapIncremental) rebinds every reused finding to the
+// the parsed files (LoadOptions.Prev) rebinds every reused finding to the
 // very nodes the cold scan reported: the node addresses resolve through the
 // shared SourceFiles, so the stored-XSS linker, symptom justification and
 // the corrector see the live AST, and fixing the warm report rewrites
@@ -470,7 +470,7 @@ func TestIncrementalReusedFindingsBindLiveAST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := e.AnalyzeScan(ctx, LoadMapIncremental(app.Name, app.Files, p1), ScanOpts{Store: store})
+		warm, err := e.AnalyzeScan(ctx, LoadMapOptions(app.Name, app.Files, LoadOptions{Prev: p1}), ScanOpts{Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +491,7 @@ func TestIncrementalReusedFindingsBindLiveAST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared := LoadMapIncremental(app.Name, app.Files, p1)
+		shared := LoadMapOptions(app.Name, app.Files, LoadOptions{Prev: p1})
 		var (
 			wg   sync.WaitGroup
 			reps [2]*Report

@@ -48,7 +48,7 @@ func (e *Engine) runLanes(ts []task, p *Project, stop *atomic.Bool, budget int, 
 		// The tool's own fix for the class counts as a sanitizer so
 		// corrected code is not re-flagged.
 		sans := append([]string(nil), e.opts.ExtraSanitizers...)
-		if fixID := e.fixIDFor(t.cls); fixID != "" {
+		if fixID := e.fixIDFor(t.cls.ID); fixID != "" {
 			sans = append(sans, fixID)
 		}
 		sans = append(sans, e.opts.ClassSanitizers[t.cls.ID]...)

@@ -207,15 +207,6 @@ func LoadMap(name string, files map[string]string) *Project {
 	return LoadMapOptions(name, files, LoadOptions{})
 }
 
-// LoadMapIncremental is LoadMap with parse reuse: files whose content hashes
-// identically to the same path in prev adopt prev's parsed SourceFile
-// (ASTs are immutable after parse, so sharing them across projects is safe)
-// instead of re-parsing. The project-wide indexes are rebuilt either way.
-// prev may be nil.
-func LoadMapIncremental(name string, files map[string]string, prev *Project) *Project {
-	return LoadMapOptions(name, files, LoadOptions{Prev: prev})
-}
-
 // LoadMapOptions is LoadMap with full load options (parse reuse and
 // parallelism). The resulting project is byte-identical at any parallelism:
 // files are ordered by sorted path regardless of parse completion order.
@@ -269,33 +260,21 @@ func (o LoadOptions) maxFileSize() int64 {
 	}
 }
 
-func (o LoadOptions) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
+// parallelism resolves a worker-count setting shared by the loader and the
+// engine: n when positive, otherwise GOMAXPROCS capped at 8.
+func parallelism(n int) int {
+	if n > 0 {
+		return n
 	}
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
+	return min(runtime.GOMAXPROCS(0), 8)
 }
 
-// LoadDir builds a project from every .php file under dir (matched by
-// lowercase suffix, so Page.PHP loads too) with default options.
-func LoadDir(name, dir string) (*Project, error) {
-	return LoadDirOptions(name, dir, LoadOptions{})
-}
-
-// LoadDirOptions builds a project from every .php file under dir. The load
-// is resilient: unreadable files, unresolvable symlinks and files over the
-// size cap are skipped and recorded as load-skipped diagnostics (with their
-// original path casing) instead of aborting the whole load. Only a missing
-// or unreadable root directory is a fatal error.
-func LoadDirOptions(name, dir string, opts LoadOptions) (*Project, error) {
-	return LoadDirContext(context.Background(), name, dir, opts)
-}
-
-// LoadDirContext is LoadDirOptions under a context: cancellation is checked
+// LoadDirContext builds a project from every .php file under dir (matched
+// by lowercase suffix, so Page.PHP loads too). The load is resilient:
+// unreadable files, unresolvable symlinks and files over the size cap are
+// skipped and recorded as load-skipped diagnostics (with their original
+// path casing) instead of aborting the whole load. Only a missing or
+// unreadable root directory is a fatal error. Cancellation is checked
 // between files, so a cancelled or timed-out request stops walking a huge
 // tree immediately instead of parsing it all before analysis ever sees the
 // deadline. On cancellation it returns ctx's error (wrapped).
@@ -399,7 +378,7 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 			jobs++
 		}
 	}
-	workers := opts.parallelism()
+	workers := parallelism(opts.Parallelism)
 	if workers > jobs {
 		workers = jobs
 	}

@@ -27,7 +27,7 @@ func TestLoadDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, err := LoadDir("demo", dir)
+	p, err := LoadDirContext(context.Background(), "demo", dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestLoadDir(t *testing.T) {
 }
 
 func TestLoadDirMissing(t *testing.T) {
-	if _, err := LoadDir("x", "/definitely/not/here"); err == nil {
+	if _, err := LoadDirContext(context.Background(), "x", "/definitely/not/here", LoadOptions{}); err == nil {
 		t.Error("want error for missing directory")
 	}
 }
@@ -106,7 +106,7 @@ func TestLoadDirResilient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := LoadDirOptions("resilient", dir, LoadOptions{MaxFileSize: 64})
+	p, err := LoadDirContext(context.Background(), "resilient", dir, LoadOptions{MaxFileSize: 64})
 	if err != nil {
 		t.Fatalf("load must not abort on per-file failures: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestLoadDirUnlimitedCap(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "big.php"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadDirOptions("nocap", dir, LoadOptions{MaxFileSize: -1})
+	p, err := LoadDirContext(context.Background(), "nocap", dir, LoadOptions{MaxFileSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ type ClassStats struct {
 	// Skipped the number dropped by the sink pre-filter.
 	Tasks   int
 	Skipped int
-	// Steps is the total AST-node count the class's tasks visited.
+	// Steps is the total IR instructions the class's tasks executed.
 	Steps int64
 	// CacheHits / CacheMisses count shared-summary lookups by the class's
 	// tasks (hits replay a committed summary; misses opened a fill attempt).
@@ -73,8 +73,8 @@ type ScanStats struct {
 	// the previous snapshot; TasksReused those the hit actually satisfied
 	// (a hit whose entry fails to rebind re-executes, so hits ≥ reused);
 	// FingerprintMisses the planned store lookups that found nothing;
-	// StepsSaved the AST steps the reused entries spent when they originally
-	// executed.
+	// StepsSaved the steps (IR instructions) the reused entries spent when
+	// they originally executed.
 	TasksReused       int
 	FingerprintHits   int
 	FingerprintMisses int
@@ -126,21 +126,12 @@ type ScanStats struct {
 }
 
 // IRScanStats is the IR layer's account: one-time lowering work shared by
-// all weapon-class tasks, and how often function summaries were applied as
-// transfer functions at call edges instead of re-running callee bodies.
+// all weapon-class tasks (the scan's ir.Cache account; LowerWall is summed
+// across workers, so it can exceed the scan's Duration), and how often
+// function summaries were applied as transfer functions at call edges
+// instead of re-running callee bodies.
 type IRScanStats struct {
-	// LowerWall is the summed wall time spent lowering ASTs (across
-	// workers, so it can exceed the scan's Duration).
-	LowerWall time.Duration
-	// Files/Funcs/Blocks/Instrs is the lowered shape (lowerings performed,
-	// not cache hits; Funcs includes nested closures).
-	Files  int64
-	Funcs  int64
-	Blocks int64
-	Instrs int64
-	// Degraded counts AST subtrees recorded as degraded (constructs the
-	// taint engine never evaluates; accounted, never silently dropped).
-	Degraded int64
+	ir.CacheStats
 	// SummaryTransfers counts summary transfer-function applications.
 	SummaryTransfers int64
 }
@@ -314,16 +305,7 @@ func (c *statsCollector) snapshot(cacheEntries int, irc *ir.Cache) *ScanStats {
 	out := c.s
 	out.CacheEntries = cacheEntries
 	if irc != nil {
-		cs := irc.Stats()
-		out.IR = &IRScanStats{
-			LowerWall:        cs.LowerWall,
-			Files:            cs.Files,
-			Funcs:            cs.Funcs,
-			Blocks:           cs.Blocks,
-			Instrs:           cs.Instrs,
-			Degraded:         cs.Degraded,
-			SummaryTransfers: c.transfers,
-		}
+		out.IR = &IRScanStats{CacheStats: irc.Stats(), SummaryTransfers: c.transfers}
 	}
 	out.ByClass = make(map[vuln.ClassID]*ClassStats, len(c.s.ByClass))
 	for id, cs := range c.s.ByClass {

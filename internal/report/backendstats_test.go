@@ -54,7 +54,7 @@ func TestBackendStatsInRenderers(t *testing.T) {
 	}
 	html := buf.String()
 	if !strings.Contains(html, "backend (http): 3 hits, 2 misses, 4 degraded, 1 corrupt") ||
-		!strings.Contains(html, "breaker open") {
+		!strings.Contains(html, "breaker open (7 refused, 9 retries)") {
 		t.Error("HTML report missing the backend summary line")
 	}
 

@@ -110,7 +110,7 @@ func TestStatsInRenderers(t *testing.T) {
 		t.Fatal(err)
 	}
 	html := buf.String()
-	if !strings.Contains(html, "Scan statistics") || !strings.Contains(html, "7 tasks executed") {
+	if !strings.Contains(html, "Scan statistics") || !strings.Contains(html, "tasks: 7 executed") {
 		t.Error("HTML report missing the statistics section")
 	}
 	if !strings.Contains(html, "4 loader worker(s)") {
@@ -193,7 +193,7 @@ func TestIncrementalByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Warm, unchanged: every task comes back from the store.
-		warmProj := core.LoadMapIncremental(app.Name, app.Files, proj)
+		warmProj := core.LoadMapOptions(app.Name, app.Files, core.LoadOptions{Prev: proj})
 		warmRep, err := eng.AnalyzeScan(ctx, warmProj, core.ScanOpts{Store: store})
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestIncrementalByteIdentical(t *testing.T) {
 			t.Errorf("parallelism %d: warm unchanged rescan differs from cold scan", par)
 		}
 		// Warm, one file edited: reused and fresh results spliced.
-		editProj := core.LoadMapIncremental(app.Name, edited, warmProj)
+		editProj := core.LoadMapOptions(app.Name, edited, core.LoadOptions{Prev: warmProj})
 		editRep, err := eng.AnalyzeScan(ctx, editProj, core.ScanOpts{Store: store})
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +335,7 @@ gate_sink("payload=" . $y);
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmProj := core.LoadMapIncremental("swapapp", files, proj)
+	warmProj := core.LoadMapOptions("swapapp", files, core.LoadOptions{Prev: proj})
 	swapRep, err := swapped.AnalyzeScan(ctx, warmProj, core.ScanOpts{Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ gate_sink("payload=" . $y);
 
 	// A second post-swap rescan is warm again — under the NEW digest — and
 	// still byte-identical.
-	warm2 := core.LoadMapIncremental("swapapp", files, warmProj)
+	warm2 := core.LoadMapOptions("swapapp", files, core.LoadOptions{Prev: warmProj})
 	rep2, err := swapped.AnalyzeScan(ctx, warm2, core.ScanOpts{Store: store})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"html/template"
 	"io"
 	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 )
@@ -20,33 +18,12 @@ type htmlReport struct {
 	Duration    string
 	Vulns       []htmlFinding
 	FPs         []htmlFinding
-	Diagnostics []htmlDiagnostic
-	Stats       *htmlStats
-}
-
-// htmlStats carries the scan account pre-rendered for the template.
-type htmlStats struct {
-	Summary []string
-	Classes []htmlClassStats
-}
-
-type htmlClassStats struct {
-	Class    string
-	Tasks    int
-	Skipped  int
-	Steps    int64
-	Hits     int64
-	Misses   int64
-	Wall     string
-	Findings int
-}
-
-type htmlDiagnostic struct {
-	Kind    string
-	File    string
-	Class   string
-	Message string
-	Elapsed string
+	Diagnostics []core.Diagnostic
+	// StatsLines, StatsHeader and StatsRows are the scan account as worded
+	// by statsLines and statsTable; StatsLines is nil without stats.
+	StatsLines  []string
+	StatsHeader []string
+	StatsRows   [][]string
 }
 
 type htmlFinding struct {
@@ -125,29 +102,25 @@ for everything except the entries below.</p>
 <td><code>{{.Kind}}</code></td>
 <td><code>{{.File}}</code>{{if .Class}} <em>({{.Class}})</em>{{end}}</td>
 <td>{{.Message}}</td>
-<td>{{.Elapsed}}</td>
+<td>{{if .Elapsed}}{{.Elapsed}}{{end}}</td>
 </tr>
 {{end}}
 </table>
 {{end}}
 
-{{if .Stats}}
+{{if .StatsLines}}
 <h2>Scan statistics</h2>
 <p class="meta">Work performed by this scan. These numbers vary with
 scheduling and caching; the findings above do not.</p>
 <ul>
-{{range .Stats.Summary}}<li>{{.}}</li>
+{{range .StatsLines}}<li>{{.}}</li>
 {{end}}</ul>
+{{if .StatsRows}}
 <table>
-<tr><th>Class</th><th>Tasks</th><th>Skipped</th><th>Steps</th><th>Cache hits</th><th>Cache misses</th><th>Wall</th><th>Findings</th></tr>
-{{range .Stats.Classes}}
-<tr>
-<td><code>{{.Class}}</code></td>
-<td>{{.Tasks}}</td><td>{{.Skipped}}</td><td>{{.Steps}}</td>
-<td>{{.Hits}}</td><td>{{.Misses}}</td><td>{{.Wall}}</td><td>{{.Findings}}</td>
-</tr>
+<tr>{{range .StatsHeader}}<th>{{.}}</th>{{end}}</tr>
+{{range .StatsRows}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>
+{{end}}</table>
 {{end}}
-</table>
 {{end}}
 </body>
 </html>
@@ -156,11 +129,12 @@ scheduling and caching; the findings above do not.</p>
 // WriteHTML renders the analysis report as a standalone HTML page.
 func WriteHTML(w io.Writer, rep *core.Report) error {
 	ctx := htmlReport{
-		Project:  rep.Project.Name,
-		Mode:     rep.Mode.String(),
-		Files:    len(rep.Project.Files),
-		Lines:    rep.Project.TotalLines(),
-		Duration: rep.Duration.String(),
+		Project:     rep.Project.Name,
+		Mode:        rep.Mode.String(),
+		Files:       len(rep.Project.Files),
+		Lines:       rep.Project.TotalLines(),
+		Duration:    rep.Duration.String(),
+		Diagnostics: rep.Diagnostics,
 	}
 	for _, gf := range Group(rep) {
 		first := gf.Findings[0]
@@ -189,95 +163,9 @@ func WriteHTML(w io.Writer, rep *core.Report) error {
 			ctx.Vulns = append(ctx.Vulns, hf)
 		}
 	}
-	for _, d := range rep.Diagnostics {
-		hd := htmlDiagnostic{
-			Kind:    string(d.Kind),
-			File:    d.File,
-			Class:   string(d.Class),
-			Message: d.Message,
-		}
-		if d.Elapsed > 0 {
-			hd.Elapsed = d.Elapsed.String()
-		}
-		ctx.Diagnostics = append(ctx.Diagnostics, hd)
-	}
-	if s := rep.Stats; s != nil {
-		hs := &htmlStats{Summary: []string{
-			fmt.Sprintf("%d tasks executed, %d skipped by the sink pre-filter", s.Tasks, s.TasksSkipped),
-			fmt.Sprintf("%d AST steps total, %d in the heaviest task", s.TotalSteps, s.MaxTaskSteps),
-			fmt.Sprintf("summary cache: %d hits, %d misses, %d entries committed", s.CacheHits, s.CacheMisses, s.CacheEntries),
-		}}
-		if s.ParseWall > 0 || s.LoadWorkers > 0 {
-			hs.Summary = append(hs.Summary, fmt.Sprintf(
-				"parse: %s wall across %d loader worker(s)",
-				s.ParseWall.Round(10*time.Microsecond), s.LoadWorkers))
-		}
-		if ir := s.IR; ir != nil {
-			line := fmt.Sprintf("ir: %d files lowered (%d funcs, %d blocks, %d instrs) in %s; %d summary transfers",
-				ir.Files, ir.Funcs, ir.Blocks, ir.Instrs,
-				ir.LowerWall.Round(10*time.Microsecond), ir.SummaryTransfers)
-			if ir.Degraded > 0 {
-				line += fmt.Sprintf("; %d degraded subtrees", ir.Degraded)
-			}
-			hs.Summary = append(hs.Summary, line)
-		}
-		if s.FusedPasses > 0 || s.FusedDemoted > 0 {
-			hs.Summary = append(hs.Summary, fmt.Sprintf(
-				"fused: %d tasks over %d multi-class passes, %d demoted to per-class",
-				s.FusedTasks, s.FusedPasses, s.FusedDemoted))
-		}
-		if s.TaskRetries > 0 || s.TasksRecovered > 0 || s.BreakerSkipped > 0 {
-			hs.Summary = append(hs.Summary, fmt.Sprintf(
-				"robustness: %d retries, %d tasks recovered, %d tasks skipped by open breakers",
-				s.TaskRetries, s.TasksRecovered, s.BreakerSkipped))
-		}
-		if s.TasksReused > 0 || s.FingerprintHits > 0 || s.FingerprintMisses > 0 {
-			hs.Summary = append(hs.Summary, fmt.Sprintf(
-				"incremental: %d tasks reused, %d fingerprint hits, %d misses, %d AST steps saved",
-				s.TasksReused, s.FingerprintHits, s.FingerprintMisses, s.StepsSaved))
-		}
-		if s.StoreQuarantined > 0 || s.StoreSalvaged > 0 || s.Checkpoints > 0 || s.Resumes > 0 {
-			hs.Summary = append(hs.Summary, fmt.Sprintf(
-				"durability: %d snapshots quarantined, %d entries salvaged, %d checkpoints, %d resumes",
-				s.StoreQuarantined, s.StoreSalvaged, s.Checkpoints, s.Resumes))
-		}
-		if bs := s.Backend; bs != nil {
-			line := fmt.Sprintf("backend (%s): %d hits, %d misses, %d degraded, %d corrupt",
-				bs.Kind, bs.Hits, bs.Misses, bs.Degraded, bs.Corrupt)
-			if bs.QueueCap > 0 {
-				line += fmt.Sprintf("; write-behind %d/%d queued, %d written, %d shed",
-					bs.QueueDepth, bs.QueueCap, bs.Written, bs.Shed)
-			}
-			if bs.Envelope != nil {
-				line += fmt.Sprintf("; breaker %s", bs.Envelope.Breaker)
-			}
-			hs.Summary = append(hs.Summary, line)
-		}
-		if len(s.ActiveWeapons) > 0 {
-			line := "weapons: " + strings.Join(s.ActiveWeapons, ", ")
-			if s.WeaponSetRevision != 0 {
-				line += fmt.Sprintf(" (hot-reload revision %d)", s.WeaponSetRevision)
-			}
-			hs.Summary = append(hs.Summary, line)
-		}
-		for _, id := range s.ClassIDs() {
-			cs := s.ByClass[id]
-			label := string(id)
-			if cs.Weapon {
-				label += " (weapon)"
-			}
-			hs.Classes = append(hs.Classes, htmlClassStats{
-				Class:    label,
-				Tasks:    cs.Tasks,
-				Skipped:  cs.Skipped,
-				Steps:    cs.Steps,
-				Hits:     cs.CacheHits,
-				Misses:   cs.CacheMisses,
-				Wall:     cs.Wall.Round(10 * time.Microsecond).String(),
-				Findings: cs.Findings,
-			})
-		}
-		ctx.Stats = hs
+	if rep.Stats != nil {
+		ctx.StatsLines = statsLines(rep.Stats)
+		ctx.StatsHeader, ctx.StatsRows = statsTable(rep.Stats)
 	}
 	return htmlTemplate.Execute(w, ctx)
 }

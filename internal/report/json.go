@@ -80,7 +80,7 @@ type JSONScanStats struct {
 	TasksRecovered int `json:"tasks_recovered,omitempty"`
 	BreakerSkipped int `json:"breaker_skipped,omitempty"`
 	// Incremental-scan account: tasks satisfied from the result store,
-	// fingerprint lookup traffic, and the AST steps reuse saved.
+	// fingerprint lookup traffic, and the IR steps reuse saved.
 	TasksReused       int   `json:"tasks_reused,omitempty"`
 	FingerprintHits   int   `json:"fingerprint_hits,omitempty"`
 	FingerprintMisses int   `json:"fingerprint_misses,omitempty"`

@@ -64,7 +64,7 @@ func TestStoreBackendErrorDegradesToMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, info := store.LoadWithInfo("app", "d1")
+	snap, info := store.LoadWithInfoContext(context.Background(), "app", "d1")
 	if snap != nil || info.Status != LoadDegraded {
 		t.Fatalf("load over a down backend = (%v, %s), want (nil, %s)", snap, info.Status, LoadDegraded)
 	}
@@ -89,7 +89,7 @@ func TestStoreCorruptBackendPayloadQuarantined(t *testing.T) {
 	if err := mem.Put(ctx, key, []byte("{definitely not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	snap, info := store.LoadWithInfo("app", "d1")
+	snap, info := store.LoadWithInfoContext(context.Background(), "app", "d1")
 	if snap != nil || info.Status != LoadCorrupt {
 		t.Fatalf("load of garbage = (%v, %s), want (nil, %s)", snap, info.Status, LoadCorrupt)
 	}

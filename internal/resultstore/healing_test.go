@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -60,7 +61,7 @@ func TestDamageRecovery(t *testing.T) {
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			snap, info := store.LoadWithInfo("app", "d")
+			snap, info := store.LoadWithInfoContext(context.Background(), "app", "d")
 			if info.Status != tc.status {
 				t.Fatalf("status = %s, want %s", info.Status, tc.status)
 			}
@@ -119,7 +120,7 @@ func TestTornRenameRecovery(t *testing.T) {
 	if err := store.Save(testSnapshot("app", "d")); err == nil {
 		t.Fatal("torn save did not surface its error")
 	}
-	snap, info := store.LoadWithInfo("app", "d")
+	snap, info := store.LoadWithInfoContext(context.Background(), "app", "d")
 	if snap != nil || info.Status != LoadCorrupt || info.Quarantined == "" {
 		t.Fatalf("torn snapshot not quarantined: %+v (snap=%v)", info, snap)
 	}
@@ -169,7 +170,7 @@ func TestQuarantineReplacedNotAccumulated(t *testing.T) {
 		if err := os.WriteFile(store.path("app"), []byte(fmt.Sprintf("{bad %d", i)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, info := store.LoadWithInfo("app", "d"); info.Status != LoadCorrupt {
+		if _, info := store.LoadWithInfoContext(context.Background(), "app", "d"); info.Status != LoadCorrupt {
 			t.Fatalf("round %d: %s", i, info.Status)
 		}
 	}
@@ -289,7 +290,7 @@ func TestQuarantinedFilesCountTowardCap(t *testing.T) {
 	if err := os.WriteFile(store.path("dead"), append([]byte("{bad"), make([]byte, 4096)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, info := store.LoadWithInfo("dead", "d"); info.Status != LoadCorrupt {
+	if _, info := store.LoadWithInfoContext(context.Background(), "dead", "d"); info.Status != LoadCorrupt {
 		t.Fatal(info.Status)
 	}
 	qpath := store.path("dead") + quarantineSuffix

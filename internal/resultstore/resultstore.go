@@ -452,19 +452,15 @@ func (s *Store) path(project string) string {
 // snapshot returns a nil snapshot with the reason, and the caller
 // re-executes everything.
 func (s *Store) Load(project, configDigest string) (*Snapshot, LoadStatus) {
-	snap, info := s.LoadWithInfo(project, configDigest)
+	snap, info := s.LoadWithInfoContext(context.Background(), project, configDigest)
 	return snap, info.Status
 }
 
-// LoadWithInfo is Load with the full self-healing account: the entries a
-// salvage dropped and the path a quarantine moved the snapshot to.
-func (s *Store) LoadWithInfo(project, configDigest string) (*Snapshot, LoadInfo) {
-	return s.LoadWithInfoContext(context.Background(), project, configDigest)
-}
-
-// LoadWithInfoContext is LoadWithInfo under a context: backend operations
-// and the entry-decode loop observe ctx, so a cancelled or drained job stops
-// store I/O promptly (the load then reports a degraded miss).
+// LoadWithInfoContext is Load with the full self-healing account (the
+// entries a salvage dropped and the path a quarantine moved the snapshot
+// to) under a context: backend operations and the entry-decode loop
+// observe ctx, so a cancelled or drained job stops store I/O promptly (the
+// load then reports a degraded miss).
 func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest string) (*Snapshot, LoadInfo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

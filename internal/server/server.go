@@ -830,7 +830,7 @@ func (s *Server) loadProject(ctx context.Context, req ScanRequest, prev *core.Pr
 		lo.Prev = prev
 		return core.LoadDirContext(ctx, name, req.Dir, lo)
 	}
-	return core.LoadMapIncremental(name, req.Files, prev), nil
+	return core.LoadMapOptions(name, req.Files, core.LoadOptions{Prev: prev}), nil
 }
 
 // persistReport writes the report artifact atomically, so a crash or a
