@@ -80,7 +80,7 @@ func run(args []string) (int, error) {
 		retryMax = fs.Int("retry-max", 0, "retry a faulted (file, class) task up to N times with shrinking step budgets before diagnosing it (0 = off)")
 		incr     = fs.Bool("incremental", false, "reuse per-task results from the previous scan of this tree (cached under <dir>/.wap-cache unless -cache-dir is set)")
 		cacheDir = fs.String("cache-dir", "", "result-store directory for incremental scans (implies -incremental)")
-		cacheMax = fs.Int64("cache-max-bytes", 0, "result-store size cap; least-recently-used snapshots are evicted beyond it (0 = unbounded)")
+		cacheMax = fs.Int64("cache-max-bytes", 0, "local result-store size cap; least-recently-used snapshots are evicted beyond it (0 = unbounded; not with -cache-backend)")
 		cacheBE  = fs.String("cache-backend", "", "remote result-store tier URL (a wapd -cache-serve replica) for incremental scans; implies -incremental. A slow, flaky or dead tier degrades the scan to cache-less, findings unchanged")
 		diffBase = fs.String("diff", "", "diff this scan against a baseline JSON report (from wap -json) and report new/fixed/persisting findings")
 		par      = fs.Int("parallelism", 0, "worker count for both the parse front end and the scan (0 = GOMAXPROCS capped at 8)")
@@ -97,6 +97,9 @@ func run(args []string) (int, error) {
 	}
 	if fs.NArg() != 1 {
 		return exitFatal, fmt.Errorf("usage: wap [flags] <dir>")
+	}
+	if *cacheMax != 0 && *cacheBE != "" {
+		return exitFatal, fmt.Errorf("-cache-max-bytes does not apply to -cache-backend: the shared tier's cap is set on its -cache-serve replica")
 	}
 	dir := fs.Arg(0)
 
@@ -197,13 +200,7 @@ func run(args []string) (int, error) {
 	switch {
 	case *cacheBE != "":
 		env := resultstore.NewEnvelope(httpbackend.New(*cacheBE, nil), resultstore.EnvelopeConfig{})
-		store, err = resultstore.OpenBackend(env, resultstore.Options{
-			MaxBytes:    *cacheMax,
-			WriteBehind: true,
-		})
-		if err != nil {
-			return exitFatal, err
-		}
+		store = resultstore.OpenBackend(env, 0)
 		defer store.Close()
 	case *incr || *cacheDir != "":
 		storeDir := *cacheDir

@@ -161,6 +161,10 @@ func TestRunErrors(t *testing.T) {
 	if code, err := run([]string{"-v21", "-weapon", "/no/such.weapon", dir}); err == nil || code != exitFatal {
 		t.Errorf("want fatal error for weapon with -v21, got code %d err %v", code, err)
 	}
+	// A shared tier's size cap lives on its -cache-serve replica.
+	if code, err := run([]string{"-cache-backend", "http://127.0.0.1:1", "-cache-max-bytes", "1024", dir}); err == nil || code != exitFatal {
+		t.Errorf("want fatal error for -cache-max-bytes with -cache-backend, got code %d err %v", code, err)
+	}
 }
 
 func TestSplitTrim(t *testing.T) {

@@ -79,7 +79,7 @@ func run(args []string) error {
 		maxFile    = fs.Int64("max-file-size", 0, "per-file size cap in bytes (0 = default 8 MiB, -1 = unlimited)")
 		reportDir  = fs.String("report-dir", "", "persist each job's JSON report here (written atomically)")
 		cacheDir   = fs.String("cache-dir", "", "result-store directory backing incremental scan requests (empty = no per-task reuse across restarts)")
-		cacheMax   = fs.Int64("cache-max-bytes", 0, "result-store size cap; least-recently-used snapshots are evicted beyond it (0 = unbounded)")
+		cacheMax   = fs.Int64("cache-max-bytes", 0, "local result-store size cap; least-recently-used snapshots are evicted beyond it (0 = unbounded; on a -cache-serve replica this caps the shared tier; not with -cache-backend)")
 		cacheBE    = fs.String("cache-backend", "", "remote result-store tier URL (http://host:port of a -cache-serve replica); overrides -cache-dir. Wrapped in the fault envelope: any backend error degrades the scan to cache-less, findings unchanged")
 		cacheServe = fs.Bool("cache-serve", false, "serve this replica's result store at /cas/ as the shared tier other replicas point -cache-backend at (requires -cache-dir)")
 		cacheOpTO  = fs.Duration("cache-op-timeout", resultstore.DefaultOpTimeout, "per-attempt deadline for remote cache operations")
@@ -102,6 +102,15 @@ func run(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: wapd [flags]")
 	}
+	if *cacheServe && *cacheBE != "" {
+		return fmt.Errorf("-cache-serve and -cache-backend are mutually exclusive: a replica either IS the shared tier or points at one")
+	}
+	if *cacheServe && *cacheDir == "" {
+		return fmt.Errorf("-cache-serve requires -cache-dir (the directory the shared tier serves)")
+	}
+	if *cacheMax != 0 && *cacheBE != "" {
+		return fmt.Errorf("-cache-max-bytes does not apply to -cache-backend: the shared tier's cap is set on its -cache-serve replica")
+	}
 
 	eng, err := buildEngine(engineParams{
 		seed: *seed, taskTimeout: *taskTO,
@@ -116,12 +125,6 @@ func run(args []string) error {
 		return err
 	}
 
-	if *cacheServe && *cacheBE != "" {
-		return fmt.Errorf("-cache-serve and -cache-backend are mutually exclusive: a replica either IS the shared tier or points at one")
-	}
-	if *cacheServe && *cacheDir == "" {
-		return fmt.Errorf("-cache-serve requires -cache-dir (the directory the shared tier serves)")
-	}
 	var store *resultstore.Store
 	switch {
 	case *cacheBE != "":
@@ -135,14 +138,7 @@ func run(args []string) error {
 			BreakerThreshold: *cacheBrkT,
 			BreakerCooldown:  *cacheBrkC,
 		})
-		store, err = resultstore.OpenBackend(env, resultstore.Options{
-			MaxBytes:         *cacheMax,
-			WriteBehind:      true,
-			WriteBehindDepth: *cacheQueue,
-		})
-		if err != nil {
-			return err
-		}
+		store = resultstore.OpenBackend(env, *cacheQueue)
 		defer store.Close()
 	case *cacheDir != "":
 		store, err = resultstore.OpenOptions(*cacheDir, resultstore.Options{MaxBytes: *cacheMax})

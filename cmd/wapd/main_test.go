@@ -17,6 +17,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// A shared tier's size cap lives on its -cache-serve replica.
+	if err := run([]string{"-cache-backend", "http://127.0.0.1:1", "-cache-max-bytes", "1024"}); err == nil ||
+		!strings.Contains(err.Error(), "-cache-max-bytes") {
+		t.Fatalf("-cache-max-bytes with -cache-backend = %v, want the flag-pair error", err)
+	}
 }
 
 // TestBuildEngineWiresRobustnessOptions checks the service engine carries

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,10 +54,7 @@ func openChaosStore(t *testing.T, b resultstore.Backend, threshold int) *results
 		BreakerThreshold: threshold,
 		BreakerCooldown:  time.Hour, // never half-opens mid-test
 	})
-	store, err := resultstore.OpenBackend(env, resultstore.Options{WriteBehind: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := resultstore.OpenBackend(env, 0)
 	t.Cleanup(func() { store.Close() })
 	return store
 }
@@ -177,6 +175,18 @@ func TestScanOverLyingHTTPTierMatchesCacheless(t *testing.T) {
 			}
 			if st.Hits != 0 {
 				t.Errorf("%s parallelism %d: a lying tier served %d hits past verification", mode, par, st.Hits)
+			}
+			// The tier never returned trustworthy bytes, so no quarantine
+			// copy exists: the diagnostic must say the snapshot was
+			// dropped, not name a key.
+			var msgs []string
+			for _, d := range rep.Diagnostics {
+				if d.Kind == DiagStoreQuarantined {
+					msgs = append(msgs, d.Message)
+				}
+			}
+			if len(msgs) != 1 || !strings.Contains(msgs[0], "; dropped;") {
+				t.Errorf("%s parallelism %d: store diagnostics = %q, want one saying the snapshot was dropped", mode, par, msgs)
 			}
 			if rt.Requests() == 0 {
 				t.Fatal("lying scan never touched the network seam")

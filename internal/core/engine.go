@@ -488,7 +488,6 @@ type task struct {
 type taskOutcome struct {
 	findings  []*Finding
 	exhausted bool // step budget ran out; findings are a sound prefix
-	stopped   bool // cut off by the cooperative stop flag
 
 	// Scan accounting and shared-cache produce. pending is committed by the
 	// worker only when the task completed cleanly (none of the flags above),
@@ -618,12 +617,17 @@ func (e *Engine) AnalyzeScan(ctx context.Context, p *Project, so ScanOpts) (*Rep
 		stats.recordResumes(so.Resumes)
 	}
 	plan := e.planScan(ctx, p, so.Store, stats)
-	if q := plan.loadInfo.Quarantined; q != "" {
+	if st := plan.loadInfo.Status; st == resultstore.LoadCorrupt || st == resultstore.LoadVersionMismatch {
+		// The snapshot is gone from the tier either way; it names a
+		// quarantine key only when the copy landed.
+		fate := "dropped"
+		if q := plan.loadInfo.Quarantined; q != "" {
+			fate = "moved to " + q + " for diagnosis"
+		}
 		stats.recordStoreQuarantined()
 		rep.Diagnostics = append(rep.Diagnostics, Diagnostic{
-			Kind: DiagStoreQuarantined,
-			Message: fmt.Sprintf("result store snapshot unreadable (%s); moved to %s for diagnosis; all tasks re-executed",
-				plan.status, q),
+			Kind:    DiagStoreQuarantined,
+			Message: fmt.Sprintf("result store snapshot unreadable (%s); %s; all tasks re-executed", st, fate),
 		})
 	}
 	if n := plan.loadInfo.Salvaged; n > 0 {
@@ -780,21 +784,6 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 				if res.outs != nil {
 					out = res.outs[k]
 				}
-				if out.stopped {
-					// Cooperative stop observed inside the pass: treated as
-					// cancellation, never retried, never charged to the breaker.
-					completed.Add(1)
-					stats.recordTask(t.cls.ID, out, wall)
-					addDiag(Diagnostic{
-						File: t.file.Path, Class: t.cls.ID, Kind: DiagTimeout,
-						Message: "analysis interrupted by cancellation", Elapsed: res.elapsed,
-						Retries: attempt,
-					})
-					results[i] = out.findings
-					releaseProbes([]*lane{l})
-					continue
-				}
-
 				var fault DiagKind
 				var msg string
 				switch {

@@ -43,9 +43,8 @@ type scanPlan struct {
 
 	store  *resultstore.Store
 	digest string
-	// status reports how the previous snapshot was (not) loaded; loadInfo
-	// carries the load's full self-healing account (quarantine, salvage).
-	status   resultstore.LoadStatus
+	// loadInfo reports how the previous snapshot was (not) loaded, with the
+	// load's full self-healing account (quarantine, salvage).
 	loadInfo resultstore.LoadInfo
 }
 
@@ -68,7 +67,6 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 	if store != nil {
 		plan.digest = e.configDigest()
 		snap, plan.loadInfo = store.LoadWithInfoContext(ctx, p.Name, plan.digest)
-		plan.status = plan.loadInfo.Status
 		// The fingerprints hash the same call closures the pre-filter
 		// walks; compute them only when there is no pre-filter to borrow
 		// them from.

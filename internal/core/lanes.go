@@ -85,7 +85,6 @@ func (e *Engine) runLanes(ts []task, p *Project, stop *atomic.Bool, budget int, 
 			out.findings = append(out.findings, f)
 		}
 		out.exhausted = fz.Exhausted(k)
-		out.stopped = fz.Stopped(k)
 		out.steps = fz.Steps(k)
 		out.cacheHits = fz.SharedHits(k)
 		out.cacheMisses = fz.SharedMisses(k)

@@ -24,13 +24,6 @@ func Dump(f *File) string {
 	return b.String()
 }
 
-// DumpFunc renders one lowered function.
-func DumpFunc(fn *Func) string {
-	var b strings.Builder
-	dumpFunc(&b, fn, "func "+fn.Name, 0)
-	return b.String()
-}
-
 func dumpFunc(b *strings.Builder, fn *Func, label string, depth int) {
 	ind := strings.Repeat("  ", depth)
 	at := fn.Lines.Position(fn.Pos)

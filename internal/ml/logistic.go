@@ -94,6 +94,3 @@ func (lr *LogisticRegression) Predict(features []float64) bool {
 func (lr *LogisticRegression) Weights() []float64 {
 	return append([]float64(nil), lr.weights...)
 }
-
-// Bias returns the trained intercept.
-func (lr *LogisticRegression) Bias() float64 { return lr.bias }

@@ -18,10 +18,15 @@ import (
 // slow, flaky or down degrades a scan to its cache-less baseline — never
 // past it. Implementations must be safe for concurrent use.
 //
-// Three implementations ship: DiskBackend (the production local tier, the
-// exact code path the store always had), MemBackend (tests), and
-// httpbackend.Client (a shared remote tier speaking the content-addressed
-// GET/PUT protocol, normally wrapped in an Envelope for the fault budget).
+// These four operations are the whole contract. What only a local directory
+// can do cheaply — stat without a transfer, bump an mtime, cap the total
+// size — are features of DiskBackend that the Store reaches through its
+// typed disk tier, not optional interfaces a remote tier could half-satisfy.
+//
+// Three implementations ship: DiskBackend (the production local tier),
+// MemBackend (tests), and httpbackend.Client (a shared remote tier speaking
+// the content-addressed GET/PUT protocol, wrapped in an Envelope for the
+// fault budget).
 type Backend interface {
 	// Get returns the blob stored under key. ErrNotFound when absent;
 	// ErrCorrupt when the payload failed the backend's own integrity check
@@ -36,8 +41,8 @@ type Backend interface {
 	List(ctx context.Context) ([]BlobInfo, error)
 }
 
-// BlobInfo describes one stored blob for List/Stat: its key, payload size,
-// and last-use time (the LRU signal behind the size cap).
+// BlobInfo describes one stored blob for List: its key, payload size, and
+// last-use time (the LRU signal behind the disk tier's size cap).
 type BlobInfo struct {
 	Key     string    `json:"key"`
 	Size    int64     `json:"size"`
@@ -59,36 +64,14 @@ var ErrCorrupt = errors.New("resultstore: blob failed content verification")
 // op from a failed one.
 var ErrDegraded = errors.New("resultstore: backend breaker open")
 
-// Optional backend extensions. The Store type-asserts for these and falls
-// back gracefully when absent, so remote backends only implement what a
-// remote tier can do cheaply.
-type (
-	// Statter answers size/mtime for one key without transferring the
-	// payload; the Store's stat-validated in-memory snapshot cache needs it
-	// (no Statter → every load transfers and re-verifies).
-	Statter interface {
-		Stat(ctx context.Context, key string) (BlobInfo, error)
-	}
-	// Toucher bumps a key's last-use time, keeping LRU order honest for
-	// backends that enforce a size cap.
-	Toucher interface {
-		Touch(ctx context.Context, key string) error
-	}
-	// Quarantiner moves a damaged blob aside under qkey for diagnosis,
-	// preserving its exact bytes. Without it the Store copies then deletes.
-	Quarantiner interface {
-		Quarantine(ctx context.Context, key, qkey string) error
-	}
-	// StateReporter exposes the fault-envelope account (breaker position,
-	// retry/error counters) for health endpoints and Report.Stats.
-	StateReporter interface {
-		EnvelopeState() EnvelopeState
-	}
-)
+// StateReporter exposes the fault-envelope account (breaker position,
+// retry/error counters) for health endpoints and Report.Stats.
+type StateReporter interface {
+	EnvelopeState() EnvelopeState
+}
 
-// MemBackend is an in-memory Backend for tests and single-process setups:
-// a mutex-guarded map with the full optional surface (Stat, Touch,
-// Quarantine), so every Store behavior is exercisable without disk.
+// MemBackend is an in-memory Backend for tests: a mutex-guarded map with
+// fault-injection hooks, standing in for a remote tier without a network.
 type MemBackend struct {
 	mu    sync.Mutex
 	blobs map[string]memBlob
@@ -168,47 +151,6 @@ func (m *MemBackend) List(ctx context.Context) ([]BlobInfo, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-func (m *MemBackend) Stat(ctx context.Context, key string) (BlobInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return BlobInfo{}, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blobs[key]
-	if !ok {
-		return BlobInfo{}, ErrNotFound
-	}
-	return BlobInfo{Key: key, Size: int64(len(b.data)), ModTime: b.mtime}, nil
-}
-
-func (m *MemBackend) Touch(ctx context.Context, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if b, ok := m.blobs[key]; ok {
-		b.mtime = time.Now()
-		m.blobs[key] = b
-	}
-	return nil
-}
-
-func (m *MemBackend) Quarantine(ctx context.Context, key, qkey string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blobs[key]
-	if !ok {
-		return ErrNotFound
-	}
-	m.blobs[qkey] = memBlob{data: b.data, mtime: time.Now()}
-	delete(m.blobs, key)
-	return nil
 }
 
 // Len reports the number of stored blobs (test helper).

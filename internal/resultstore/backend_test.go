@@ -10,33 +10,38 @@ import (
 	"repro/internal/breaker"
 )
 
-// openMemStore returns a store over a fresh MemBackend. Write-behind is off
-// unless asked for, so saves land synchronously and tests can read back
-// immediately.
-func openMemStore(t *testing.T, opts Options) (*Store, *MemBackend) {
+// openMemStore returns a store over a fresh MemBackend. Saves write behind,
+// so tests flush before reading the tier back.
+func openMemStore(t *testing.T) (*Store, *MemBackend) {
 	t.Helper()
 	mem := NewMemBackend()
-	store, err := OpenBackend(mem, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := OpenBackend(mem, 0)
 	t.Cleanup(func() { store.Close() })
 	return store, mem
 }
 
+// flush drains the store's write-behind queue onto its tier.
+func flush(t *testing.T, store *Store) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := store.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreOverMemBackendRoundTrip(t *testing.T) {
-	store, mem := openMemStore(t, Options{})
+	store, mem := openMemStore(t)
 	if err := store.Save(testSnapshot("app", "d1")); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, store)
 	if mem.Len() != 1 {
 		t.Fatalf("backend holds %d blobs after save, want 1", mem.Len())
 	}
 	// A second store over the same backend (cold cache) reads it back.
-	fresh, err := OpenBackend(mem, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := OpenBackend(mem, 0)
+	defer fresh.Close()
 	snap, status := fresh.Load("app", "d1")
 	if status != LoadHit || len(snap.Tasks) != 2 {
 		t.Fatalf("Load over shared backend = (%v, %s), want hit with 2 tasks", snap, status)
@@ -49,21 +54,18 @@ func TestStoreOverMemBackendRoundTrip(t *testing.T) {
 
 func TestStoreBackendErrorDegradesToMiss(t *testing.T) {
 	mem := NewMemBackend()
-	seeder, err := OpenBackend(mem, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeder := OpenBackend(mem, 0)
+	defer seeder.Close()
 	if err := seeder.Save(testSnapshot("app", "d1")); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, seeder)
 
 	// A fresh store (no in-memory cache) over the now-failing backend: the
 	// load degrades to a miss instead of failing, and is counted as such.
 	mem.GetHook = func(string) error { return errors.New("tier down") }
-	store, err := OpenBackend(mem, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := OpenBackend(mem, 0)
+	defer store.Close()
 	snap, info := store.LoadWithInfoContext(context.Background(), "app", "d1")
 	if snap != nil || info.Status != LoadDegraded {
 		t.Fatalf("load over a down backend = (%v, %s), want (nil, %s)", snap, info.Status, LoadDegraded)
@@ -83,7 +85,7 @@ func TestStoreBackendErrorDegradesToMiss(t *testing.T) {
 }
 
 func TestStoreCorruptBackendPayloadQuarantined(t *testing.T) {
-	store, mem := openMemStore(t, Options{})
+	store, mem := openMemStore(t)
 	ctx := context.Background()
 	key := store.key("app")
 	if err := mem.Put(ctx, key, []byte("{definitely not a snapshot")); err != nil {
@@ -145,18 +147,15 @@ func (c *cancelOnGet) Get(ctx context.Context, key string) ([]byte, error) {
 
 func TestStoreLoadContextCancelledMidDecode(t *testing.T) {
 	mem := NewMemBackend()
-	seeder, err := OpenBackend(mem, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeder := OpenBackend(mem, 0)
+	defer seeder.Close()
 	if err := seeder.Save(bigSnapshot("app", "d1", 600)); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, seeder)
 	ctx, cancel := context.WithCancel(context.Background())
-	store, err := OpenBackend(&cancelOnGet{MemBackend: mem, cancel: cancel}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := OpenBackend(&cancelOnGet{MemBackend: mem, cancel: cancel}, 0)
+	defer store.Close()
 	snap, info := store.LoadWithInfoContext(ctx, "app", "d1")
 	if snap != nil || info.Status != LoadDegraded {
 		t.Fatalf("cancelled-mid-decode load = (%v, %s), want (nil, %s)", snap, info.Status, LoadDegraded)
@@ -166,23 +165,22 @@ func TestStoreLoadContextCancelledMidDecode(t *testing.T) {
 	if info.Quarantined != "" {
 		t.Errorf("cancelled load quarantined %q", info.Quarantined)
 	}
-	fresh, err := OpenBackend(mem, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := OpenBackend(mem, 0)
+	defer fresh.Close()
 	if got, status := fresh.Load("app", "d1"); status != LoadHit || len(got.Tasks) != 600 {
 		t.Errorf("snapshot damaged by a cancelled load: (%s, %d tasks)", status, len(got.Tasks))
 	}
 }
 
 func TestStoreSaveContextCancelled(t *testing.T) {
-	store, mem := openMemStore(t, Options{})
+	store, mem := openMemStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := store.SaveContext(ctx, bigSnapshot("app", "d1", 600))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SaveContext under a cancelled ctx = %v, want context.Canceled", err)
 	}
+	flush(t, store)
 	if mem.Len() != 0 {
 		t.Errorf("cancelled save still wrote %d blobs", mem.Len())
 	}
@@ -201,10 +199,7 @@ func TestWriteBehindShedSupersedeAndDrain(t *testing.T) {
 		}
 		return nil
 	}
-	store, err := OpenBackend(mem, Options{WriteBehind: true, WriteBehindDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := OpenBackend(mem, 2)
 	defer store.Close()
 
 	// Save A; wait for the writer to pick it up and block inside Put, so the
@@ -258,10 +253,7 @@ func TestWriteBehindShedSupersedeAndDrain(t *testing.T) {
 func TestWriteBehindWriteErrorIsShedNotFailure(t *testing.T) {
 	mem := NewMemBackend()
 	mem.PutHook = func(string, []byte) error { return errors.New("tier down") }
-	store, err := OpenBackend(mem, Options{WriteBehind: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := OpenBackend(mem, 0)
 	defer store.Close()
 	// The scan-side save succeeds regardless of the tier.
 	if err := store.Save(testSnapshot("app", "d")); err != nil {
@@ -283,10 +275,7 @@ func TestWriteBehindWriteErrorIsShedNotFailure(t *testing.T) {
 
 func TestWriteBehindCloseDrainsQueue(t *testing.T) {
 	mem := NewMemBackend()
-	store, err := OpenBackend(mem, Options{WriteBehind: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := OpenBackend(mem, 0)
 	if err := store.Save(testSnapshot("app", "d")); err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +312,7 @@ func TestBackendStateSurfacesEnvelope(t *testing.T) {
 	mem.GetHook = func(string) error { return errors.New("down") }
 	env := NewEnvelope(mem, EnvelopeConfig{RetryMax: -1, BreakerThreshold: 1})
 	env.sleep = func(context.Context, time.Duration) bool { return true }
-	store, err := OpenBackend(env, Options{WriteBehind: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := OpenBackend(env, 0)
 	defer store.Close()
 	if _, status := store.Load("app", "d"); status != LoadDegraded {
 		t.Fatalf("load = %s, want degraded", status)
@@ -342,8 +328,12 @@ func TestBackendStateSurfacesEnvelope(t *testing.T) {
 
 func TestStoreSizeCapOverBackend(t *testing.T) {
 	// Cap small enough that only one snapshot fits: each save evicts the
-	// older project, and the just-written blob is never the victim.
-	store, mem := openMemStore(t, Options{MaxBytes: 600})
+	// older project, and the just-written blob is never the victim. The cap
+	// is a disk-tier feature, so the store is a disk store.
+	store, err := OpenOptions(t.TempDir(), Options{MaxBytes: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := store.Save(testSnapshot("one", "d")); err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +341,14 @@ func TestStoreSizeCapOverBackend(t *testing.T) {
 	if err := store.Save(testSnapshot("two", "d")); err != nil {
 		t.Fatal(err)
 	}
-	if mem.Len() != 1 {
-		t.Fatalf("tier holds %d blobs under the cap, want 1", mem.Len())
+	blobs, err := store.disk.List(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := mem.Get(context.Background(), store.key("two")); err != nil {
+	if len(blobs) != 1 {
+		t.Fatalf("tier holds %d blobs under the cap, want 1", len(blobs))
+	}
+	if _, err := store.disk.Get(context.Background(), store.key("two")); err != nil {
 		t.Errorf("cap evicted the blob just written: %v", err)
 	}
 	if h := store.Health(); h.Evicted != 1 {

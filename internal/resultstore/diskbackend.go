@@ -1,27 +1,21 @@
 package resultstore
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"context"
-
 	"repro/internal/chaos"
 )
 
 // DiskBackend is the production local tier: one file per blob under a
-// directory, every operation through the chaos.FS seam so the existing
-// fault-injection suites cover it unchanged. It carries the full optional
-// surface — Stat (the store's stat-validated snapshot cache), Touch (LRU
-// mtime bumps), and a rename-based Quarantine that preserves the damaged
-// bytes exactly.
-//
-// This is the same code path the store always ran; extracting it behind
-// Backend adds one interface dispatch per filesystem operation, which the
-// benchtrend smoke pins as noise against the I/O it fronts.
+// directory, every operation through the chaos.FS seam so the
+// fault-injection suites cover it. Beyond the Backend contract it has the
+// two local extras a Store over it uses: Stat (the stat-validated snapshot
+// memo) and Touch (LRU mtime bumps for the size cap).
 type DiskBackend struct {
 	dir string
 	fs  chaos.FS
@@ -41,9 +35,6 @@ func NewDiskBackend(dir string, fsys chaos.FS) (*DiskBackend, error) {
 	b.sweepTemp()
 	return b, nil
 }
-
-// Dir returns the backend's root directory.
-func (b *DiskBackend) Dir() string { return b.dir }
 
 // sweepTemp removes temp-file litter left by writes a crash interrupted.
 // Best-effort: a sweep failure costs stray files, never the store.
@@ -121,6 +112,7 @@ func (b *DiskBackend) List(ctx context.Context) ([]BlobInfo, error) {
 	return out, nil
 }
 
+// Stat answers size and mtime for one blob without reading it.
 func (b *DiskBackend) Stat(ctx context.Context, key string) (BlobInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return BlobInfo{}, err
@@ -135,26 +127,11 @@ func (b *DiskBackend) Stat(ctx context.Context, key string) (BlobInfo, error) {
 	return BlobInfo{Key: key, Size: fi.Size(), ModTime: fi.ModTime()}, nil
 }
 
+// Touch bumps a blob's mtime, the last-use time the size cap evicts by.
 func (b *DiskBackend) Touch(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	now := time.Now()
 	return b.fs.Chtimes(b.path(key), now, now)
-}
-
-// Quarantine renames the damaged blob aside, preserving its exact bytes for
-// diagnosis. A later quarantine of the same key replaces the file, so
-// diagnosis artifacts cannot accumulate without bound.
-func (b *DiskBackend) Quarantine(ctx context.Context, key, qkey string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := b.fs.Rename(b.path(key), b.path(qkey)); err != nil {
-		// A blob that cannot be moved aside must still not wedge every
-		// future load; drop it.
-		_ = b.fs.Remove(b.path(key))
-		return err
-	}
-	return nil
 }

@@ -142,9 +142,6 @@ func NewEnvelope(b Backend, cfg EnvelopeConfig) *Envelope {
 	return e
 }
 
-// Inner returns the wrapped backend (the serving mode exposes it directly).
-func (e *Envelope) Inner() Backend { return e.inner }
-
 // EnvelopeState snapshots the account.
 func (e *Envelope) EnvelopeState() EnvelopeState {
 	e.mu.Lock()

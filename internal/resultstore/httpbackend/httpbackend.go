@@ -8,17 +8,23 @@
 //	DELETE {base}/cas/{key}   → 204 (absent keys too — deletes are idempotent)
 //	GET    {base}/cas/        → 200 + JSON list of {key, size, mtime}
 //
-// Client implements resultstore.Backend over that protocol; Handler serves
-// it from any other Backend (wapd -cache-serve mounts it over its local disk
-// tier). Both sides verify content hashes on every transfer: the client
-// re-hashes each GET payload against the X-Content-SHA256 the server
-// computed, and answers resultstore.ErrCorrupt on a mismatch — the store
-// above quarantines and degrades to a miss, so a lying or bit-rotting tier
-// can slow a scan down but never change its findings.
+// Client implements resultstore.Backend over that protocol — the four blob
+// operations and nothing else; Handler serves it from any other Backend
+// (wapd -cache-serve mounts it over its local disk tier). Both sides verify
+// content hashes on every transfer: the client re-hashes each GET payload
+// against the X-Content-SHA256 the server computed, and answers
+// resultstore.ErrCorrupt on a mismatch — the store above quarantines (one
+// copy-then-delete over these same four operations) and degrades to a miss,
+// so a lying or bit-rotting tier can slow a scan down but never change its
+// findings.
+//
+// The client has no stat, touch or size cap: the serving replica owns its
+// LRU order and its cap (wapd -cache-serve -cache-max-bytes), and every
+// remote load transfers and verifies rather than trusting a stat.
 //
 // The client is deliberately envelope-less: deadlines, retries and the
-// circuit breaker belong to resultstore.Envelope, which wapd wraps around
-// this client. Chaos tests inject faults one layer down, at the
+// circuit breaker belong to resultstore.Envelope, which wap and wapd wrap
+// around this client. Chaos tests inject faults one layer down, at the
 // http.RoundTripper seam (chaos.RoundTripper), so the envelope and the
 // verification here are exercised exactly as a hostile network would.
 package httpbackend
@@ -192,25 +198,6 @@ func (c *Client) List(ctx context.Context) ([]resultstore.BlobInfo, error) {
 	return out, nil
 }
 
-// Quarantine moves a damaged blob aside on the tier (copy-then-delete over
-// the protocol; the tier-side bytes are preserved under qkey for diagnosis).
-func (c *Client) Quarantine(ctx context.Context, key, qkey string) error {
-	data, err := c.Get(ctx, key)
-	if err != nil && !errors.Is(err, resultstore.ErrCorrupt) {
-		return err
-	}
-	// A payload that fails verification is exactly what quarantine wants to
-	// preserve, but the client never saw trustworthy bytes; settle for the
-	// delete so the poisoned blob stops serving.
-	if err == nil {
-		if perr := c.Put(ctx, qkey, data); perr != nil {
-			_ = c.Delete(ctx, key)
-			return perr
-		}
-	}
-	return c.Delete(ctx, key)
-}
-
 // validKey accepts exactly the keys the store generates: hex hash + ".json"
 // with an optional ".quarantined" suffix. Anything else — separators, dots,
 // traversal — is rejected on both sides of the protocol, so a hostile key
@@ -321,8 +308,3 @@ func serveList(w http.ResponseWriter, r *http.Request, b resultstore.Backend) {
 		return
 	}
 }
-
-// Touch and Stat are deliberately absent from Client: the serving replica
-// owns its LRU order (its own loads and size cap maintain mtimes), and a
-// stat-validated snapshot cache over a remote tier would trade a full
-// verify-on-read for a race; every remote load transfers and verifies.

@@ -177,25 +177,103 @@ func TestValidKey(t *testing.T) {
 	}
 }
 
+// openStore returns a store over Envelope(Client) against the tier at base,
+// the production composition of wap/wapd -cache-backend.
+func openStore(t *testing.T, base string, cfg resultstore.EnvelopeConfig) *resultstore.Store {
+	t.Helper()
+	store := resultstore.OpenBackend(resultstore.NewEnvelope(New(base, nil), cfg), 0)
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
+// seedSnapshot saves project "app" through store, flushes it onto the tier,
+// and returns the blob key the store chose for it.
+func seedSnapshot(t *testing.T, store *resultstore.Store, mem *resultstore.MemBackend) string {
+	t.Helper()
+	if err := store.Save(resultstore.NewSnapshot("app", "d1")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := store.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := mem.List(ctx)
+	if err != nil || len(blobs) != 1 {
+		t.Fatalf("tier after seeding = (%+v, %v), want one blob", blobs, err)
+	}
+	return blobs[0].Key
+}
+
+// TestClientQuarantine drives a quarantine through a Store over the HTTP
+// tier: an undecodable snapshot is copied aside under its quarantine key
+// over the protocol, and the original stops serving.
 func TestClientQuarantine(t *testing.T) {
 	srv, mem := newTier(t)
+	store := openStore(t, srv.URL, resultstore.EnvelopeConfig{})
+	key := seedSnapshot(t, store, mem)
 	c := New(srv.URL, nil)
 	ctx := context.Background()
-	if err := c.Put(ctx, "ab.json", []byte("damaged snapshot")); err != nil {
+	if err := c.Put(ctx, key, []byte("damaged snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Quarantine(ctx, "ab.json", "ab.json.quarantined"); err != nil {
-		t.Fatal(err)
+	if _, info := store.LoadWithInfoContext(ctx, "app", "d1"); info.Status != resultstore.LoadCorrupt ||
+		info.Quarantined != key+".quarantined" {
+		t.Fatalf("load of a damaged snapshot = %+v, want corrupt, quarantined under %s.quarantined", info, key)
 	}
-	if _, err := c.Get(ctx, "ab.json"); !errors.Is(err, resultstore.ErrNotFound) {
+	if _, err := c.Get(ctx, key); !errors.Is(err, resultstore.ErrNotFound) {
 		t.Error("quarantined blob still serving under its original key")
 	}
-	data, err := c.Get(ctx, "ab.json.quarantined")
+	data, err := c.Get(ctx, key+".quarantined")
 	if err != nil || string(data) != "damaged snapshot" {
 		t.Errorf("quarantine did not preserve the bytes: (%q, %v)", data, err)
 	}
 	if mem.Len() != 1 {
 		t.Errorf("tier holds %d blobs after quarantine, want 1", mem.Len())
+	}
+}
+
+// TestLyingTierQuarantineNamesOnlyLandedCopies serves every GET with an
+// X-Content-SHA256 that does not match its payload. The client never sees
+// trustworthy bytes, so the store has nothing to copy aside: the load must
+// not name a quarantine key the tier does not hold, and the poisoned blob
+// must still stop serving.
+func TestLyingTierQuarantineNamesOnlyLandedCopies(t *testing.T) {
+	mem := resultstore.NewMemBackend()
+	honest := Handler(mem)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		key := strings.TrimPrefix(r.URL.Path, "/cas/")
+		if r.Method != http.MethodGet || key == "" {
+			honest.ServeHTTP(w, r)
+			return
+		}
+		data, err := mem.Get(r.Context(), key)
+		if err != nil {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set(hashHeader, hashOf(append([]byte("lie:"), data...)))
+		w.Write(data)
+	}))
+	t.Cleanup(srv.Close)
+	store := openStore(t, srv.URL, resultstore.EnvelopeConfig{RetryMax: -1})
+	key := seedSnapshot(t, store, mem)
+	ctx := context.Background()
+
+	_, info := store.LoadWithInfoContext(ctx, "app", "d1")
+	if info.Status != resultstore.LoadCorrupt {
+		t.Fatalf("load from a lying tier = %s, want %s", info.Status, resultstore.LoadCorrupt)
+	}
+	if q := info.Quarantined; q != "" {
+		if _, err := mem.Get(ctx, q); err != nil {
+			t.Errorf("load names quarantine key %q, but the tier does not hold it: %v", q, err)
+		}
+	}
+	if n := store.Health().Quarantined; info.Quarantined == "" && n != 0 {
+		t.Errorf("Health.Quarantined = %d with no copy landed, want 0", n)
+	}
+	if _, err := mem.Get(ctx, key); !errors.Is(err, resultstore.ErrNotFound) {
+		t.Error("poisoned blob still serving under its original key")
 	}
 }
 
@@ -205,16 +283,7 @@ func TestClientQuarantine(t *testing.T) {
 // -cache-serve replica.
 func TestStoreOverHTTPTier(t *testing.T) {
 	srv, _ := newTier(t)
-	open := func() *resultstore.Store {
-		env := resultstore.NewEnvelope(New(srv.URL, nil), resultstore.EnvelopeConfig{})
-		store, err := resultstore.OpenBackend(env, resultstore.Options{WriteBehind: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { store.Close() })
-		return store
-	}
-	writer := open()
+	writer := openStore(t, srv.URL, resultstore.EnvelopeConfig{})
 	snap := resultstore.NewSnapshot("app", "d1")
 	snap.Tasks["ab"] = &resultstore.TaskEntry{File: "a.php", Class: "sqli", Steps: 9}
 	if err := writer.Save(snap); err != nil {
@@ -226,7 +295,7 @@ func TestStoreOverHTTPTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reader := open()
+	reader := openStore(t, srv.URL, resultstore.EnvelopeConfig{})
 	got, status := reader.Load("app", "d1")
 	if status != resultstore.LoadHit || got.Tasks["ab"] == nil || got.Tasks["ab"].Steps != 9 {
 		t.Fatalf("Load over the HTTP tier = (%+v, %s), want the saved snapshot", got, status)

@@ -20,16 +20,18 @@
 //     task entries is salvaged: the bad entries are dropped and counted, the
 //     rest load normally;
 //   - degradation, never dependence: the blob tier behind the store is
-//     pluggable (Backend: local disk, in-memory, a remote HTTP tier) and is
-//     allowed to be slow, flaky, corrupt or entirely down. Any backend error
-//     is a cache miss, every remote payload is verified before use, and
-//     remote writes go through a bounded write-behind queue that sheds under
-//     overload — so a scan over a degraded backend produces byte-identical
-//     findings to a cache-less scan, just slower to warm;
-//   - bounded disk: with MaxBytes set, every save evicts least-recently-used
-//     snapshots (including quarantined ones) until the store fits, so a
-//     long-running replica cannot fill the disk. Loads touch their
-//     snapshot's mtime, making mtime order the LRU order.
+//     pluggable (Backend: local disk, or a remote tier opened with
+//     OpenBackend) and is allowed to be slow, flaky, corrupt or entirely
+//     down. Any backend error is a cache miss, every remote payload is
+//     verified before use, and a store over a remote tier always writes
+//     through a bounded write-behind queue that sheds under overload — so a
+//     scan over a degraded backend produces byte-identical findings to a
+//     cache-less scan, just slower to warm;
+//   - bounded disk: with MaxBytes set on a disk store, every save evicts
+//     least-recently-used snapshots (including quarantined ones) until the
+//     store fits, so a long-running replica cannot fill the disk. Loads
+//     touch their snapshot's mtime, making mtime order the LRU order. A
+//     shared tier's cap is the serving replica's own disk cap.
 //
 // One snapshot blob per project lives under the backend, keyed by a hash of
 // the project name so arbitrary names stay filesystem- and URL-safe.
@@ -42,7 +44,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -93,8 +94,9 @@ type LoadInfo struct {
 	// snapshot because they failed to decode; the surviving entries loaded
 	// normally and the dropped tasks simply re-execute.
 	Salvaged int
-	// Quarantined is the path (disk backend) or key an unreadable or
-	// wrong-version snapshot was moved to, "" when nothing was quarantined.
+	// Quarantined is the path (disk store) or key an unreadable or
+	// wrong-version snapshot was copied to before it was deleted, "" when no
+	// copy landed (the tier gave no bytes back, or the copy failed).
 	Quarantined string
 }
 
@@ -189,34 +191,19 @@ func NewSnapshot(project, configDigest string) *Snapshot {
 	}
 }
 
-// Options tunes a store beyond its directory.
+// Options tunes a disk store beyond its directory.
 type Options struct {
-	// FS is the filesystem seam of the default disk backend; nil uses
-	// chaos.OS. Fault-injection tests pass a chaos.Injector. Ignored when
-	// Backend is set.
+	// FS is the disk tier's filesystem seam; nil uses chaos.OS.
+	// Fault-injection tests pass a chaos.Injector.
 	FS chaos.FS
-	// Backend, when set, replaces the default local-disk blob tier.
-	// OpenBackend is the usual way to set it.
-	Backend Backend
 	// MaxBytes caps the store's total size (snapshots plus quarantined
 	// blobs). Every save evicts least-recently-used blobs until the store
 	// fits; the blob just written is never evicted. 0 means unbounded.
 	MaxBytes int64
-	// WriteBehind detaches saves from the backend: Save encodes
-	// synchronously, enqueues the blob, and returns nil; a background
-	// writer performs the Put. The bounded queue (WriteBehindDepth) sheds
-	// oldest-first under overload and a newer snapshot of the same project
-	// supersedes its queued predecessor in place. Mandatory discipline for
-	// remote backends — a scan must never wait on, or fail because of, a
-	// remote write.
-	WriteBehind bool
-	// WriteBehindDepth bounds the write-behind queue. 0 means
-	// DefaultWriteBehindDepth.
-	WriteBehindDepth int
 }
 
-// DefaultWriteBehindDepth bounds the write-behind queue when Options names
-// no depth.
+// DefaultWriteBehindDepth bounds the write-behind queue when OpenBackend is
+// given no depth.
 const DefaultWriteBehindDepth = 32
 
 // Health is the store's observability account, surfaced by wapd /healthz.
@@ -233,8 +220,8 @@ type Health struct {
 // outcome counters, the write-behind queue, and — when the backend is
 // wrapped in an Envelope — the fault-envelope account (breaker position,
 // retries, last error). Surfaced in Report.Stats, /healthz and the
-// text/JSON/HTML renderers. Nil for the legacy plain-disk store, whose
-// Health counters already tell the whole story.
+// text/JSON/HTML renderers. Nil for a disk store, whose Health counters
+// already tell the whole story.
 type BackendState struct {
 	// Kind names the tier: "disk", "mem", "http", or "custom".
 	Kind string `json:"kind"`
@@ -249,8 +236,7 @@ type BackendState struct {
 	// Write-behind account: snapshots queued, written to the tier, shed
 	// oldest-first under overload, superseded in place by a newer snapshot
 	// of the same project, and dropped because the write errored. QueueDepth
-	// is the current depth, QueueCap the bound. All zero for synchronous
-	// (disk) saves.
+	// is the current depth, QueueCap the bound.
 	Queued      int64 `json:"queued,omitempty"`
 	Written     int64 `json:"written,omitempty"`
 	Shed        int64 `json:"shed,omitempty"`
@@ -290,21 +276,16 @@ func backendKind(b Backend) string {
 // snapshot).
 //
 // Snapshots handed to Save or returned by Load must be treated as immutable
-// afterwards: the store keeps the last snapshot it read or wrote per project
-// and hands it back from Load while the blob is unchanged (backends with
-// Stat only), so a long-lived process rescanning the same project skips the
-// JSON decode.
+// afterwards: a disk store keeps the last snapshot it read or wrote per
+// project and hands it back from Load while the file's stat is unchanged,
+// so a long-lived process rescanning the same project skips the JSON
+// decode.
 type Store struct {
-	backend  Backend
-	dir      string // disk backend root, "" otherwise (kept for Dir and tests)
+	backend Backend
+	// disk is the local tier when the store was opened over a directory,
+	// nil otherwise. The stat memo, LRU touch and size cap run only over it.
+	disk     *DiskBackend
 	maxBytes int64
-	surface  bool // BackendState is reported (non-default backend or write-behind)
-
-	// statter/toucher/quarantiner are the backend's optional surfaces,
-	// asserted once at open.
-	statter     Statter
-	toucher     Toucher
-	quarantiner Quarantiner
 
 	mu    sync.Mutex
 	cache map[string]*cachedSnapshot
@@ -315,7 +296,7 @@ type Store struct {
 	// each Save, so dropped entries don't accumulate.
 	encCache map[string]map[*TaskEntry]json.RawMessage
 
-	wb *writeBehind
+	wb *writeBehind // nil for a disk store, whose saves are synchronous
 
 	quarantined atomic.Int64
 	salvaged    atomic.Int64
@@ -344,58 +325,48 @@ func Open(dir string) (*Store, error) {
 // OpenOptions is Open with an explicit filesystem seam and size cap. Stale
 // temp files from interrupted saves are removed on open.
 func OpenOptions(dir string, opts Options) (*Store, error) {
-	if opts.Backend == nil {
-		b, err := NewDiskBackend(dir, opts.FS)
-		if err != nil {
-			return nil, err
-		}
-		opts.Backend = b
+	disk, err := NewDiskBackend(dir, opts.FS)
+	if err != nil {
+		return nil, err
 	}
-	s := &Store{
-		backend:  opts.Backend,
-		maxBytes: opts.MaxBytes,
-		cache:    make(map[string]*cachedSnapshot),
-		encCache: make(map[string]map[*TaskEntry]json.RawMessage),
-	}
-	if db, ok := opts.Backend.(*DiskBackend); ok {
-		s.dir = db.Dir()
-	} else {
-		s.surface = true
-	}
-	s.statter, _ = opts.Backend.(Statter)
-	s.toucher, _ = opts.Backend.(Toucher)
-	s.quarantiner, _ = opts.Backend.(Quarantiner)
-	if opts.WriteBehind {
-		s.surface = true
-		depth := opts.WriteBehindDepth
-		if depth <= 0 {
-			depth = DefaultWriteBehindDepth
-		}
-		s.wb = newWriteBehind(s, depth)
-	}
+	s := newStore(disk)
+	s.disk = disk
+	s.maxBytes = opts.MaxBytes
 	return s, nil
 }
 
-// OpenBackend returns a store over an explicit blob tier — the shared-tier
-// entry point. Remote backends should come wrapped in an Envelope and with
-// Options.WriteBehind set, so the tier's failure modes are paid for out of
-// the fault budget, never the scan.
-func OpenBackend(b Backend, opts Options) (*Store, error) {
-	opts.Backend = b
-	return OpenOptions("", opts)
+// OpenBackend returns a store over a shared blob tier, normally an Envelope
+// around an httpbackend.Client so the tier's failure modes are paid for out
+// of the fault budget, never the scan. Saves always write behind: Save
+// encodes synchronously, enqueues the blob and returns nil, and a
+// background writer performs the Put. The queue holds writeBehindDepth blobs
+// (0 means DefaultWriteBehindDepth), sheds oldest-first under overload, and
+// a newer snapshot of a project supersedes its queued predecessor in place.
+func OpenBackend(b Backend, writeBehindDepth int) *Store {
+	if writeBehindDepth <= 0 {
+		writeBehindDepth = DefaultWriteBehindDepth
+	}
+	s := newStore(b)
+	s.wb = newWriteBehind(s, writeBehindDepth)
+	return s
+}
+
+func newStore(b Backend) *Store {
+	return &Store{
+		backend:  b,
+		cache:    make(map[string]*cachedSnapshot),
+		encCache: make(map[string]map[*TaskEntry]json.RawMessage),
+	}
 }
 
 // Close flushes the write-behind queue (bounded wait) and stops its writer.
-// A store without write-behind needs no Close; calling it is a no-op.
+// A disk store needs no Close; calling it is a no-op.
 func (s *Store) Close() error {
 	if s.wb != nil {
 		s.wb.close()
 	}
 	return nil
 }
-
-// Dir returns the store's root directory ("" for non-disk backends).
-func (s *Store) Dir() string { return s.dir }
 
 // Backend returns the store's blob tier (the serving mode exposes it over
 // HTTP).
@@ -410,10 +381,10 @@ func (s *Store) Health() Health {
 	}
 }
 
-// BackendState returns the pluggable-tier account, nil for the legacy
-// plain-disk store (local synchronous saves — Health already covers it).
+// BackendState returns the pluggable-tier account, nil for a disk store
+// (local synchronous saves — Health already covers it).
 func (s *Store) BackendState() *BackendState {
-	if !s.surface {
+	if s.disk != nil {
 		return nil
 	}
 	st := &BackendState{
@@ -423,9 +394,7 @@ func (s *Store) BackendState() *BackendState {
 		Degraded: s.degraded.Load(),
 		Corrupt:  s.corrupt.Load(),
 	}
-	if s.wb != nil {
-		s.wb.fill(st)
-	}
+	s.wb.fill(st)
 	if sr, ok := s.backend.(StateReporter); ok {
 		es := sr.EnvelopeState()
 		st.Envelope = &es
@@ -441,10 +410,10 @@ func (s *Store) key(project string) string {
 	return fmt.Sprintf("%x.json", sum[:16])
 }
 
-// path maps a project name to its snapshot file under a disk backend; tests
+// path maps a project name to its snapshot file in a disk store; tests
 // reach into the store with it.
 func (s *Store) path(project string) string {
-	return filepath.Join(s.dir, s.key(project))
+	return s.disk.path(s.key(project))
 }
 
 // Load reads the project's snapshot. It never fails the scan: a missing,
@@ -466,9 +435,12 @@ func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest s
 	defer s.mu.Unlock()
 	key := s.key(project)
 
-	// Stat-validated cache fast path, for backends that can stat cheaply.
-	if s.statter != nil {
-		bi, err := s.statter.Stat(ctx, key)
+	// Stat-validated memo fast path, disk tier only: a remote stat would
+	// cost a round trip and trade verify-on-read for a race.
+	var stat BlobInfo
+	if s.disk != nil {
+		var err error
+		stat, err = s.disk.Stat(ctx, key)
 		if err != nil {
 			delete(s.cache, project)
 			if errors.Is(err, ErrNotFound) {
@@ -478,7 +450,7 @@ func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest s
 			s.degraded.Add(1)
 			return nil, LoadInfo{Status: LoadDegraded}
 		}
-		if c := s.cache[project]; c != nil && c.size == bi.Size && c.mtime.Equal(bi.ModTime) {
+		if c := s.cache[project]; c != nil && c.size == stat.Size && c.mtime.Equal(stat.ModTime) {
 			if c.snap.Version != FormatVersion {
 				delete(s.cache, project)
 				return nil, LoadInfo{Status: LoadVersionMismatch, Quarantined: s.quarantine(ctx, project, key, nil)}
@@ -524,13 +496,11 @@ func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest s
 	if salvaged > 0 {
 		s.salvaged.Add(int64(salvaged))
 	}
-	// Cache on the stat taken before the read: if a concurrent writer
+	// Memo on the stat taken before the read: if a concurrent writer
 	// replaced the blob in between, the recorded stat will not match the
 	// new blob and the next Load re-reads.
-	if s.statter != nil {
-		if bi, err := s.statter.Stat(ctx, key); err == nil {
-			s.cache[project] = &cachedSnapshot{snap: snap, size: bi.Size, mtime: bi.ModTime}
-		}
+	if s.disk != nil {
+		s.cache[project] = &cachedSnapshot{snap: snap, size: stat.Size, mtime: stat.ModTime}
 	}
 	if snap.ConfigDigest != configDigest {
 		return nil, LoadInfo{Status: LoadDigestMismatch, Salvaged: salvaged}
@@ -580,62 +550,66 @@ func decodeSnapshot(ctx context.Context, data []byte) (*Snapshot, int, error) {
 	return snap, salvaged, nil
 }
 
-// quarantine moves the project's snapshot aside for diagnosis, returning the
-// quarantine path or key ("" when the move failed — the blob is then removed
-// so a poisoned snapshot cannot wedge every future load). data is the blob
-// when the caller already holds it, nil otherwise. Caller holds s.mu.
+// quarantine moves the project's snapshot aside for diagnosis by copying it
+// to the quarantine key and deleting the original, over the same
+// Get/Put/Delete every tier has. data is the blob when the caller already
+// holds it, nil otherwise. The delete happens whether or not the copy
+// landed: a poisoned blob must not keep serving. The quarantine path (disk)
+// or key is returned, and counted, only when the copy landed; "" otherwise.
+// Caller holds s.mu.
 func (s *Store) quarantine(ctx context.Context, project, key string, data []byte) string {
 	delete(s.cache, project)
 	delete(s.encCache, project)
 	qkey := key + quarantineSuffix
-	if s.quarantiner != nil {
-		if err := s.quarantiner.Quarantine(ctx, key, qkey); err != nil {
-			return ""
-		}
-	} else {
-		// Copy-then-delete fallback for tiers without an atomic move. The
-		// delete matters more than the copy: a poisoned blob must not keep
-		// serving.
-		if data == nil {
-			data, _ = s.backend.Get(ctx, key)
-		}
-		put := error(nil)
-		if data != nil {
-			put = s.backend.Put(ctx, qkey, data)
-		}
-		if err := s.backend.Delete(ctx, key); err != nil || put != nil {
-			return ""
-		}
+	var err error
+	if data == nil {
+		data, err = s.backend.Get(ctx, key)
+	}
+	if err == nil {
+		err = s.backend.Put(ctx, qkey, data)
+	}
+	_ = s.backend.Delete(ctx, key)
+	if err != nil {
+		return ""
 	}
 	s.quarantined.Add(1)
-	if s.dir != "" {
-		return filepath.Join(s.dir, qkey)
+	if s.disk != nil {
+		return s.disk.path(qkey)
 	}
 	return qkey
 }
 
-// touch bumps the snapshot's last-use time so eviction order tracks use,
-// then re-records the stat so the in-memory cache still matches the tier.
-// Best-effort; caller holds s.mu.
-func (s *Store) touch(ctx context.Context, project, key string, snap *Snapshot) {
-	if s.maxBytes <= 0 || s.toucher == nil {
-		return // LRU order is only consulted by the size cap
-	}
-	if err := s.toucher.Touch(ctx, key); err != nil {
+// memo records snap as the project's in-memory snapshot under the disk
+// file's current stat, so the next Load skips the decode while the file is
+// unchanged. A stat failure drops the memo instead. Disk stores only; caller
+// holds s.mu.
+func (s *Store) memo(ctx context.Context, project, key string, snap *Snapshot) {
+	bi, err := s.disk.Stat(ctx, key)
+	if err != nil {
+		delete(s.cache, project)
 		return
 	}
-	if s.statter != nil {
-		if bi, err := s.statter.Stat(ctx, key); err == nil {
-			s.cache[project] = &cachedSnapshot{snap: snap, size: bi.Size, mtime: bi.ModTime}
-		}
+	s.cache[project] = &cachedSnapshot{snap: snap, size: bi.Size, mtime: bi.ModTime}
+}
+
+// touch bumps the snapshot's last-use time so eviction order tracks use,
+// then re-records the stat so the memo still matches the file. Only a
+// capped disk store keeps LRU order. Best-effort; caller holds s.mu.
+func (s *Store) touch(ctx context.Context, project, key string, snap *Snapshot) {
+	if s.maxBytes <= 0 {
+		return // LRU order is only consulted by the size cap
 	}
+	if err := s.disk.Touch(ctx, key); err != nil {
+		return
+	}
+	s.memo(ctx, project, key, snap)
 }
 
 // Save atomically replaces the project's snapshot. The write is whole-blob:
 // entries for fingerprints not in snap (stale file versions, removed files)
 // are dropped, so the store self-prunes as the project evolves. With a size
 // cap configured, least-recently-used snapshots are evicted afterwards until
-// the store fits. With write-behind enabled the blob is queued and Save
+// the store fits. A store over a shared tier queues the blob behind and
 // returns nil immediately; a shed or failed remote write costs the fleet a
 // warm start, never the scan anything.
 func (s *Store) Save(snap *Snapshot) error {
@@ -660,29 +634,23 @@ func (s *Store) SaveContext(ctx context.Context, snap *Snapshot) error {
 		s.wb.enqueue(snap.Project, key, data)
 		return nil
 	}
-	if err := s.backend.Put(ctx, key, data); err != nil {
+	if err := s.disk.Put(ctx, key, data); err != nil {
 		return fmt.Errorf("resultstore: save %s: %w", snap.Project, err)
 	}
-	if s.statter != nil {
-		if bi, err := s.statter.Stat(ctx, key); err == nil {
-			s.cache[snap.Project] = &cachedSnapshot{snap: snap, size: bi.Size, mtime: bi.ModTime}
-		} else {
-			delete(s.cache, snap.Project)
-		}
-	}
+	s.memo(ctx, snap.Project, key, snap)
 	s.enforceCap(ctx, key)
 	return nil
 }
 
 // enforceCap evicts least-recently-used blobs until the total size fits
-// MaxBytes. keep is never evicted — it is the snapshot that was just
-// written. Caller holds s.mu. Best-effort: an eviction failure leaves the
-// store over cap until the next save retries.
+// MaxBytes (disk stores only). keep is never evicted — it is the snapshot
+// that was just written. Caller holds s.mu. Best-effort: an eviction
+// failure leaves the store over cap until the next save retries.
 func (s *Store) enforceCap(ctx context.Context, keep string) {
 	if s.maxBytes <= 0 {
 		return
 	}
-	blobs, err := s.backend.List(ctx)
+	blobs, err := s.disk.List(ctx)
 	if err != nil {
 		return
 	}
@@ -715,7 +683,7 @@ func (s *Store) enforceCap(ctx context.Context, keep string) {
 		if f.Key == keep {
 			continue
 		}
-		if err := s.backend.Delete(ctx, f.Key); err != nil {
+		if err := s.disk.Delete(ctx, f.Key); err != nil {
 			continue
 		}
 		total -= f.Size

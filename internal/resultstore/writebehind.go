@@ -162,8 +162,8 @@ func (wb *writeBehind) flush(ctx context.Context) error {
 	}
 }
 
-// Flush exposes the write-behind drain on the store (no-op without
-// write-behind).
+// Flush exposes the write-behind drain on the store (no-op for a disk
+// store, whose saves are synchronous).
 func (s *Store) Flush(ctx context.Context) error {
 	if s.wb == nil {
 		return nil

@@ -34,10 +34,7 @@ func TestCacheServeSharesTheStore(t *testing.T) {
 	}
 
 	env := resultstore.NewEnvelope(httpbackend.New(hs.URL, nil), resultstore.EnvelopeConfig{})
-	remote, err := resultstore.OpenBackend(env, resultstore.Options{WriteBehind: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := resultstore.OpenBackend(env, 0)
 	defer remote.Close()
 
 	got, status := remote.Load("shared-app", "d1")
@@ -95,10 +92,7 @@ func TestHealthzReportsBackendState(t *testing.T) {
 	env := resultstore.NewEnvelope(mem, resultstore.EnvelopeConfig{
 		RetryMax: -1, BreakerThreshold: 1, BreakerCooldown: time.Hour,
 	})
-	store, err := resultstore.OpenBackend(env, resultstore.Options{WriteBehind: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := resultstore.OpenBackend(env, 0)
 	defer store.Close()
 	_, hs := newTestServer(t, Config{Engine: testEngine(t, nil), Store: store})
 

@@ -84,7 +84,6 @@ type PendingSummary struct {
 type SharedSummaries struct {
 	mu      sync.RWMutex
 	entries map[SummaryKey]*sharedEntry
-	commits int64
 }
 
 // NewSharedSummaries returns an empty cache.
@@ -121,7 +120,6 @@ func (s *SharedSummaries) Commit(pending []PendingSummary) int {
 		s.entries[p.Key] = p.entry
 		added++
 	}
-	s.commits += int64(added)
 	return added
 }
 
@@ -133,16 +131,6 @@ func (s *SharedSummaries) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.entries)
-}
-
-// Commits reports the total number of entries ever committed.
-func (s *SharedSummaries) Commits() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.commits
 }
 
 // AmbiguityReporter is an optional extension of FuncResolver. A resolver

@@ -41,7 +41,6 @@ import (
 // traversal. Lanes are indexed by position in the NewFused config slice.
 type Fused struct {
 	lanes []*Analyzer
-	n     int
 	full  laneMask
 	// live holds the lanes still running: a lane that exhausts its budget
 	// or sees the stop leaves it for the rest of the pass.
@@ -82,9 +81,9 @@ type Fused struct {
 }
 
 // NewFused builds a fused evaluator with one analyzer lane per config. All
-// configs must agree on Resolver, DisableInlining, MaxCallDepth, MaxSteps
-// and Stop; per-class fields (Class, sanitizers, entry points, sinks,
-// Shared) vary freely.
+// configs must agree on Resolver, DisableInlining, MaxSteps and Stop;
+// per-class fields (Class, sanitizers, entry points, sinks, Shared) vary
+// freely.
 func NewFused(cfgs []Config) *Fused {
 	lanes := make([]*Analyzer, len(cfgs))
 	for i, c := range cfgs {
@@ -96,7 +95,6 @@ func NewFused(cfgs []Config) *Fused {
 func newFused(lanes []*Analyzer) *Fused {
 	fz := &Fused{
 		lanes:     lanes,
-		n:         len(lanes),
 		full:      fullMask(len(lanes)),
 		sanM:      make(map[string]laneMask),
 		sanMethM:  make(map[string]laneMask),
@@ -114,9 +112,6 @@ func newFused(lanes []*Analyzer) *Fused {
 	}
 	return fz
 }
-
-// Lanes reports the number of lanes.
-func (fz *Fused) Lanes() int { return fz.n }
 
 // Candidates returns lane l's findings after FileIR.
 func (fz *Fused) Candidates(l int) []*Candidate { return fz.lanes[l].cands }
@@ -1093,96 +1088,57 @@ func (fz *Fused) assignTo(lhs ast.Expr, v fval, e *fenv, m laneMask) {
 // Per-name lane masks
 // ---------------------------------------------------------------------------
 
-func (fz *Fused) epVarMaskFor(name string) laneMask {
-	if m, ok := fz.epVarM[name]; ok {
+// laneMaskFor returns the mask of lanes for which holds(lane, name),
+// computed once per name and memoized in memo.
+func (fz *Fused) laneMaskFor(memo map[string]laneMask, name string, holds func(*Analyzer, string) bool) laneMask {
+	if m, ok := memo[name]; ok {
 		return m
 	}
 	var m laneMask
 	for i, a := range fz.lanes {
-		if a.isEntryPointVar(name) {
+		if holds(a, name) {
 			m = m.with(i)
 		}
 	}
-	fz.epVarM[name] = m
+	memo[name] = m
 	return m
+}
+
+func (fz *Fused) epVarMaskFor(name string) laneMask {
+	return fz.laneMaskFor(fz.epVarM, name, (*Analyzer).isEntryPointVar)
 }
 
 func (fz *Fused) sanMaskFor(name string) laneMask {
-	if m, ok := fz.sanM[name]; ok {
-		return m
-	}
-	var m laneMask
-	for i, a := range fz.lanes {
-		if a.isSanitizer(name) {
-			m = m.with(i)
-		}
-	}
-	fz.sanM[name] = m
-	return m
+	return fz.laneMaskFor(fz.sanM, name, (*Analyzer).isSanitizer)
 }
 
 func (fz *Fused) sanMethMaskFor(name string) laneMask {
-	if m, ok := fz.sanMethM[name]; ok {
-		return m
-	}
-	var m laneMask
-	for i, a := range fz.lanes {
-		if a.class.IsSanitizerMethod(name) {
-			m = m.with(i)
-		}
-	}
-	fz.sanMethM[name] = m
-	return m
+	return fz.laneMaskFor(fz.sanMethM, name, func(a *Analyzer, n string) bool { return a.class.IsSanitizerMethod(n) })
 }
 
 func (fz *Fused) epFnMaskFor(name string) laneMask {
-	if m, ok := fz.epFnM[name]; ok {
-		return m
-	}
-	var m laneMask
-	for i, a := range fz.lanes {
-		if a.class.IsEntryPointFunc(name) {
-			m = m.with(i)
-		}
-	}
-	fz.epFnM[name] = m
-	return m
+	return fz.laneMaskFor(fz.epFnM, name, func(a *Analyzer, n string) bool { return a.class.IsEntryPointFunc(n) })
 }
 
 // fnSinkMaskFor indexes lanes with a non-method sink of this name (also
 // what pseudo- and named-sink checks match).
 func (fz *Fused) fnSinkMaskFor(name string) laneMask {
-	if m, ok := fz.fnSinkM[name]; ok {
-		return m
-	}
-	var m laneMask
-	for i, a := range fz.lanes {
-		for _, s := range a.allSinks() {
-			if !s.Method && s.Name == name {
-				m = m.with(i)
-				break
-			}
-		}
-	}
-	fz.fnSinkM[name] = m
-	return m
+	return fz.laneMaskFor(fz.fnSinkM, name, func(a *Analyzer, n string) bool { return hasSink(a, n, false) })
 }
 
 func (fz *Fused) methSinkMaskFor(name string) laneMask {
-	if m, ok := fz.methSinkM[name]; ok {
-		return m
-	}
-	var m laneMask
-	for i, a := range fz.lanes {
-		for _, s := range a.allSinks() {
-			if s.Method && s.Name == name {
-				m = m.with(i)
-				break
-			}
+	return fz.laneMaskFor(fz.methSinkM, name, func(a *Analyzer, n string) bool { return hasSink(a, n, true) })
+}
+
+// hasSink reports whether lane a has a sink of this name, as a method sink
+// or a plain one.
+func hasSink(a *Analyzer, name string, method bool) bool {
+	for _, s := range a.allSinks() {
+		if s.Method == method && s.Name == name {
+			return true
 		}
 	}
-	fz.methSinkM[name] = m
-	return m
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -1519,7 +1475,7 @@ func (fz *Fused) inline(fn *ast.FunctionDecl, ins *ir.Instr, args []fval, fr *ff
 	// lanes (they entered the same chain of bodies), so one representative
 	// decides the guard for all.
 	rep := fz.lanes[rem.first()]
-	if rep.depth >= rep.cfg.MaxCallDepth || rep.analyzing[fn] {
+	if rep.depth >= maxCallDepth || rep.analyzing[fn] {
 		return fz.fmergeAll(args, rem)
 	}
 

@@ -241,14 +241,16 @@ type FuncResolver interface {
 	ResolveMethod(name string) *ast.FunctionDecl
 }
 
+// maxCallDepth bounds interprocedural inlining: a call this many frames deep
+// is summarized clean rather than analyzed.
+const maxCallDepth = 12
+
 // Config parameterizes an analysis run.
 type Config struct {
 	Class *vuln.Class
 	// Resolver provides cross-file function lookup; may be nil for
 	// single-file analysis.
 	Resolver FuncResolver
-	// MaxCallDepth bounds interprocedural inlining (default 12).
-	MaxCallDepth int
 	// DisableInlining turns off interprocedural analysis: user-function
 	// calls are treated like unknown builtins (clean result, bodies only
 	// analyzed standalone). Used by the interprocedural ablation.
@@ -341,9 +343,6 @@ type summary struct {
 
 // New returns an analyzer for the given configuration.
 func New(cfg Config) *Analyzer {
-	if cfg.MaxCallDepth == 0 {
-		cfg.MaxCallDepth = 12
-	}
 	return &Analyzer{
 		cfg:       cfg,
 		class:     cfg.Class,
