@@ -61,14 +61,16 @@ weapons-gate:
 # Mirror of the CI fuzz smoke: 30s over each parser fuzz target, over the
 # line table's position resolution (matches a byte walk for every token),
 # over the AST-to-IR lowering (never panics, deterministic, accounts for
-# every node) and over the result-store snapshot decoder (never panics,
-# round-trips through the store's encoder).
+# every node), over the result-store snapshot decoder (never panics,
+# round-trips through the store's encoder) and over the job journal's replay
+# (keeps a prefix that re-encodes byte for byte, truncates the rest).
 fuzz-smoke:
 	$(GO) test ./internal/php/lexer -run '^$$' -fuzz=FuzzPositions -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzParse -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzPrintRoundtrip -fuzztime=30s
 	$(GO) test ./internal/ir -run '^$$' -fuzz=FuzzLower -fuzztime=30s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=30s
+	$(GO) test ./internal/journal -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=30s
 
 # gofmt (fails listing any unformatted file) + go vet. CI additionally runs
 # staticcheck; run it here too if it is on PATH.

@@ -91,7 +91,6 @@ func run(args []string) error {
 		readTO     = fs.Duration("read-timeout", server.DefaultReadTimeout, "HTTP listener: time to read a whole request, sized for tree uploads (negative = off)")
 		idleTO     = fs.Duration("idle-timeout", server.DefaultIdleTimeout, "HTTP listener: keep-alive idle connection reap (negative = off)")
 		jnlPath    = fs.String("journal", "", "write-ahead job journal path; makes async jobs durable across crashes (empty = async jobs are lost on crash)")
-		ckptEvery  = fs.Int("checkpoint-every", 0, "engine tasks between mid-scan store checkpoints of durable jobs (0 = default, negative = off)")
 		weaponsDir = fs.String("weapons-dir", "", "persist weapons accepted via POST /weapons here and replay them at startup (empty = hot weapons are lost on restart)")
 		par        = fs.Int("parallelism", 0, "loader worker count per scan job (0 = GOMAXPROCS capped at 8)")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables it")
@@ -171,7 +170,6 @@ func run(args []string) error {
 		ReportDir:         *reportDir,
 		Store:             store,
 		Journal:           jnl,
-		CheckpointEvery:   *ckptEvery,
 		WeaponsDir:        *weaponsDir,
 		CacheServe:        *cacheServe,
 		ReadHeaderTimeout: *readHdrTO,

@@ -10,24 +10,16 @@ import (
 
 // TestCheckpointEveryDisposition pins the checkpoint cadence: with
 // CheckpointEvery 1 every dispositioned execution task flushes a partial
-// snapshot except the last (the final persist on completion covers it), each
-// flush invokes OnCheckpoint, and the count lands in Stats.Checkpoints.
+// snapshot except the last (the final persist on completion covers it), and
+// the count lands in Stats.Checkpoints.
 func TestCheckpointEveryDisposition(t *testing.T) {
 	store := openTestStore(t, t.TempDir())
 	files := incrementalFiles()
 
-	var mu sync.Mutex
-	type call struct{ done, total int }
-	var calls []call
 	e := newTestEngine(t, incrementalOpts())
 	rep, err := e.AnalyzeScan(context.Background(), LoadMap("app", files), ScanOpts{
 		Store:           store,
 		CheckpointEvery: 1,
-		OnCheckpoint: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls = append(calls, call{done, total})
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,19 +27,8 @@ func TestCheckpointEveryDisposition(t *testing.T) {
 	if rep.Stats.Tasks < 2 {
 		t.Fatalf("corpus executed %d tasks; checkpoint cadence check is vacuous", rep.Stats.Tasks)
 	}
-	if len(calls) != rep.Stats.Tasks-1 {
-		t.Errorf("%d checkpoint calls for %d tasks, want tasks-1", len(calls), rep.Stats.Tasks)
-	}
-	for i, c := range calls {
-		if c.total != rep.Stats.Tasks {
-			t.Errorf("call %d total = %d, want %d", i, c.total, rep.Stats.Tasks)
-		}
-		if c.done < 1 || c.done >= c.total {
-			t.Errorf("call %d done = %d out of range (total %d)", i, c.done, c.total)
-		}
-	}
-	if rep.Stats.Checkpoints != len(calls) {
-		t.Errorf("Stats.Checkpoints = %d, want %d", rep.Stats.Checkpoints, len(calls))
+	if rep.Stats.Checkpoints != rep.Stats.Tasks-1 {
+		t.Errorf("Stats.Checkpoints = %d for %d tasks, want tasks-1", rep.Stats.Checkpoints, rep.Stats.Tasks)
 	}
 	// The final persist still ran: a warm rescan reuses everything.
 	warm := scanWithStore(t, incrementalOpts(), files, store)
@@ -112,21 +93,13 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 }
 
 // TestCheckpointsOffByDefault pins that plain scans never pay the mid-scan
-// save I/O: without CheckpointEvery the callback must not fire and the stats
-// stay silent.
+// save I/O: without CheckpointEvery the stats stay silent.
 func TestCheckpointsOffByDefault(t *testing.T) {
 	store := openTestStore(t, t.TempDir())
-	called := 0
 	e := newTestEngine(t, incrementalOpts())
-	rep, err := e.AnalyzeScan(context.Background(), LoadMap("app", incrementalFiles()), ScanOpts{
-		Store:        store,
-		OnCheckpoint: func(done, total int) { called++ },
-	})
+	rep, err := e.AnalyzeScan(context.Background(), LoadMap("app", incrementalFiles()), ScanOpts{Store: store})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if called != 0 {
-		t.Errorf("OnCheckpoint fired %d time(s) with CheckpointEvery 0", called)
 	}
 	if rep.Stats.Checkpoints != 0 {
 		t.Errorf("Stats.Checkpoints = %d, want 0", rep.Stats.Checkpoints)

@@ -585,11 +585,6 @@ type ScanOpts struct {
 	// I/O for crash warmth and never affect findings: a lost or partial
 	// snapshot only costs re-execution.
 	CheckpointEvery int
-	// OnCheckpoint, when set, runs after each successful checkpoint save
-	// with the dispositioned and total execution-task counts. The scan
-	// service journals a task-checkpoint record here. Called from a worker
-	// goroutine, serialized by the checkpointer's lock.
-	OnCheckpoint func(done, total int)
 	// Resumes is how many crashed attempts of this same job preceded this
 	// scan; it flows into Stats for the durability account.
 	Resumes int
@@ -638,7 +633,7 @@ func (e *Engine) AnalyzeScan(ctx context.Context, p *Project, so ScanOpts) (*Rep
 				n, plural(n, "y", "ies")),
 		})
 	}
-	ck := newCheckpointer(p, plan, so, stats)
+	ck := newCheckpointer(p, plan, so.CheckpointEvery, stats)
 	exec := e.executePlan(ctx, p, plan, stats, ck)
 	return e.mergeScan(ctx, plan, exec, ck, stats, rep, start)
 }

@@ -27,9 +27,9 @@ import (
 //
 // A nil *checkpointer is valid and inert, so call sites need no guards.
 type checkpointer struct {
-	p    *Project
-	plan *scanPlan
-	so   ScanOpts
+	p     *Project
+	plan  *scanPlan
+	every int // ScanOpts.CheckpointEvery
 
 	mu sync.Mutex
 	// fresh accumulates the entries of cleanly completed first-attempt
@@ -40,12 +40,12 @@ type checkpointer struct {
 }
 
 // newCheckpointer returns nil — no persistence — unless a store is attached.
-func newCheckpointer(p *Project, plan *scanPlan, so ScanOpts, stats *statsCollector) *checkpointer {
+func newCheckpointer(p *Project, plan *scanPlan, every int, stats *statsCollector) *checkpointer {
 	if plan.store == nil {
 		return nil
 	}
 	return &checkpointer{
-		p: p, plan: plan, so: so,
+		p: p, plan: plan, every: every,
 		fresh: make(map[string]*resultstore.TaskEntry),
 		stats: stats,
 	}
@@ -75,13 +75,9 @@ func (c *checkpointer) taskDone(i int, findings []*Finding, steps int, persistab
 	if entry != nil {
 		c.fresh[c.plan.fingerprints[i]] = entry
 	}
-	if every := c.so.CheckpointEvery; every > 0 && c.done%every == 0 && c.done < len(c.plan.execIdx) {
-		if c.plan.store.Save(c.snapshot()) != nil {
-			return
-		}
-		c.stats.recordCheckpoint()
-		if c.so.OnCheckpoint != nil {
-			c.so.OnCheckpoint(c.done, len(c.plan.execIdx))
+	if c.every > 0 && c.done%c.every == 0 && c.done < len(c.plan.execIdx) {
+		if c.plan.store.Save(c.snapshot()) == nil {
+			c.stats.recordCheckpoint()
 		}
 	}
 }

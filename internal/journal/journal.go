@@ -3,12 +3,12 @@
 // crash loses no accepted work. The scan service appends one record per
 // lifecycle transition —
 //
-//	accepted   — the job exists; the payload carries the full request, so
-//	             replay can re-admit it without any other state;
-//	started    — a worker picked the job up;
-//	checkpoint — the engine flushed a mid-scan result-store snapshot, so a
-//	             resume comes back warm up to this point;
-//	done       — the job answered; replay must not re-admit it.
+//	accepted — the job exists; the payload carries the full request, so
+//	           replay can re-admit it without any other state;
+//	started  — a worker picked the job up; replay counts every pickup but
+//	           a done job's last as a crashed attempt;
+//	done     — the job answered; the payload carries its error, and replay
+//	           must not re-admit it.
 //
 // On startup the service replays the journal and re-admits every job with
 // an accepted record but no done record. On graceful drain the journal is
@@ -17,17 +17,17 @@
 //
 // The on-disk format is one record per line: an 8-hex-digit CRC32 (IEEE) of
 // the record's JSON, a space, the JSON, a newline. Appends are a single
-// write syscall followed by fsync (unless Options.NoSync), so a crash can
-// only tear the final record. Replay is prefix-correct: it stops at the
-// first record whose CRC, framing or JSON fails, truncates the file back to
-// the last good record, and counts the dropped tail — a torn append costs
-// exactly the record that was being written, never an earlier one. A file
-// whose header is unrecognizable is quarantined (moved aside) and the
-// journal starts fresh; crash-resume degrades to losing the in-flight jobs,
-// never to refusing to start.
+// write syscall followed by fsync, so a crash can only tear the final
+// record. Replay is prefix-correct: it stops at the first record whose CRC,
+// framing or JSON fails, truncates the file back to the last good record,
+// and counts the dropped tail — a torn append costs exactly the record that
+// was being written, never an earlier one. A file whose header is
+// unrecognizable is quarantined (moved aside) and the journal starts fresh;
+// crash-resume degrades to losing the in-flight jobs, never to refusing to
+// start.
 //
 // Unlike the result store (a cache, documented no-fsync), the journal is
-// the source of truth for accepted work and fsyncs every append by default.
+// the source of truth for accepted work and fsyncs every append.
 package journal
 
 import (
@@ -54,10 +54,9 @@ type Kind string
 
 // Record kinds.
 const (
-	JobAccepted    Kind = "accepted"
-	JobStarted     Kind = "started"
-	TaskCheckpoint Kind = "checkpoint"
-	JobDone        Kind = "done"
+	JobAccepted Kind = "accepted"
+	JobStarted  Kind = "started"
+	JobDone     Kind = "done"
 )
 
 // Record is one journal entry.
@@ -72,7 +71,7 @@ type Record struct {
 	// UnixMS is the append wall-clock time (informational).
 	UnixMS int64 `json:"unix_ms,omitempty"`
 	// Payload is kind-specific: the full scan request on accepted records,
-	// progress counters on checkpoints, the outcome on done records.
+	// the outcome on done records, nothing on started records.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -80,10 +79,6 @@ type Record struct {
 type Options struct {
 	// FS is the filesystem seam; nil uses chaos.OS. Tests inject faults here.
 	FS chaos.FS
-	// NoSync skips the per-append fsync. A crash may then lose the final
-	// records (the tail is still detected and dropped on replay); use it
-	// only where losing accepted jobs is acceptable.
-	NoSync bool
 }
 
 // Counters is the journal's observability account.
@@ -92,8 +87,8 @@ type Counters struct {
 	Appended int64 `json:"appended"`
 	// Replayed counts records recovered by Open.
 	Replayed int64 `json:"replayed"`
-	// DroppedBytes counts tail bytes Open discarded (torn final append) and
-	// DroppedRecords the records lost to corruption mid-file.
+	// DroppedBytes counts the bytes Open discarded past the last valid
+	// record: a torn final append, or everything from a corrupt record on.
 	DroppedBytes int64 `json:"dropped_bytes,omitempty"`
 	// Quarantined counts whole files moved aside for an unrecognizable
 	// header.
@@ -109,7 +104,6 @@ type Counters struct {
 type Journal struct {
 	path string
 	fs   chaos.FS
-	sync bool
 
 	mu       sync.Mutex
 	f        chaos.File
@@ -135,7 +129,7 @@ func Open(path string, opts Options) (*Journal, []Record, error) {
 	if fsys == nil {
 		fsys = chaos.OS
 	}
-	j := &Journal{path: path, fs: fsys, sync: !opts.NoSync}
+	j := &Journal{path: path, fs: fsys}
 	if dir := filepath.Dir(path); dir != "" && dir != "." {
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
@@ -223,17 +217,15 @@ func (j *Journal) replay() ([]Record, error) {
 	return records, nil
 }
 
-// parseRecord decodes one "crc8hex json" line.
+// parseRecord decodes one "crc8hex json" line. The CRC must be spelled
+// exactly as encodeRecord writes it (8 lowercase hex digits), so every
+// replayed record re-encodes to the bytes it was read from.
 func parseRecord(line []byte) (Record, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return Record{}, false
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return Record{}, false
-	}
 	body := line[9:]
-	if crc32.ChecksumIEEE(body) != want {
+	if !bytes.Equal(line[:8], fmt.Appendf(nil, "%08x", crc32.ChecksumIEEE(body))) {
 		return Record{}, false
 	}
 	var rec Record
@@ -286,11 +278,9 @@ func (j *Journal) Append(kind Kind, job string, payload any) (int64, error) {
 		j.appendErrs.Add(1)
 		return 0, fmt.Errorf("journal: append %s: %w", kind, err)
 	}
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			j.appendErrs.Add(1)
-			return 0, fmt.Errorf("journal: sync: %w", err)
-		}
+	if err := j.f.Sync(); err != nil {
+		j.appendErrs.Add(1)
+		return 0, fmt.Errorf("journal: sync: %w", err)
 	}
 	j.appended.Add(1)
 	return rec.Seq, nil
@@ -317,7 +307,7 @@ func (j *Journal) Compact(keep []Record) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := chaos.WriteFileAtomic(j.fs, j.path, buf.Bytes(), 0o644, j.sync); err != nil {
+	if err := chaos.WriteFileAtomic(j.fs, j.path, buf.Bytes(), 0o644, true); err != nil {
 		return fmt.Errorf("journal: compact %s: %w", j.path, err)
 	}
 	if j.f != nil {
@@ -338,9 +328,6 @@ func (j *Journal) Compact(keep []Record) error {
 
 // Replayed returns the records Open recovered from the previous generation.
 func (j *Journal) Replayed() []Record { return j.replayed }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
 
 // Counters returns the journal's observability account.
 func (j *Journal) Counters() Counters {

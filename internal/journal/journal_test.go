@@ -32,7 +32,7 @@ func TestRoundTrip(t *testing.T) {
 		N int `json:"n"`
 	}
 	var seqs []int64
-	for i, kind := range []Kind{JobAccepted, JobStarted, TaskCheckpoint, JobDone} {
+	for i, kind := range []Kind{JobAccepted, JobStarted, JobDone} {
 		seq, err := j.Append(kind, "job-1", payload{N: i})
 		if err != nil {
 			t.Fatalf("Append(%s): %v", kind, err)
@@ -47,8 +47,8 @@ func TestRoundTrip(t *testing.T) {
 	j.Close()
 
 	j2, recs := openT(t, path, Options{})
-	if len(recs) != 4 {
-		t.Fatalf("replayed %d records, want 4", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("replayed %d records, want 3", len(recs))
 	}
 	for i, rec := range recs {
 		if rec.Job != "job-1" || rec.Seq != seqs[i] {
@@ -59,7 +59,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("record %d payload = %s (%v)", i, rec.Payload, err)
 		}
 	}
-	if got := j2.Counters().Replayed; got != 4 {
+	if got := j2.Counters().Replayed; got != 3 {
 		t.Errorf("Counters().Replayed = %d", got)
 	}
 	// Appends after replay continue the sequence.
@@ -236,21 +236,13 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
-func TestNoSyncSkipsFsync(t *testing.T) {
+func TestAppendFsyncs(t *testing.T) {
 	in := chaos.NewInjector(nil)
-	j, _ := openT(t, filepath.Join(t.TempDir(), "j"), Options{FS: in, NoSync: true})
+	j, _ := openT(t, filepath.Join(t.TempDir(), "j"), Options{FS: in})
 	if _, err := j.Append(JobAccepted, "job-1", nil); err != nil {
 		t.Fatal(err)
 	}
-	if in.OpCount(chaos.OpSync) != 0 {
-		t.Errorf("NoSync journal synced %d time(s)", in.OpCount(chaos.OpSync))
-	}
-	j2, _ := openT(t, filepath.Join(t.TempDir(), "j2"), Options{FS: chaos.NewInjector(nil)})
-	in2 := j2.fs.(*chaos.Injector)
-	if _, err := j2.Append(JobAccepted, "job-1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if in2.OpCount(chaos.OpSync) == 0 {
+	if in.OpCount(chaos.OpSync) == 0 {
 		t.Errorf("default journal did not fsync the append")
 	}
 }
@@ -281,7 +273,7 @@ func TestAppendFaultSurfaces(t *testing.T) {
 func TestShortWriteAppendDropsOnlyTornRecord(t *testing.T) {
 	in := chaos.NewInjector(nil)
 	path := filepath.Join(t.TempDir(), "j")
-	j, _ := openT(t, path, Options{FS: in, NoSync: true})
+	j, _ := openT(t, path, Options{FS: in})
 	j.Append(JobAccepted, "job-1", nil)
 	j.Append(JobStarted, "job-1", nil)
 	in.Add(chaos.Rule{Op: chaos.OpWrite, Mode: chaos.ShortWrite, Count: 1})

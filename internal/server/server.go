@@ -14,11 +14,11 @@
 //  4. durability — async jobs ("async": true, answered 202 with a job ID
 //     and polled via GET /jobs/{id}) are journaled through a write-ahead
 //     log: accepted before the 202, started when a worker picks them up,
-//     checkpointed as the engine flushes mid-scan store snapshots, done
-//     when answered. On startup the journal replays and every incomplete
-//     job is re-admitted through the same bounded queue; its resumed scan
-//     comes back warm from the result store's checkpoints and produces a
-//     report byte-identical to an uninterrupted run;
+//     done (with the job's error) when answered. On startup the journal
+//     replays and every incomplete job is re-admitted through the same
+//     bounded queue; its resumed scan comes back warm from the mid-scan
+//     snapshots the engine saved to the result store and produces a report
+//     byte-identical to an uninterrupted run;
 //  5. lifecycle — SIGTERM/SIGINT drains gracefully: admission stops,
 //     in-flight jobs finish (or are force-cancelled — sync jobs into
 //     partial reports, durable async jobs back into the journal for the
@@ -58,11 +58,11 @@ const (
 	DefaultDrainTimeout = 30 * time.Second
 	DefaultJobTimeout   = 2 * time.Minute
 	DefaultMaxTimeout   = 10 * time.Minute
-	DefaultRetryAfter   = 2 * time.Second
-	// DefaultCheckpointEvery is the checkpoint cadence (dispositioned tasks
-	// per mid-scan snapshot) applied to durable jobs when
-	// Config.CheckpointEvery is zero.
-	DefaultCheckpointEvery = 16
+	// retryAfterSecs is the Retry-After hint sent with every 429.
+	retryAfterSecs = "2"
+	// durableCheckpointEvery is how many dispositioned engine tasks pass
+	// between the mid-scan result-store snapshots of a durable job.
+	durableCheckpointEvery = 16
 	// maxRequestBytes bounds an uploaded tree (64 MiB).
 	maxRequestBytes = 64 << 20
 
@@ -107,13 +107,11 @@ type Config struct {
 	// ReportDir, when set, persists every completed report atomically as
 	// <ReportDir>/<job-id>.json.
 	ReportDir string
-	// RetryAfter is the hint returned with 429 responses.
-	RetryAfter time.Duration
 	// Store, when set, backs incremental scan requests: jobs with
 	// "incremental": true reuse the store's per-task results and persist
 	// their own. Requests without the field never touch the store — except
 	// durable async jobs (see Journal), which always run against it so
-	// their mid-scan checkpoints make a crash resume warm.
+	// their mid-scan snapshots make a crash resume warm.
 	Store *resultstore.Store
 	// Journal, when set, makes async jobs durable: every lifecycle
 	// transition is appended to this write-ahead journal, New replays it
@@ -121,11 +119,6 @@ type Config struct {
 	// owns appends and compaction but not Close; the caller that opened
 	// the journal closes it after Drain.
 	Journal *journal.Journal
-	// CheckpointEvery is how many dispositioned engine tasks pass between
-	// mid-scan result-store checkpoints of a durable job. 0 applies
-	// DefaultCheckpointEvery; negative disables mid-scan checkpoints
-	// (resumes then restart from the last complete scan's snapshot).
-	CheckpointEvery int
 	// WeaponsDir, when set, persists weapons admitted through POST /weapons
 	// as <name>.weapon files and replays them at startup, so a hot-reloaded
 	// weapon survives a restart. Empty keeps admitted weapons in memory only.
@@ -194,8 +187,9 @@ type JobStatus struct {
 	// Resumes counts crashed attempts that preceded the current one.
 	Resumes int `json:"resumes,omitempty"`
 	// Result carries the job's response once Status is done. A done job
-	// replayed from a prior process has its report re-read from ReportDir;
-	// without a report directory the result of such a job is unavailable.
+	// replayed from a prior process carries the error its done record kept
+	// and has its report re-read from ReportDir; with neither, Result is
+	// absent.
 	Result *ScanResponse `json:"result,omitempty"`
 }
 
@@ -223,6 +217,9 @@ type jobState struct {
 	// job's next generation counts them as additional resumes.
 	started int
 	resp    *ScanResponse
+	// doneErr is the error of a done job replayed from the journal, whose
+	// resp did not survive the process.
+	doneErr string
 	req     ScanRequest
 	// acceptedSeq/acceptedMS echo the job's accepted journal record so
 	// compaction can rewrite it without re-reading the journal.
@@ -237,12 +234,6 @@ type acceptedPayload struct {
 	// Resumes carries crashed-attempt counts across compactions (compaction
 	// drops the started records that would otherwise witness them).
 	Resumes int `json:"resumes,omitempty"`
-}
-
-// checkpointPayload is the journal payload of a task-checkpoint record.
-type checkpointPayload struct {
-	Done  int `json:"done"`
-	Total int `json:"total"`
 }
 
 // donePayload is the journal payload of a job-done record.
@@ -330,9 +321,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.ReadHeaderTimeout == 0 {
 		cfg.ReadHeaderTimeout = DefaultReadHeaderTimeout
 	}
@@ -406,14 +394,21 @@ func (s *Server) replayJournal() {
 				req: pl.Req, acceptedSeq: rec.Seq, acceptedMS: rec.UnixMS,
 			}
 		case journal.JobStarted:
-			// Each pickup the crashed process logged is one lost attempt.
+			// Each pickup the crashed process logged is one lost attempt...
 			if st := s.jobs[rec.Job]; st != nil {
 				st.resumes++
 			}
 		case journal.JobDone:
 			if st := s.jobs[rec.Job]; st != nil {
+				var pl donePayload
+				_ = json.Unmarshal(rec.Payload, &pl) // a bad payload still marks the job done
 				st.status = StatusDone
+				st.doneErr = pl.Error
 				st.req = ScanRequest{}
+				// ...except the one that finished the job.
+				if st.resumes > 0 {
+					st.resumes--
+				}
 			}
 		}
 	}
@@ -554,14 +549,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errQueueFull):
 		s.rejected.Add(1)
 		s.dropRejected(j)
-		// Round the hint up: sub-second configs must hint 1, never 0
-		// (Retry-After: 0 reads as "retry immediately" — the opposite of
-		// backpressure).
-		secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", retryAfterSecs)
 		writeError(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.Is(err, errDraining):
@@ -598,9 +586,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobMu.Lock()
 	st := s.jobs[id]
-	var out JobStatus
+	var (
+		out     JobStatus
+		doneErr string
+	)
 	if st != nil {
 		out = JobStatus{ID: st.id, Status: st.status, Resumes: st.resumes, Result: st.resp}
+		doneErr = st.doneErr
 	}
 	s.jobMu.Unlock()
 	if st == nil {
@@ -608,10 +600,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out.Status == StatusDone && out.Result == nil {
-		// The job completed in a previous process; its response lives only
-		// in the report artifact.
-		if rep := s.loadReportArtifact(id); rep != nil {
-			out.Result = &ScanResponse{ID: id, Report: rep}
+		// The job completed in a previous process: its error survives in the
+		// done record, its report only in the report artifact.
+		res := &ScanResponse{ID: id, Error: doneErr, Report: s.loadReportArtifact(id)}
+		if res.Error != "" || res.Report != nil {
+			out.Result = res
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -709,8 +702,8 @@ func (s *Server) runJob(j *job) {
 		store = s.cfg.Store
 	}
 	if durable {
-		// Durable jobs always run against the store: the checkpoints it
-		// absorbs are what make a resumed attempt warm rather than a
+		// Durable jobs always run against the store: the mid-scan snapshots
+		// it absorbs are what make a resumed attempt warm rather than a
 		// from-scratch re-run. Findings are byte-identical either way.
 		store = s.cfg.Store
 	}
@@ -730,19 +723,15 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	so := core.ScanOpts{Store: store, Resumes: j.resumes}
-	if durable && store != nil {
-		so.CheckpointEvery = s.checkpointEvery()
-		id := j.id
-		so.OnCheckpoint = func(done, total int) {
-			s.journalAppend(journal.TaskCheckpoint, id, checkpointPayload{Done: done, Total: total})
-		}
+	if durable {
+		so.CheckpointEvery = durableCheckpointEvery // inert without a store
 	}
 	rep, err := s.engine().AnalyzeScan(ctx, proj, so)
 	if err != nil {
 		if durable && errors.Is(err, context.Canceled) {
 			// An async job's context has no client to die with, so Canceled
-			// can only mean the drain force-cancel. Its checkpoints are
-			// already persisted and its accepted record survives
+			// can only mean the drain force-cancel. Its mid-scan snapshots
+			// are already persisted and its accepted record survives
 			// compaction; suspend it for the next start to resume.
 			s.suspendJob(j.id)
 			return
@@ -769,24 +758,15 @@ func (s *Server) runJob(j *job) {
 	s.finishJob(j, resp)
 }
 
-// checkpointEvery resolves the durable-job checkpoint cadence.
-func (s *Server) checkpointEvery() int {
-	switch {
-	case s.cfg.CheckpointEvery > 0:
-		return s.cfg.CheckpointEvery
-	case s.cfg.CheckpointEvery < 0:
-		return 0
-	default:
-		return DefaultCheckpointEvery
-	}
-}
-
-// finishJob dispositions a completed job: async jobs keep their response for
-// GET /jobs/{id} and get a done journal record; sync jobs hand the response
-// to the waiting connection. A done job's request (its uploaded source tree)
-// is dropped: only compaction reads it, and compaction skips done jobs.
+// finishJob dispositions a completed job: async jobs get a done journal
+// record and then keep their response for GET /jobs/{id} — in that order, so
+// a client that reads done never outruns the record; sync jobs hand the
+// response to the waiting connection. A done job's request (its uploaded
+// source tree) is dropped: only compaction reads it, and compaction skips
+// done jobs.
 func (s *Server) finishJob(j *job, resp *ScanResponse) {
 	if j.async {
+		s.journalAppend(journal.JobDone, j.id, donePayload{Error: resp.Error})
 		s.jobMu.Lock()
 		if st := s.jobs[j.id]; st != nil {
 			st.status = StatusDone
@@ -794,7 +774,6 @@ func (s *Server) finishJob(j *job, resp *ScanResponse) {
 			st.req = ScanRequest{}
 		}
 		s.jobMu.Unlock()
-		s.journalAppend(journal.JobDone, j.id, donePayload{Error: resp.Error})
 	}
 	j.done <- resp
 }

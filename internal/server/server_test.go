@@ -154,7 +154,7 @@ func TestScanRequestValidation(t *testing.T) {
 func TestSaturatedQueueGets429(t *testing.T) {
 	gate := make(chan struct{})
 	eng := testEngine(t, func(string, vuln.ClassID) { <-gate })
-	s, hs := newTestServer(t, Config{Engine: eng, Workers: 1, QueueDepth: 1, RetryAfter: 7 * time.Second})
+	s, hs := newTestServer(t, Config{Engine: eng, Workers: 1, QueueDepth: 1})
 
 	type result struct {
 		code int
@@ -180,8 +180,8 @@ func TestSaturatedQueueGets429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Errorf("Retry-After = %q, want \"7\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After = %q, want \"2\"", ra)
 	}
 	var h health
 	if code := getJSON(t, hs.URL+"/readyz", &h); code != http.StatusServiceUnavailable {
