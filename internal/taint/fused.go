@@ -1146,14 +1146,15 @@ func hasSink(a *Analyzer, name string, method bool) bool {
 // ---------------------------------------------------------------------------
 
 // sanitizerValue builds the sanitized result of a plain call: clean, tagged
-// with the sanitizer name plus every argument's sanitizer tags (per lane).
+// with the sanitizer name plus every argument's sanitizer tags, each name
+// once (per lane).
 // Lanes that agree on every argument share one built Value.
 func (fz *Fused) sanitizerValue(name string, args []fval, m laneMask) fval {
 	build := func(l int) Value {
 		v := clean()
-		v.Sanitizers = append(v.Sanitizers, name)
+		v.Sanitizers = []string{name}
 		for _, av := range args {
-			v.Sanitizers = append(v.Sanitizers, av.get(l).Sanitizers...)
+			v.Sanitizers = dedupStrings(v.Sanitizers, av.get(l).Sanitizers)
 		}
 		return v
 	}

@@ -58,11 +58,14 @@ const (
 	maxSources    = 16
 )
 
-// merge combines v with other, unioning taint.
+// merge combines v with other, unioning taint. Sources and trace steps
+// concatenate, because every hop really happened in order; sanitizer names
+// are a set (first occurrence wins), or `$a = $a . $a;` would double the
+// list on every line.
 func (v Value) merge(other Value) Value {
 	out := Value{Tainted: v.Tainted || other.Tainted}
 	out.Sources = capSlice(append(append([]Source{}, v.Sources...), other.Sources...), maxSources)
-	out.Sanitizers = append(append([]string{}, v.Sanitizers...), other.Sanitizers...)
+	out.Sanitizers = dedupStrings(v.Sanitizers, other.Sanitizers)
 	out.Trace = capSlice(append(append([]Step{}, v.Trace...), other.Trace...), maxTraceSteps)
 	return out
 }
