@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/resultstore"
+	"repro/internal/taint"
 	"repro/internal/vuln"
 )
 
@@ -76,6 +77,10 @@ func (e *Engine) configDigest() string {
 		// the lowering) rotates every fingerprint, so incremental stores
 		// filled under older lowering rules self-invalidate.
 		put("ir-rev=%d", ir.Revision)
+		// The taint revision: bumping taint.Revision (a change in what a
+		// finding's sources, sanitizers or trace hold) does the same for
+		// stores whose snapshots carry findings built under older rules.
+		put("taint-rev=%d", taint.Revision)
 		e.digestVal = hex.EncodeToString(h.Sum(nil))
 	})
 	return e.digestVal

@@ -22,6 +22,13 @@ import (
 	"repro/internal/vuln"
 )
 
+// Revision identifies what a finding's provenance holds: its sources,
+// sanitizer names and trace. It participates in the scan engine's config
+// digest, so bumping it invalidates incremental result stores whose
+// snapshots carry findings built under older rules. Revision 1 is the first
+// where concatenation lists each sanitizer name once.
+const Revision = 1
+
 // Source records one entry-point occurrence feeding a tainted value.
 type Source struct {
 	// Name is the human-readable entry point, e.g. "$_GET[id]" or
