@@ -1,0 +1,96 @@
+//go:build !race
+
+// The race detector makes sync.Pool drop Puts at random, so these bounds
+// only hold in a normal build.
+
+package taint_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/ir"
+	"repro/internal/php/parser"
+	"repro/internal/taint"
+	"repro/internal/vuln"
+	"repro/internal/weapon"
+)
+
+// TestFusedAllocBudget pins what carrying provenance as an immutable graph
+// buys: one fused pass of every built-in class plus the generated weapons
+// over the largest file of the large-cold app. A value is its taint bit
+// plus one node pointer, so a merge allocates one node instead of copying
+// three slices, and sources, sanitizers and trace are built only for the
+// findings at sinks.
+func TestFusedAllocBudget(t *testing.T) {
+	var path, src string
+	for p, s := range corpus.LargeApp(2016, 120, 40).Files {
+		if len(s) > len(src) || (len(s) == len(src) && p < path) {
+			path, src = p, s
+		}
+	}
+	f, errs := parser.Parse(path, src)
+	if len(errs) > 0 {
+		t.Fatalf("parse errors: %v", errs)
+	}
+	fir := ir.LowerFile(f)
+
+	classes := vuln.All()
+	seen := make(map[vuln.ClassID]bool)
+	for _, c := range classes {
+		seen[c.ID] = true
+	}
+	for _, spec := range weapon.BuiltinSpecs() {
+		w, err := weapon.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !seen[w.Class.ID] {
+			seen[w.Class.ID] = true
+			classes = append(classes, w.Class)
+		}
+	}
+	cfgs := make([]taint.Config, len(classes))
+	for i, c := range classes {
+		cfgs[i] = taint.Config{Class: c}
+	}
+	pass := func() int {
+		fz := taint.NewFused(cfgs)
+		fz.FileIR(f, fir, nil)
+		n := 0
+		for l := range cfgs {
+			n += len(fz.Candidates(l))
+		}
+		return n
+	}
+
+	const n = 20
+	cands := pass() // fill the register pool
+	if cands == 0 {
+		t.Fatalf("%s: no candidates; the pass must reach sinks to pin their cost", path)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / n
+	bytes := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%s, %d lanes, %d candidates: %d allocs/pass, %d B/pass", path, len(cfgs), cands, allocs, bytes)
+	if allocs > allocBound {
+		t.Errorf("fused pass: %d allocs, bound %d (do values still copy provenance slices?)", allocs, allocBound)
+	}
+	if bytes > bytesBound {
+		t.Errorf("fused pass: %d B, bound %d (do values still copy provenance slices?)", bytes, bytesBound)
+	}
+}
+
+// The bounds sit between the two representations: this pass takes about
+// 360 allocations and 40 KB; with a value carrying its sources, sanitizers
+// and trace as slices it took about 880 allocations and 82 KB.
+const (
+	allocBound = 500
+	bytesBound = 56 << 10
+)

@@ -10,8 +10,8 @@
 //
 //   - the call is a top-level inline (depth 0, no recursion guard active),
 //     so the producing and consuming analyses start from identical contexts;
-//   - every argument is a zero Value (untainted, with no sources, sanitizers
-//     or trace), so the summary embeds no caller- or file-specific metadata;
+//   - every argument is the zero value (untainted, with no provenance), so
+//     the summary embeds no caller- or file-specific metadata;
 //   - every function or method name resolved while computing the summary is
 //     declared exactly once project-wide, so the analyzed file's local
 //     declaration table cannot change what the body means
@@ -51,17 +51,20 @@ type SummaryKey struct {
 // parameter, re-applied to the consumer's argument expression on replay.
 type byrefOut struct {
 	idx int
-	val Value
+	val tval
 }
 
 // sharedEntry is the full externally visible effect of one top-level inline
 // call with zero-content arguments.
 type sharedEntry struct {
 	// ret is the summary return value, before the call-site trace step.
-	ret Value
+	// Its provenance nodes are immutable, so consumers in other tasks share
+	// them.
+	ret tval
 	// cands are the candidates reported while analyzing the body, in
-	// traversal order, captured before per-task dedup. Candidate.File is
-	// rewritten to the consumer's file on replay.
+	// traversal order, captured before per-task dedup, with their values
+	// materialized. Candidate.File is rewritten to the consumer's file on
+	// replay.
 	cands []*Candidate
 	// byref are the by-reference parameter effects.
 	byref []byrefOut
@@ -167,12 +170,6 @@ func (a *Analyzer) noteResolution(name string) {
 	if !ok || rep.AmbiguousCallable(name) {
 		a.fill.impure = true
 	}
-}
-
-// zeroValue reports whether v carries no taint and no metadata — the only
-// argument shape whose summaries are caller- and file-independent.
-func zeroValue(v Value) bool {
-	return !v.Tainted && len(v.Sources) == 0 && len(v.Sanitizers) == 0 && len(v.Trace) == 0
 }
 
 // sharedLookup returns a consumable committed entry for k. An entry whose

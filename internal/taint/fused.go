@@ -2,8 +2,8 @@
 // single traversal of its lowered form. Each lane is a fully configured
 // Analyzer — its candidate list, memo tables, shared-cache bookkeeping and
 // step count keep per-(file, class) granularity — but the instruction tape
-// is interpreted once, carrying fval cells (one taint Value per lane,
-// collapsed to a single shared Value while lanes agree). A single class is
+// is interpreted once, carrying fval cells (one taint value per lane,
+// collapsed to a single shared value while lanes agree). A single class is
 // simply a one-lane pass (Analyzer.FileIR).
 //
 // Lanes are independent: after a pass, every lane's candidates, step count
@@ -13,9 +13,9 @@
 // points, sinks, per-lane memo and shared-cache hits), and at those points
 // the evaluation splits into per-lane values or narrowed sub-masks that
 // reproduce each lane's own semantics exactly — including join's
-// slice-identity fast paths, because a uniform cell holds one Value playing
-// the role of the isomorphic per-lane values, and a spilled cell holds each
-// lane's own value with its slice identity preserved by struct copying.
+// identity fast path, because a uniform cell holds one provenance node
+// playing the role of the isomorphic per-lane values, and a spilled cell
+// holds each lane's own node.
 //
 // Step budgets are per lane. The instruction that would take a lane past
 // its budget is not executed for it: the lane leaves every active mask and
@@ -27,7 +27,6 @@
 package taint
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +77,10 @@ type Fused struct {
 	ctxSteps int
 	maxBase  int
 	pollCtr  int
+
+	// mat builds the provenance of findings and memo-key arguments, each
+	// node once per pass; every lane shares it.
+	mat materializer
 }
 
 // NewFused builds a fused evaluator with one analyzer lane per config. All
@@ -240,7 +243,9 @@ func (fz *Fused) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) bool {
 		a.sharedHits = 0
 		a.sharedMisses = 0
 		a.transferHits = 0
+		a.mat = &fz.mat
 	}
+	fz.mat = materializer{}
 	fz.astFile = f
 	fz.prov = &irProvider{file: fir, prov: prov}
 	fz.live = fz.full
@@ -439,8 +444,8 @@ func (fz *Fused) envGet(e *fenv, name string, act laneMask) fval {
 	if act.andNot(c.present).empty() {
 		return restrictF(c.v, act)
 	}
-	if c.v.segs == nil && zeroValue(c.v.uni) {
-		// Absent lanes read the zero Value; a bottom uniform cell is
+	if c.v.uniform() && zeroValue(c.v.uni) {
+		// Absent lanes read the zero value; a bottom uniform cell is
 		// indistinguishable from it under merge and join.
 		return fval{}
 	}
@@ -481,16 +486,16 @@ func (fz *Fused) envMergeSet(e *fenv, name string, v fval, m laneMask) {
 	case !ok:
 		// join(clean, v) is v, identity preserved.
 		e.vars[name] = fcell{present: m, v: restrictF(v, m)}
-	case c.present.eq(m) && c.v.segs == nil && v.segs == nil:
+	case c.present.eq(m) && c.v.uniform() && v.uniform():
 		e.vars[name] = fcell{present: m, v: fuseUniform(join(c.v.uni, v.uni), m)}
 	default:
 		b := fvalParts{act: c.present.or(m)}
 		b.addF(c.present.andNot(m), c.v)
-		v.forEachSeg(m, func(g laneMask, vv Value) {
+		v.forEachSeg(m, func(g laneMask, vv tval) {
 			if ab := g.andNot(c.present); !ab.empty() {
-				b.addV(ab, join(Value{}, vv))
+				b.addV(ab, join(tval{}, vv))
 			}
-			c.v.forEachSeg(g.and(c.present), func(g2 laneMask, cv Value) {
+			c.v.forEachSeg(g.and(c.present), func(g2 laneMask, cv tval) {
 				b.addV(g2, join(cv, vv))
 			})
 		})
@@ -530,7 +535,7 @@ func (fz *Fused) envMergeFrom(e *fenv, snap map[string]fcell, skip map[string]la
 			}
 			continue
 		}
-		if sv.v.segs == nil && cur.v.segs == nil && tm.eq(apply) && cur.present.eq(apply) {
+		if sv.v.uniform() && cur.v.uniform() && tm.eq(apply) && cur.present.eq(apply) {
 			// Uniform join across exactly the applied lanes.
 			e.vars[k] = fcell{present: apply, v: fuseUniform(join(cur.v.uni, sv.v.uni), apply)}
 			continue
@@ -539,11 +544,11 @@ func (fz *Fused) envMergeFrom(e *fenv, snap map[string]fcell, skip map[string]la
 		// is tainted), handled by addV's taint bits.
 		b := fvalParts{act: cur.present.or(tm).or(um)}
 		b.addF(cur.present.andNot(tm), cur.v)
-		sv.v.forEachSeg(tm, func(g laneMask, svv Value) {
+		sv.v.forEachSeg(tm, func(g laneMask, svv tval) {
 			if ab := g.andNot(cur.present); !ab.empty() {
-				b.addV(ab, join(Value{}, svv))
+				b.addV(ab, join(tval{}, svv))
 			}
-			cur.v.forEachSeg(g.and(cur.present), func(g2 laneMask, cv Value) {
+			cur.v.forEachSeg(g.and(cur.present), func(g2 laneMask, cv tval) {
 				b.addV(g2, join(cv, svv))
 			})
 		})
@@ -650,12 +655,12 @@ func (fz *Fused) runSwitch(r *ir.Region, fr *fframe) {
 		allUniform := true
 		for _, s := range snaps {
 			sc := s[k]
-			if sc.v.segs != nil || !km.andNot(sc.present).empty() {
+			if !sc.v.uniform() || !km.andNot(sc.present).empty() {
 				allUniform = false
 				break
 			}
 		}
-		if allUniform && cur.v.segs == nil && cur.present.eq(km) {
+		if allUniform && cur.v.uniform() && cur.present.eq(km) {
 			v := snaps[0][k].v.uni
 			for _, s := range snaps[1:] {
 				v = join(v, s[k].v.uni)
@@ -673,12 +678,12 @@ func (fz *Fused) runSwitch(r *ir.Region, fr *fframe) {
 		b.addF(cur.present.andNot(km), cur.v)
 		for _, p := range parts {
 			l := p.first()
-			var v Value
+			var v tval
 			if sc := snaps[0][k]; sc.present.has(l) {
 				v = sc.v.get(l)
 			}
 			for _, s := range snaps[1:] {
-				var sv Value
+				var sv tval
 				if sc := s[k]; sc.present.has(l) {
 					sv = sc.v.get(l)
 				}
@@ -717,16 +722,17 @@ func (fz *Fused) runBlockValue(b *ir.Block, fr *fframe) fval {
 // Fused value operations
 // ---------------------------------------------------------------------------
 
-// fmerge is per-lane Value.merge. Uniform inputs merge once on the shared
-// Value — the result each lane's isomorphic merge would build.
+// fmerge is per-lane concatenation. Uniform inputs concatenate once on the
+// shared value — the result each lane's isomorphic concatenation would
+// build.
 func (fz *Fused) fmerge(a, b fval, act laneMask) fval {
-	if a.segs == nil && b.segs == nil {
-		return fuseUniform(a.uni.merge(b.uni), act)
+	if a.uniform() && b.uniform() {
+		return fuseUniform(cat(a.uni, b.uni), act)
 	}
 	out := fvalParts{act: act}
-	a.forEachSeg(act, func(g laneMask, av Value) {
-		b.forEachSeg(g, func(g2 laneMask, bv Value) {
-			out.addV(g2, av.merge(bv))
+	a.forEachSeg(act, func(g laneMask, av tval) {
+		b.forEachSeg(g, func(g2 laneMask, bv tval) {
+			out.addV(g2, cat(av, bv))
 		})
 	})
 	return out.finish()
@@ -742,18 +748,21 @@ func (fz *Fused) fmergeAll(args []fval, act laneMask) fval {
 
 // withStep appends a trace step to every tainted lane, copy-on-write so
 // stored fvals sharing a segs slice are never mutated. A segment straddling
-// the tainted mask splits at the boundary; the in-mask piece gets one
-// appended trace (the same append each of its lanes would perform alone).
-// The step is at node, a node of fr's function.
-func (fz *Fused) withStep(v fval, act laneMask, fr *fframe, desc string, node ast.Node) fval {
+// the tainted mask splits at the boundary; the in-mask piece gets one step
+// node (the same step each of its lanes would append alone). The step is
+// at ins, an instruction of fr's function; kind and desc are as for
+// tval.step.
+func (fz *Fused) withStep(v fval, act laneMask, fr *fframe, ins *ir.Instr, kind pkind, desc string) fval {
 	tm := v.mask.and(act)
 	if tm.empty() {
 		return v
 	}
-	st := Step{Pos: fr.at(node), Desc: desc, Node: node}
 	if v.segs == nil {
-		v.uni.Trace = append(v.uni.Trace, st)
-		return v
+		if v.part.andNot(tm).empty() {
+			v.uni = v.uni.step(kind, desc, ins, fr.lines)
+			return v
+		}
+		v.segs, v.part = []fvalSeg{{m: v.part, v: v.uni}}, laneMask{}
 	}
 	segs := make([]fvalSeg, 0, len(v.segs)+1)
 	for _, s := range v.segs {
@@ -765,16 +774,14 @@ func (fz *Fused) withStep(v fval, act laneMask, fr *fframe, desc string, node as
 		if rest := s.m.andNot(tm); !rest.empty() {
 			segs = append(segs, fvalSeg{m: rest, v: s.v})
 		}
-		sv := s.v
-		sv.Trace = append(sv.Trace, st)
-		segs = append(segs, fvalSeg{m: in, v: sv})
+		segs = append(segs, fvalSeg{m: in, v: s.v.step(kind, desc, ins, fr.lines)})
 	}
 	v.segs = segs
 	return v
 }
 
 // refineCell splits parts along a cell's segmentation, with the cell's
-// absent lanes forming their own group (they read the zero Value). Parts
+// absent lanes forming their own group (they read the zero value). Parts
 // stay disjoint.
 func refineCell(parts []laneMask, c fcell) []laneMask {
 	out := make([]laneMask, 0, len(parts)+2)
@@ -782,16 +789,16 @@ func refineCell(parts []laneMask, c fcell) []laneMask {
 		if ab := p.andNot(c.present); !ab.empty() {
 			out = append(out, ab)
 		}
-		c.v.forEachSeg(p.and(c.present), func(g laneMask, _ Value) { out = append(out, g) })
+		c.v.forEachSeg(p.and(c.present), func(g laneMask, _ tval) { out = append(out, g) })
 	}
 	return out
 }
 
 // fvalParts assembles a result value from disjoint lane pieces: fused
-// sub-results grafted with addF, single shared Values attached with addV.
+// sub-results grafted with addF, single shared values attached with addV.
 // The taint mask accumulates by mask algebra — addF clamps each piece's own
-// mask to its lanes, addV uses the Value's taint bit — never by re-deriving
-// from stored Values, so restriction-clamped masks stay clamped. finish
+// mask to its lanes, addV uses the value's taint bit — never by re-deriving
+// from stored values, so restriction-clamped masks stay clamped. finish
 // collapses back to a uniform cell when one piece covers every active lane.
 // The first piece is held inline: most results have one piece and collapse,
 // so the pieces slice is only allocated once a second piece arrives.
@@ -821,15 +828,15 @@ func (b *fvalParts) addF(m laneMask, v fval) {
 		return
 	}
 	b.mask = b.mask.or(v.mask.and(m))
-	v.forEachSeg(m, func(g laneMask, val Value) {
+	v.forEachSeg(m, func(g laneMask, val tval) {
 		if !zeroValue(val) {
 			b.push(fvalSeg{m: g, v: val})
 		}
 	})
 }
 
-// addV attaches one shared Value for the lanes in m.
-func (b *fvalParts) addV(m laneMask, val Value) {
+// addV attaches one shared value for the lanes in m.
+func (b *fvalParts) addV(m laneMask, val tval) {
 	if m.empty() {
 		return
 	}
@@ -848,7 +855,7 @@ func (b *fvalParts) finish() fval {
 	case b.n == 1 && b.act.andNot(b.first.m).empty():
 		return fval{mask: b.mask, uni: b.first.v}
 	case b.n == 1:
-		return fval{mask: b.mask, segs: []fvalSeg{b.first}}
+		return fval{mask: b.mask, uni: b.first.v, part: b.first.m}
 	}
 	return fval{mask: b.mask, segs: b.segs}
 }
@@ -871,12 +878,7 @@ func (fz *Fused) runInstr(ins *ir.Instr, fr *fframe) {
 			regs[ins.Dst] = fz.envGet(e, ins.Name, fr.act)
 			break
 		}
-		pos := fr.at(ins.Node)
-		ev := fuseUniform(Value{
-			Tainted: true,
-			Sources: []Source{{Name: "$" + ins.Name, Pos: pos}},
-			Trace:   []Step{{Pos: pos, Desc: "entry point $" + ins.Name, Node: ins.Node}},
-		}, em)
+		ev := fuseUniform(entryVal(ins, fr.lines), em)
 		if em.eq(fr.act) {
 			regs[ins.Dst] = ev
 		} else {
@@ -898,13 +900,13 @@ func (fz *Fused) runInstr(ins *ir.Instr, fr *fframe) {
 		regs[ins.Dst] = v
 	case ir.OpConcat:
 		v := fz.fmerge(fr.val(ins.A), fr.val(ins.B), fr.act)
-		regs[ins.Dst] = fz.withStep(v, fr.act, fr, "concatenation", ins.Node)
+		regs[ins.Dst] = fz.withStep(v, fr.act, fr, ins, pStep, "concatenation")
 	case ir.OpInterp:
 		var v fval
 		for _, r := range ins.Args {
 			v = fz.fmerge(v, fr.val(r), fr.act)
 		}
-		regs[ins.Dst] = fz.withStep(v, fr.act, fr, "string interpolation", ins.Node)
+		regs[ins.Dst] = fz.withStep(v, fr.act, fr, ins, pStep, "string interpolation")
 	case ir.OpAssign:
 		rhs := fr.val(ins.A)
 		var v fval
@@ -915,9 +917,9 @@ func (fz *Fused) runInstr(ins *ir.Instr, fr *fframe) {
 			} else {
 				v = rhs
 			}
-			v = fz.withStep(v, fr.act, fr, "append assignment", ins.Node)
+			v = fz.withStep(v, fr.act, fr, ins, pStep, "append assignment")
 		case ir.AssignPlain:
-			v = fz.withStep(rhs, fr.act, fr, "assignment", ins.Node)
+			v = fz.withStep(rhs, fr.act, fr, ins, pStep, "assignment")
 		default:
 			v = fval{}
 		}
@@ -985,13 +987,7 @@ func (fz *Fused) runIndex(ins *ir.Instr, fr *fframe) fval {
 		if ins.Name == "_SERVER" && serverKeySafe(ins.Key) {
 			return fval{}
 		}
-		src := fmt.Sprintf("$%s[%s]", ins.Name, ins.Key)
-		pos := fr.at(ins.Node)
-		return fuseUniform(Value{
-			Tainted: true,
-			Sources: []Source{{Name: src, Pos: pos}},
-			Trace:   []Step{{Pos: pos, Desc: "entry point " + src, Node: ins.Node}},
-		}, m)
+		return fuseUniform(entryVal(ins, fr.lines), m)
 	}
 	if em.eq(act) {
 		if ins.IBlk != nil {
@@ -1148,15 +1144,20 @@ func hasSink(a *Analyzer, name string, method bool) bool {
 // sanitizerValue builds the sanitized result of a plain call: clean, tagged
 // with the sanitizer name plus every argument's sanitizer tags, each name
 // once (per lane).
-// Lanes that agree on every argument share one built Value.
+// Lanes that agree on every argument share one built value.
 func (fz *Fused) sanitizerValue(name string, args []fval, m laneMask) fval {
-	build := func(l int) Value {
-		v := clean()
-		v.Sanitizers = []string{name}
+	build := func(l int) tval {
+		var arg *pnode
 		for _, av := range args {
-			v.Sanitizers = dedupStrings(v.Sanitizers, av.get(l).Sanitizers)
+			switch p := av.get(l).p; {
+			case p == nil:
+			case arg == nil:
+				arg = p
+			default:
+				arg = pair(pCat, arg, p)
+			}
 		}
-		return v
+		return sanVal(name, arg)
 	}
 	parts := []laneMask{m}
 	for _, av := range args {
@@ -1173,7 +1174,7 @@ func (fz *Fused) sanitizerValue(name string, args []fval, m laneMask) fval {
 }
 
 // checkSinks runs each masked lane's sink matcher over the call. Lanes
-// agreeing on every argument share one materialized []Value.
+// agreeing on every argument share one []tval.
 func (fz *Fused) checkSinks(m laneMask, name string, method bool, recv string, ins *ir.Instr, args []fval, fr *fframe) {
 	var pos token.Position
 	parts := []laneMask{m}
@@ -1181,7 +1182,7 @@ func (fz *Fused) checkSinks(m laneMask, name string, method bool, recv string, i
 		parts = refineSegs(parts, av)
 	}
 	for _, p := range parts {
-		av := make([]Value, len(args))
+		av := make([]tval, len(args))
 		l0 := p.first()
 		tainted := false
 		for i, a := range args {
@@ -1200,12 +1201,19 @@ func (fz *Fused) checkSinks(m laneMask, name string, method bool, recv string, i
 	}
 }
 
+// callArgs reads a call's argument registers into buf, which a caller
+// keeps on its stack for the usual short argument list.
+func callArgs(ins *ir.Instr, fr *fframe, buf []fval) []fval {
+	for _, r := range ins.Args {
+		buf = append(buf, fr.val(r))
+	}
+	return buf
+}
+
 func (fz *Fused) runCall(ins *ir.Instr, fr *fframe) fval {
 	name := ins.Name
-	args := make([]fval, len(ins.Args))
-	for i, r := range ins.Args {
-		args[i] = fr.val(r)
-	}
+	var buf [6]fval
+	args := callArgs(ins, fr, buf[:0])
 	e := fr.env
 	b := fvalParts{act: fr.act}
 	rem := fr.act
@@ -1218,12 +1226,7 @@ func (fz *Fused) runCall(ins *ir.Instr, fr *fframe) fval {
 		}
 	}
 	if em := fz.epFnMaskFor(name).and(rem); !em.empty() {
-		pos := fr.at(ins.Node)
-		b.addF(em, fuseUniform(Value{
-			Tainted: true,
-			Sources: []Source{{Name: name + "()", Pos: pos}},
-			Trace:   []Step{{Pos: pos, Desc: "entry point " + name + "()", Node: ins.Node}},
-		}, em))
+		b.addF(em, fuseUniform(entryVal(ins, fr.lines), em))
 		rem = rem.andNot(em)
 		if rem.empty() {
 			return b.finish()
@@ -1234,7 +1237,7 @@ func (fz *Fused) runCall(ins *ir.Instr, fr *fframe) fval {
 	}
 	if propagatesTaint(name) {
 		v := fz.fmergeAll(args, rem)
-		b.addF(rem, fz.withStep(v, rem, fr, name+"()", ins.Node))
+		b.addF(rem, fz.withStep(v, rem, fr, ins, pCallStep, ""))
 		return b.finish()
 	}
 	switch name {
@@ -1271,17 +1274,13 @@ func (fz *Fused) runCall(ins *ir.Instr, fr *fframe) fval {
 func (fz *Fused) runMethodCall(ins *ir.Instr, fr *fframe) fval {
 	recv := fr.val(ins.A)
 	name := ins.Name // lower-cased at lowering time
-	args := make([]fval, len(ins.Args))
-	for i, r := range ins.Args {
-		args[i] = fr.val(r)
-	}
+	var buf [6]fval
+	args := callArgs(ins, fr, buf[:0])
 	b := fvalParts{act: fr.act}
 	rem := fr.act
 
 	if sm := fz.sanMethMaskFor(name).and(rem); !sm.empty() {
-		v := clean()
-		v.Sanitizers = append(v.Sanitizers, name)
-		b.addF(sm, fuseUniform(v, sm))
+		b.addF(sm, fuseUniform(sanVal(name, nil), sm))
 		rem = rem.andNot(sm)
 		if rem.empty() {
 			return b.finish()
@@ -1300,17 +1299,13 @@ func (fz *Fused) runMethodCall(ins *ir.Instr, fr *fframe) fval {
 
 func (fz *Fused) runStaticCall(ins *ir.Instr, fr *fframe) fval {
 	name := strings.ToLower(ins.Name)
-	args := make([]fval, len(ins.Args))
-	for i, r := range ins.Args {
-		args[i] = fr.val(r)
-	}
+	var buf [6]fval
+	args := callArgs(ins, fr, buf[:0])
 	b := fvalParts{act: fr.act}
 	rem := fr.act
 
 	if sm := fz.sanMethMaskFor(name).and(rem); !sm.empty() {
-		v := clean()
-		v.Sanitizers = append(v.Sanitizers, name)
-		b.addF(sm, fuseUniform(v, sm))
+		b.addF(sm, fuseUniform(sanVal(name, nil), sm))
 		rem = rem.andNot(sm)
 		if rem.empty() {
 			return b.finish()
@@ -1413,11 +1408,11 @@ func (fz *Fused) shareEligible(a *Analyzer, args []fval, l int) bool {
 }
 
 // fenvLane reads one lane's binding from a fused environment.
-func fenvLane(e *fenv, name string, l int) Value {
+func fenvLane(e *fenv, name string, l int) tval {
 	if c, ok := e.vars[name]; ok && c.present.has(l) {
 		return c.v.get(l)
 	}
-	return clean()
+	return tval{}
 }
 
 // consumeShared replays committed entry se at a call site for lane l:
@@ -1425,13 +1420,13 @@ func fenvLane(e *fenv, name string, l int) Value {
 // candidate file rewritten to the consumer's), re-apply by-ref effects to
 // the caller environment, charge the fill's steps, and install the summary
 // into the lane's memo so later calls behave exactly like memo hits.
-func (fz *Fused) consumeShared(a *Analyzer, l int, se *sharedEntry, memoKey string, argExprs []ast.Expr, caller *fenv) Value {
+func (fz *Fused) consumeShared(a *Analyzer, l int, se *sharedEntry, memoKey string, argExprs []ast.Expr, caller *fenv) tval {
 	a.sharedHits++
 	a.steps += se.steps
 	for _, c := range se.cands {
 		cc := *c
 		cc.File = a.fileName()
-		a.report(&cc)
+		a.record(&cc)
 	}
 	lm := oneLane(l)
 	for _, br := range se.byref {
@@ -1451,7 +1446,7 @@ func (fz *Fused) consumeShared(a *Analyzer, l int, se *sharedEntry, memoKey stri
 // when the fill stayed pure; by-ref out-values are read from the callee
 // environment. (A lane that exhausted its budget mid-fill had the frame
 // dropped when it froze.)
-func (fz *Fused) finishFill(a *Analyzer, l int, ret Value, fn *ast.FunctionDecl, inner *fenv) {
+func (fz *Fused) finishFill(a *Analyzer, l int, ret tval, fn *ast.FunctionDecl, inner *fenv) {
 	fr := a.fill
 	a.fill = nil
 	if fr == nil || fr.impure {
@@ -1493,25 +1488,20 @@ func (fz *Fused) inline(fn *ast.FunctionDecl, ins *ir.Instr, args []fval, fr *ff
 		for i, p := range argParts {
 			if p.has(l) {
 				if partKeys[i] == "" {
-					vals := make([]Value, len(args))
+					vals := make([]tval, len(args))
 					for j, v := range args {
 						vals[j] = v.get(l)
 					}
-					partKeys[i] = memoKey(fn, vals)
+					partKeys[i] = fz.mat.memoKey(fn, vals)
 				}
 				return partKeys[i]
 			}
 		}
 		return "" // unreachable: argParts partition rem
 	}
-	var callPos token.Position
-	retStep := func(v Value) Value {
+	retStep := func(v tval) tval {
 		if v.Tainted {
-			if !callPos.IsValid() {
-				callPos = fr.at(ins.Node)
-			}
-			v.Trace = append(append([]Step{}, v.Trace...),
-				Step{Pos: callPos, Desc: "return from " + fn.Name + "()"})
+			v = v.step(pReturn, fn.Name, ins, fr.lines)
 		}
 		return v
 	}
@@ -1605,8 +1595,8 @@ func (fz *Fused) inline(fn *ast.FunctionDecl, ins *ir.Instr, args []fval, fr *ff
 
 	// Per-lane memo install and fill completion for the lanes that finished
 	// the body (a lane that froze inside it is out of the pass); lanes
-	// sharing a return group share one trace-copied result value (a uniform
-	// return over the whole call collapses to a single uniform cell).
+	// sharing a return group share one return step (a uniform return over
+	// the whole call collapses to a single uniform cell).
 	missM.and(fz.live).forEach(func(l int) {
 		a := fz.lanes[l]
 		rv := ret.get(l)
@@ -1619,10 +1609,10 @@ func (fz *Fused) inline(fn *ast.FunctionDecl, ins *ir.Instr, args []fval, fr *ff
 			fz.finishFill(a, l, rv, fn, inner)
 		}
 	})
-	if ret.segs == nil && missM.eq(rem) {
+	if ret.uniform() && missM.eq(rem) {
 		b.addF(rem, fuseUniform(retStep(ret.uni), rem))
 	} else {
-		ret.forEachSeg(missM, func(g laneMask, rv Value) {
+		ret.forEachSeg(missM, func(g laneMask, rv tval) {
 			b.addV(g, retStep(rv))
 		})
 	}

@@ -3,7 +3,7 @@
 // types here carry "one fact per lane" compactly: laneMask is a dense bitset
 // over the active lanes (a single machine word for ≤64 classes — every
 // realistic configuration — spilling to extra words beyond that), and fval
-// is the fused taint cell, holding either one Value shared by every lane or
+// is the fused taint cell, holding either one value shared by every lane or
 // a per-lane spill once lanes diverge.
 package taint
 
@@ -172,45 +172,56 @@ func (m laneMask) forEach(fn func(lane int)) {
 	}
 }
 
-// fval is the fused taint cell: one Value per lane. While every lane agrees
-// the cell stays uniform (segs == nil) and uni is the single shared Value —
-// byte-for-byte what each lane would have computed running alone,
-// since isomorphic evaluation over identical inputs builds identical values.
-// Once lanes diverge (a sanitizer that only some classes recognize, an
-// entry point only some classes taint) the cell spills to segs: a set of
-// disjoint lane groups, each sharing one Value. Classes cluster — fifteen
-// lanes typically split into two or three groups at a divergence point —
-// so segment storage keeps the per-operation cost proportional to the
-// number of distinct values, not the lane count: a group's Value evolves
-// through exactly the operations each of its lanes would apply alone (the
-// uniform-cell argument over a subgroup), and per-lane work happens only
-// where lanes genuinely differ. Lanes covered by no segment read the zero
-// Value; entries outside the owning frame's active mask are meaningless.
-// mask tracks which lanes hold a tainted value, so taint-gated operations —
-// sanitizer kills, sink argument checks, conservative element writes —
-// reduce to bitwise tests across all classes at once. (mask is authoritative
-// and may be clamped below the segments' Tainted bits by restriction; it is
-// never wider.)
+// fval is the fused taint cell: one value per lane. A lane's value is a
+// tval, its taint bit plus one pointer into the immutable provenance graph
+// (prov.go). While every lane agrees the cell stays uniform (segs == nil,
+// part empty) and uni is the single shared value — the very node each lane would have
+// built running alone, since isomorphic evaluation over identical inputs
+// builds identical histories. Once lanes diverge (a sanitizer that only some
+// classes recognize, an entry point only some classes taint) the cell
+// spills: into part when one lane group holds uni and every other lane the
+// zero value (a sanitizer or entry point only some classes know, the
+// commonest divergence, which then needs no allocation), and otherwise into
+// segs, a set of disjoint lane groups, each sharing one value.
+// Classes cluster — fifteen lanes typically split into two or three groups
+// at a divergence point — so segment storage keeps the per-operation cost
+// proportional to the number of distinct values, not the lane count: a
+// group's value evolves through exactly the operations each of its lanes
+// would apply alone (the uniform-cell argument over a subgroup), and
+// per-lane work happens only where lanes genuinely differ. Lanes covered by
+// no group read the zero value; entries outside the owning frame's active
+// mask are meaningless. mask tracks which lanes hold a tainted value, so
+// taint-gated operations — sanitizer kills, sink argument checks,
+// conservative element writes — reduce to bitwise tests across all classes
+// at once. (mask is authoritative and may be clamped below the segments'
+// taint bits by restriction; it is never wider.)
 //
-// Aliasing rule: a segs slice is immutable once the fval is stored anywhere
-// (a register, an environment cell, a snapshot). Operations that change a
-// group's Value build a fresh segs slice; appending to a Value's internal
-// slices is allowed only on a freshly built Value (the same discipline the
-// scalar engine applies to Value itself).
+// Aliasing rule: provenance nodes are immutable, so copying a cell copies
+// pointers and never history, and any number of registers, environment
+// cells, snapshots and summaries may share one node. A segs slice is
+// likewise immutable once the fval is stored anywhere (a register, an
+// environment cell, a snapshot): operations that change a group's value
+// build a fresh segs slice.
 type fval struct {
 	mask laneMask
-	uni  Value
+	uni  tval
+	// part, when not empty (and segs nil), is the one lane group holding
+	// uni.
+	part laneMask
 	segs []fvalSeg
 }
+
+// uniform reports whether every lane reads uni.
+func (v fval) uniform() bool { return v.segs == nil && v.part.empty() }
 
 // fvalSeg is one lane group of a spilled fval: the lanes in m share v.
 type fvalSeg struct {
 	m laneMask
-	v Value
+	v tval
 }
 
-// fuseUniform wraps one shared Value for every lane in act.
-func fuseUniform(v Value, act laneMask) fval {
+// fuseUniform wraps one shared value for every lane in act.
+func fuseUniform(v tval, act laneMask) fval {
 	fv := fval{uni: v}
 	if v.Tainted {
 		fv.mask = act
@@ -218,28 +229,40 @@ func fuseUniform(v Value, act laneMask) fval {
 	return fv
 }
 
-// get reads lane l's Value.
-func (v fval) get(l int) Value {
+// get reads lane l's value.
+func (v fval) get(l int) tval {
 	if v.segs == nil {
-		return v.uni
+		if v.part.empty() || v.part.has(l) {
+			return v.uni
+		}
+		return tval{}
 	}
 	for _, s := range v.segs {
 		if s.m.has(l) {
 			return s.v
 		}
 	}
-	return Value{}
+	return tval{}
 }
 
-// forEachSeg calls fn once per group of lanes in m that share one Value,
+// forEachSeg calls fn once per group of lanes in m that share one value,
 // covering every lane of m: lanes outside every segment form a final group
-// carrying the zero Value.
-func (v fval) forEachSeg(m laneMask, fn func(g laneMask, val Value)) {
+// carrying the zero value.
+func (v fval) forEachSeg(m laneMask, fn func(g laneMask, val tval)) {
 	if m.empty() {
 		return
 	}
-	if v.segs == nil {
+	if v.uniform() {
 		fn(m, v.uni)
+		return
+	}
+	if v.segs == nil {
+		if g := v.part.and(m); !g.empty() {
+			fn(g, v.uni)
+		}
+		if rest := m.andNot(v.part); !rest.empty() {
+			fn(rest, tval{})
+		}
 		return
 	}
 	rest := m
@@ -255,19 +278,31 @@ func (v fval) forEachSeg(m laneMask, fn func(g laneMask, val Value)) {
 		}
 	}
 	if !rest.empty() {
-		fn(rest, Value{})
+		fn(rest, tval{})
 	}
 }
 
 // refineSegs splits every part along v's segmentation, so lanes sharing a
-// part of the result see the same Value in v. Parts stay disjoint.
+// part of the result see the same value in v. Parts stay disjoint; when v
+// splits none of them, parts itself is returned.
 func refineSegs(parts []laneMask, v fval) []laneMask {
-	if v.segs == nil {
+	if v.uniform() {
 		return parts
 	}
-	out := make([]laneMask, 0, len(parts)+len(v.segs))
-	for _, p := range parts {
-		v.forEachSeg(p, func(g laneMask, _ Value) { out = append(out, g) })
+	var out []laneMask
+	for i, p := range parts {
+		n := 0
+		v.forEachSeg(p, func(laneMask, tval) { n++ })
+		switch {
+		case n > 1 && out == nil:
+			out = append(make([]laneMask, 0, len(parts)+len(v.segs)+1), parts[:i]...)
+		case out == nil:
+			continue
+		}
+		v.forEachSeg(p, func(g laneMask, _ tval) { out = append(out, g) })
+	}
+	if out == nil {
+		return parts
 	}
 	return out
 }

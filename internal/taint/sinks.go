@@ -3,9 +3,6 @@
 package taint
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/php/ast"
 	"repro/internal/php/token"
 	"repro/internal/vuln"
@@ -59,56 +56,13 @@ func (a *Analyzer) allSinks() []vuln.Sink {
 	return out
 }
 
-// memoKey builds the per-task memo key for calling fn with args: function
-// identity plus the full content of every argument value. Keying on content
-// (not just taint bits) makes memoization semantically transparent — a hit
-// returns exactly what recomputing the body would — which both determinism
-// under budget pressure and the shared cross-task cache rely on.
-func memoKey(fn *ast.FunctionDecl, args []Value) string {
-	var b strings.Builder
-	b.WriteString(fn.Name)
-	fmt.Fprintf(&b, "/%p", fn)
-	allZero := true
-	for _, v := range args {
-		if !zeroValue(v) {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		// Common case: every argument is clean and carries no metadata.
-		fmt.Fprintf(&b, "/z%d", len(args))
-		return b.String()
-	}
-	for _, v := range args {
-		b.WriteByte('/')
-		if v.Tainted {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-		// Node pointers are omitted: within one task, identical positions
-		// imply identical nodes.
-		for _, s := range v.Sources {
-			fmt.Fprintf(&b, "|s%q@%s:%d:%d", s.Name, s.Pos.File, s.Pos.Line, s.Pos.Column)
-		}
-		for _, s := range v.Sanitizers {
-			fmt.Fprintf(&b, "|n%q", s)
-		}
-		for _, st := range v.Trace {
-			fmt.Fprintf(&b, "|t%q@%s:%d:%d", st.Desc, st.Pos.File, st.Pos.Line, st.Pos.Column)
-		}
-	}
-	return b.String()
-}
-
 // ---------------------------------------------------------------------------
 // Sink checking
 // ---------------------------------------------------------------------------
 
 // checkCallSinks matches a call against the class sink list and reports a
 // candidate for each tainted dangerous argument.
-func (a *Analyzer) checkCallSinks(name string, method bool, recvName string, call ast.Node, argExprs []ast.Expr, args []Value, pos token.Position) {
+func (a *Analyzer) checkCallSinks(name string, method bool, recvName string, call ast.Node, argExprs []ast.Expr, args []tval, pos token.Position) {
 	for _, s := range a.allSinks() {
 		if s.Name != name || s.Method != method {
 			continue
@@ -137,17 +91,16 @@ func (a *Analyzer) checkCallSinks(name string, method bool, recvName string, cal
 				SinkCall:      call,
 				ArgIndex:      i,
 				TaintedExpr:   argExprs[i],
-				Value:         args[i],
 				EnclosingFunc: a.curFunc,
 				File:          a.fileName(),
-			})
+			}, args[i])
 		}
 	}
 }
 
 // checkPseudoSink reports candidates for language-construct sinks (echo,
 // print, include).
-func (a *Analyzer) checkPseudoSink(name string, node ast.Node, argExpr ast.Expr, v Value, pos token.Position) {
+func (a *Analyzer) checkPseudoSink(name string, node ast.Node, argExpr ast.Expr, v tval, pos token.Position) {
 	if !v.Tainted {
 		return
 	}
@@ -162,16 +115,15 @@ func (a *Analyzer) checkPseudoSink(name string, node ast.Node, argExpr ast.Expr,
 			SinkCall:      node,
 			ArgIndex:      -1,
 			TaintedExpr:   argExpr,
-			Value:         v,
 			EnclosingFunc: a.curFunc,
 			File:          a.fileName(),
-		})
+		}, v)
 		return
 	}
 }
 
 // checkNamedSink matches exit/die-style named sinks used in expression form.
-func (a *Analyzer) checkNamedSink(name string, node ast.Node, argExpr ast.Expr, v Value, argIdx int, pos token.Position) {
+func (a *Analyzer) checkNamedSink(name string, node ast.Node, argExpr ast.Expr, v tval, argIdx int, pos token.Position) {
 	if !v.Tainted {
 		return
 	}
@@ -186,10 +138,9 @@ func (a *Analyzer) checkNamedSink(name string, node ast.Node, argExpr ast.Expr, 
 			SinkCall:      node,
 			ArgIndex:      argIdx,
 			TaintedExpr:   argExpr,
-			Value:         v,
 			EnclosingFunc: a.curFunc,
 			File:          a.fileName(),
-		})
+		}, v)
 		return
 	}
 }

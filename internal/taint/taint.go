@@ -45,13 +45,17 @@ type Step struct {
 	Node ast.Node
 }
 
-// Value is the abstract value of an expression under taint analysis.
+// Value is a tainted value's materialized provenance, as a finding carries
+// it. Inside the evaluator a value is only its taint bit plus a pointer into
+// an immutable provenance graph (prov.go); a Value is built from that graph
+// for each finding at its sink.
 type Value struct {
 	Tainted bool
 	// Sources are the entry points that contribute taint.
 	Sources []Source
 	// Sanitizers are the sanitization function names applied to the data at
-	// some point (recorded even when they untaint, for symptom extraction).
+	// some point (recorded even when they untaint, for symptom extraction),
+	// each name once.
 	Sanitizers []string
 	// Trace records the propagation path from source to the present point.
 	Trace []Step
@@ -59,148 +63,13 @@ type Value struct {
 
 // maxTraceSteps and maxSources bound per-value bookkeeping so pathological
 // inputs (thousand-step concatenation chains) stay linear; the prefix of a
-// trace is the informative part (entry point and early propagation).
+// trace is the informative part (entry point and early propagation). A
+// concatenation or join caps its result, and a step appended to a full
+// trace is dropped.
 const (
 	maxTraceSteps = 64
 	maxSources    = 16
 )
-
-// merge combines v with other, unioning taint. Sources and trace steps
-// concatenate, because every hop really happened in order; sanitizer names
-// are a set (first occurrence wins), or `$a = $a . $a;` would double the
-// list on every line.
-func (v Value) merge(other Value) Value {
-	out := Value{Tainted: v.Tainted || other.Tainted}
-	out.Sources = capSlice(append(append([]Source{}, v.Sources...), other.Sources...), maxSources)
-	out.Sanitizers = dedupStrings(v.Sanitizers, other.Sanitizers)
-	out.Trace = capSlice(append(append([]Step{}, v.Trace...), other.Trace...), maxTraceSteps)
-	return out
-}
-
-func capSlice[T any](s []T, limit int) []T {
-	if len(s) > limit {
-		return s[:limit]
-	}
-	return s
-}
-
-// join combines two abstract values at a control-flow join point. Unlike the
-// sequential merge (which concatenates bookkeeping, because every hop really
-// happened in order) a join is a set union: sources, sanitizers and trace
-// steps are deduplicated by content, keeping the first occurrence of each.
-// That makes the join idempotent (join(v, v) == v) and independent of how
-// many branch snapshots mention an unchanged binding, so branch merges are
-// stable no matter which order snapshots arrive in.
-func join(v, other Value) Value {
-	// Fast paths: joining a value with itself (a branch that never touched
-	// the binding snapshots the identical slices) or with a bottom value is
-	// the identity — skip the dedup allocations.
-	if sameValue(v, other) {
-		return v
-	}
-	if isBottom(other) {
-		v.Tainted = v.Tainted || other.Tainted
-		return v
-	}
-	if isBottom(v) {
-		other.Tainted = other.Tainted || v.Tainted
-		return other
-	}
-	out := Value{Tainted: v.Tainted || other.Tainted}
-	out.Sources = capSlice(dedupSources(v.Sources, other.Sources), maxSources)
-	out.Sanitizers = dedupStrings(v.Sanitizers, other.Sanitizers)
-	out.Trace = capSlice(dedupSteps(v.Trace, other.Trace), maxTraceSteps)
-	return out
-}
-
-// sameValue reports whether two values share identical bookkeeping slices —
-// the cheap identity check behind join's fast path.
-func sameValue(a, b Value) bool {
-	return a.Tainted == b.Tainted &&
-		sameSlice(a.Sources, b.Sources) &&
-		sameSlice(a.Sanitizers, b.Sanitizers) &&
-		sameSlice(a.Trace, b.Trace)
-}
-
-func sameSlice[T any](a, b []T) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// isBottom reports whether v carries no bookkeeping at all (taint bit aside).
-func isBottom(v Value) bool {
-	return len(v.Sources) == 0 && len(v.Sanitizers) == 0 && len(v.Trace) == 0
-}
-
-type sourceKey struct {
-	name      string
-	line, col int
-}
-
-func dedupSources(a, b []Source) []Source {
-	out := make([]Source, 0, len(a)+len(b))
-	seen := make(map[sourceKey]bool, len(a)+len(b))
-	for _, s := range a {
-		k := sourceKey{s.Name, s.Pos.Line, s.Pos.Column}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		k := sourceKey{s.Name, s.Pos.Line, s.Pos.Column}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func dedupStrings(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	seen := make(map[string]bool, len(a)+len(b))
-	for _, s := range a {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-type stepKey struct {
-	desc      string
-	line, col int
-}
-
-func dedupSteps(a, b []Step) []Step {
-	out := make([]Step, 0, len(a)+len(b))
-	seen := make(map[stepKey]bool, len(a)+len(b))
-	for _, s := range a {
-		k := stepKey{s.Desc, s.Pos.Line, s.Pos.Column}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		k := stepKey{s.Desc, s.Pos.Line, s.Pos.Column}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// clean returns an untainted value.
-func clean() Value { return Value{} }
 
 // Candidate is a candidate vulnerability: a data flow from an entry point to
 // a sensitive sink (the analyzer may still be wrong — the false-positive
@@ -305,6 +174,9 @@ type Analyzer struct {
 
 	// summaries caches per-(function, argument content) results.
 	summaries map[string]*summary
+	// mat materializes the provenance of this lane's findings; a fused pass
+	// shares one among its lanes.
+	mat *materializer
 
 	// Shared-cache state: the active fill frame (at most one; fills start
 	// only at depth 0), entries awaiting commit, and hit/miss counters.
@@ -344,7 +216,7 @@ func (a *Analyzer) Steps() int { return a.steps }
 // argument content pattern. Keys are content-exact (see memoKey), so a memo
 // hit is indistinguishable from recomputing the body.
 type summary struct {
-	returnValue Value
+	returnValue tval
 	// fillID records which shared-cache fill (if any) created the entry. A
 	// hit during a different fill makes that fill's captured candidate set
 	// task-history-dependent, so the frame is marked impure.
@@ -380,7 +252,19 @@ func (a *Analyzer) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) []*Candid
 	return a.cands
 }
 
-func (a *Analyzer) report(c *Candidate) {
+// report records a flow of v into the sink c describes. The provenance of
+// v is materialized into c.Value only when the candidate is kept: when it
+// is new to this run, or an open shared-cache fill captures it.
+func (a *Analyzer) report(c *Candidate, v tval) {
+	if !v.Tainted || (a.fill == nil && a.seen[c.Key()]) {
+		return
+	}
+	c.Value = a.mat.value(v)
+	a.record(c)
+}
+
+// record adds a candidate whose value is materialized.
+func (a *Analyzer) record(c *Candidate) {
 	if !c.Value.Tainted {
 		return
 	}
