@@ -62,8 +62,10 @@ weapons-gate:
 # line table's position resolution (matches a byte walk for every token),
 # over the AST-to-IR lowering (never panics, deterministic, accounts for
 # every node), over the result-store snapshot decoder (never panics,
-# round-trips through the store's encoder) and over the job journal's replay
-# (keeps a prefix that re-encodes byte for byte, truncates the rest).
+# round-trips through the store's encoder), over the job journal's replay
+# (keeps a prefix that re-encodes byte for byte, truncates the rest) and over
+# the provenance of findings on generated programs (capped, sanitizer names
+# distinct, every fused lane equal to its one-lane pass).
 fuzz-smoke:
 	$(GO) test ./internal/php/lexer -run '^$$' -fuzz=FuzzPositions -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzParse -fuzztime=30s
@@ -71,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ir -run '^$$' -fuzz=FuzzLower -fuzztime=30s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=30s
 	$(GO) test ./internal/journal -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=30s
+	$(GO) test ./internal/taint -run '^$$' -fuzz=FuzzTaintValues -fuzztime=30s
 
 # gofmt (fails listing any unformatted file) + go vet. CI additionally runs
 # staticcheck; run it here too if it is on PATH.

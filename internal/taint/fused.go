@@ -81,6 +81,9 @@ type Fused struct {
 	// mat builds the provenance of findings and memo-key arguments, each
 	// node once per pass; every lane shares it.
 	mat materializer
+	// bareSans holds one node per sanitizer name applied to arguments
+	// without sanitizer names (see Fused.sanVal).
+	bareSans map[string]*pnode
 }
 
 // NewFused builds a fused evaluator with one analyzer lane per config. All
@@ -246,6 +249,7 @@ func (fz *Fused) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) bool {
 		a.mat = &fz.mat
 	}
 	fz.mat = materializer{}
+	fz.bareSans = nil
 	fz.astFile = f
 	fz.prov = &irProvider{file: fir, prov: prov}
 	fz.live = fz.full
@@ -1157,7 +1161,7 @@ func (fz *Fused) sanitizerValue(name string, args []fval, m laneMask) fval {
 				arg = pair(pCat, arg, p)
 			}
 		}
-		return sanVal(name, arg)
+		return fz.sanVal(name, arg)
 	}
 	parts := []laneMask{m}
 	for _, av := range args {
@@ -1171,6 +1175,26 @@ func (fz *Fused) sanitizerValue(name string, args []fval, m laneMask) fval {
 		b.addV(p, build(p.first()))
 	}
 	return b.finish()
+}
+
+// sanVal is the clean result of sanitizer name applied to arguments whose
+// histories are arg (nil when no argument has one). A clean value's history
+// holds sanitizer names only, so which node carries them never shows (see
+// cat), and a sanitizer over arguments without sanitizer names takes the
+// pass's one node for its name.
+func (fz *Fused) sanVal(name string, arg *pnode) tval {
+	if arg != nil && arg.hasSan {
+		return tval{p: &pnode{kind: pSan, hasSan: true, a: arg, name: name}}
+	}
+	n := fz.bareSans[name]
+	if n == nil {
+		if fz.bareSans == nil {
+			fz.bareSans = make(map[string]*pnode)
+		}
+		n = &pnode{kind: pSan, hasSan: true, name: name}
+		fz.bareSans[name] = n
+	}
+	return tval{p: n}
 }
 
 // checkSinks runs each masked lane's sink matcher over the call. Lanes
@@ -1280,7 +1304,7 @@ func (fz *Fused) runMethodCall(ins *ir.Instr, fr *fframe) fval {
 	rem := fr.act
 
 	if sm := fz.sanMethMaskFor(name).and(rem); !sm.empty() {
-		b.addF(sm, fuseUniform(sanVal(name, nil), sm))
+		b.addF(sm, fuseUniform(fz.sanVal(name, nil), sm))
 		rem = rem.andNot(sm)
 		if rem.empty() {
 			return b.finish()
@@ -1305,7 +1329,7 @@ func (fz *Fused) runStaticCall(ins *ir.Instr, fr *fframe) fval {
 	rem := fr.act
 
 	if sm := fz.sanMethMaskFor(name).and(rem); !sm.empty() {
-		b.addF(sm, fuseUniform(sanVal(name, nil), sm))
+		b.addF(sm, fuseUniform(fz.sanVal(name, nil), sm))
 		rem = rem.andNot(sm)
 		if rem.empty() {
 			return b.finish()

@@ -14,7 +14,6 @@ package taint
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/php/ast"
@@ -76,27 +75,6 @@ type tval struct {
 func entryVal(ins *ir.Instr, lines *token.LineTable) tval {
 	return tval{Tainted: true, p: &pnode{kind: pEntry, ins: ins, lines: lines}}
 }
-
-// sanVal is the clean result of sanitizer name applied to arguments whose
-// histories are arg (nil when no argument has one). A clean value's history
-// holds sanitizer names only, so which node carries them never shows (see
-// cat), and a sanitizer over arguments without sanitizer names shares one
-// node per name.
-func sanVal(name string, arg *pnode) tval {
-	if arg == nil || !arg.hasSan {
-		if n, ok := bareSan.Load(name); ok {
-			return tval{p: n.(*pnode)}
-		}
-		n, _ := bareSan.LoadOrStore(name, &pnode{kind: pSan, hasSan: true, name: name})
-		return tval{p: n.(*pnode)}
-	}
-	return tval{p: &pnode{kind: pSan, hasSan: true, a: arg, name: name}}
-}
-
-// bareSan holds the node of each sanitizer applied to arguments without
-// sanitizer names. Such a node carries no instruction, so any pass may
-// share it.
-var bareSan sync.Map
 
 // step appends one trace step at ins to v.
 func (v tval) step(kind pkind, name string, ins *ir.Instr, lines *token.LineTable) tval {
