@@ -174,23 +174,22 @@ func (m laneMask) forEach(fn func(lane int)) {
 
 // fval is the fused taint cell: one value per lane. A lane's value is a
 // tval, its taint bit plus one pointer into the immutable provenance graph
-// (prov.go). While every lane agrees the cell stays uniform (segs == nil,
-// part empty) and uni is the single shared value — the very node each lane would have
-// built running alone, since isomorphic evaluation over identical inputs
-// builds identical histories. Once lanes diverge (a sanitizer that only some
-// classes recognize, an entry point only some classes taint) the cell
-// spills: into part when one lane group holds uni and every other lane the
-// zero value (a sanitizer or entry point only some classes know, the
-// commonest divergence, which then needs no allocation), and otherwise into
-// segs, a set of disjoint lane groups, each sharing one value.
-// Classes cluster — fifteen lanes typically split into two or three groups
-// at a divergence point — so segment storage keeps the per-operation cost
-// proportional to the number of distinct values, not the lane count: a
-// group's value evolves through exactly the operations each of its lanes
-// would apply alone (the uniform-cell argument over a subgroup), and
-// per-lane work happens only where lanes genuinely differ. Lanes covered by
-// no group read the zero value; entries outside the owning frame's active
-// mask are meaningless. mask tracks which lanes hold a tainted value, so
+// (prov.go). While every lane agrees the cell stays uniform (segs nil, part
+// empty) and uni is the single shared value — the very node each lane would
+// have built running alone, since isomorphic evaluation over identical
+// inputs builds identical histories. Once lanes diverge (a sanitizer that
+// only some classes recognize, an entry point only some classes taint) the
+// cell spills. The commonest spill, one lane group holding a value and
+// every other lane the zero value, keeps the value in uni and the group in
+// part, with no allocation; any other spill goes to segs, a set of disjoint
+// lane groups, each sharing one value. Classes cluster — fifteen lanes
+// typically split into two or three groups at a divergence point — so
+// segment storage keeps the per-operation cost proportional to the number
+// of distinct values, not the lane count: a group's value evolves through
+// exactly the operations each of its lanes would apply alone (the
+// uniform-cell argument over a subgroup), and per-lane work happens only
+// where lanes genuinely differ. Lanes covered by no group read the zero
+// value; entries outside the owning frame's active mask are meaningless. mask tracks which lanes hold a tainted value, so
 // taint-gated operations — sanitizer kills, sink argument checks,
 // conservative element writes — reduce to bitwise tests across all classes
 // at once. (mask is authoritative and may be clamped below the segments'

@@ -172,7 +172,6 @@ var noLists provLists
 // one sink or memo key stays valid for every later one.
 type materializer struct {
 	lists map[*pnode]*provLists
-	keys  map[*pnode]string
 }
 
 // value materializes v. The slices are clipped, so appending to them never
@@ -248,39 +247,6 @@ func (m *materializer) chain(top *pnode) *provLists {
 	return m.lists[top]
 }
 
-// key renders v's full content for a summary memo key: its taint bit, then
-// every source, sanitizer name and step. Node pointers are omitted: within
-// one task, identical positions imply identical nodes.
-func (m *materializer) key(v tval) string {
-	bit := "0"
-	if v.Tainted {
-		bit = "1"
-	}
-	if v.p == nil {
-		return bit
-	}
-	k, ok := m.keys[v.p]
-	if !ok {
-		l := m.of(v.p)
-		var b strings.Builder
-		for _, s := range l.src {
-			fmt.Fprintf(&b, "|s%q@%s:%d:%d", s.Name, s.Pos.File, s.Pos.Line, s.Pos.Column)
-		}
-		for _, s := range l.san {
-			fmt.Fprintf(&b, "|n%q", s)
-		}
-		for _, st := range l.tr {
-			fmt.Fprintf(&b, "|t%q@%s:%d:%d", st.Desc, st.Pos.File, st.Pos.Line, st.Pos.Column)
-		}
-		k = b.String()
-		if m.keys == nil {
-			m.keys = make(map[*pnode]string)
-		}
-		m.keys[v.p] = k
-	}
-	return bit + k
-}
-
 // memoKey builds the per-task memo key for calling fn with args: function
 // identity plus the full content of every argument value. Keying on content
 // (not just taint bits, and not node identity) makes memoization
@@ -305,7 +271,23 @@ func (m *materializer) memoKey(fn *ast.FunctionDecl, args []tval) string {
 	}
 	for _, v := range args {
 		b.WriteByte('/')
-		b.WriteString(m.key(v))
+		if v.Tainted {
+			b.WriteByte('1')
+		} else {
+			b.WriteByte('0')
+		}
+		// Node pointers are omitted: within one task, identical positions
+		// imply identical nodes.
+		l := m.of(v.p)
+		for _, s := range l.src {
+			fmt.Fprintf(&b, "|s%q@%s:%d:%d", s.Name, s.Pos.File, s.Pos.Line, s.Pos.Column)
+		}
+		for _, s := range l.san {
+			fmt.Fprintf(&b, "|n%q", s)
+		}
+		for _, st := range l.tr {
+			fmt.Fprintf(&b, "|t%q@%s:%d:%d", st.Desc, st.Pos.File, st.Pos.Line, st.Pos.Column)
+		}
 	}
 	return b.String()
 }

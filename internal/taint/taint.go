@@ -25,8 +25,9 @@ import (
 // Revision identifies what a finding's provenance holds: its sources,
 // sanitizer names and trace. It participates in the scan engine's config
 // digest, so bumping it invalidates incremental result stores whose
-// snapshots carry findings built under older rules. Revision 1 is the first
-// where concatenation lists each sanitizer name once.
+// snapshots carry findings built under older rules. Revision 1: a
+// concatenation lists each sanitizer name once, and a trace holds at most
+// maxTraceSteps steps.
 const Revision = 1
 
 // Source records one entry-point occurrence feeding a tainted value.
