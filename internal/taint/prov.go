@@ -6,9 +6,9 @@
 // environments, frames, summaries and the scan-wide summary cache share
 // nodes freely. Only a finding at a sink, and a summary memo key over
 // arguments that are not clean, read a value's sources, sanitizer names and
-// trace. The materializer builds them there, in the order and under the
-// caps the eager slice-copying merges produced, and formats entry-point
-// names and positions only then.
+// trace. The materializer builds them there, by the order and caps each
+// node kind states below, and formats entry-point names and positions only
+// then.
 package taint
 
 import (
