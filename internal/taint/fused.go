@@ -762,11 +762,15 @@ func (fz *Fused) withStep(v fval, act laneMask, fr *fframe, ins *ir.Instr, kind 
 		return v
 	}
 	if v.segs == nil {
-		if v.part.andNot(tm).empty() {
+		rest := v.part.andNot(tm)
+		if rest.empty() {
 			v.uni = v.uni.step(kind, desc, ins, fr.lines)
 			return v
 		}
-		v.segs, v.part = []fvalSeg{{m: v.part, v: v.uni}}, laneMask{}
+		// The one group straddles the tainted mask: two groups.
+		st := v.uni.step(kind, desc, ins, fr.lines)
+		v.segs, v.part = []fvalSeg{{m: rest, v: v.uni}, {m: v.part.and(tm), v: st}}, laneMask{}
+		return v
 	}
 	segs := make([]fvalSeg, 0, len(v.segs)+1)
 	for _, s := range v.segs {

@@ -179,21 +179,23 @@ func (m laneMask) forEach(fn func(lane int)) {
 // have built running alone, since isomorphic evaluation over identical
 // inputs builds identical histories. Once lanes diverge (a sanitizer that
 // only some classes recognize, an entry point only some classes taint) the
-// cell spills. The commonest spill, one lane group holding a value and
-// every other lane the zero value, keeps the value in uni and the group in
-// part, with no allocation; any other spill goes to segs, a set of disjoint
-// lane groups, each sharing one value. Classes cluster — fifteen lanes
-// typically split into two or three groups at a divergence point — so
-// segment storage keeps the per-operation cost proportional to the number
-// of distinct values, not the lane count: a group's value evolves through
-// exactly the operations each of its lanes would apply alone (the
-// uniform-cell argument over a subgroup), and per-lane work happens only
-// where lanes genuinely differ. Lanes covered by no group read the zero
-// value; entries outside the owning frame's active mask are meaningless. mask tracks which lanes hold a tainted value, so
-// taint-gated operations — sanitizer kills, sink argument checks,
-// conservative element writes — reduce to bitwise tests across all classes
-// at once. (mask is authoritative and may be clamped below the segments'
-// taint bits by restriction; it is never wider.)
+// cell spills, in exactly one of two forms. A spill with one lane group
+// holding a value and every other lane the zero value keeps the value in
+// uni and the group in part, with no allocation: it is two thirds of the
+// spills a scan of the large benchmark app builds. Any other spill is segs,
+// two or more disjoint lane groups, each sharing one value; segs never
+// holds a single group. Classes cluster — fifteen lanes typically split
+// into two or three groups at a divergence point — so segment storage keeps
+// the per-operation cost proportional to the number of distinct values,
+// not the lane count: a group's value evolves through exactly the
+// operations each of its lanes would apply alone (the uniform-cell argument
+// over a subgroup), and per-lane work happens only where lanes genuinely
+// differ. Lanes covered by no group read the zero value; entries outside
+// the owning frame's active mask are meaningless. mask tracks which lanes
+// hold a tainted value, so taint-gated operations — sanitizer kills, sink
+// argument checks, conservative element writes — reduce to bitwise tests
+// across all classes at once. (mask is authoritative and may be clamped
+// below the segments' taint bits by restriction; it is never wider.)
 //
 // Aliasing rule: provenance nodes are immutable, so copying a cell copies
 // pointers and never history, and any number of registers, environment

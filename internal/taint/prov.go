@@ -193,6 +193,46 @@ func (m *materializer) of(n *pnode) *provLists {
 	if m.lists == nil {
 		m.lists = make(map[*pnode]*provLists)
 	}
+	// Post-order walk with an explicit stack, so a long straight-line
+	// history (thousands of concatenations or sanitizer calls) costs no
+	// call depth: a node is built once every input it reads is built. A
+	// run of step nodes reads only the node below the run.
+	stack := []*pnode{n}
+	for len(stack) > 0 {
+		top := stack[len(stack)-1]
+		if m.lists[top] != nil {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		in := [2]*pnode{top.a, top.b}
+		if top.isStep() {
+			in = [2]*pnode{m.runBase(top)}
+		}
+		pending := false
+		for _, c := range in {
+			if c != nil && m.lists[c] == nil {
+				stack = append(stack, c)
+				pending = true
+			}
+		}
+		if !pending {
+			m.build(top)
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return m.lists[n]
+}
+
+// get returns the history of n, which the walk in of has already built.
+func (m *materializer) get(n *pnode) *provLists {
+	if n == nil {
+		return &noLists
+	}
+	return m.lists[n]
+}
+
+// build materializes n from its built inputs.
+func (m *materializer) build(n *pnode) {
 	var l *provLists
 	switch n.kind {
 	case pEntry:
@@ -202,18 +242,19 @@ func (m *materializer) of(n *pnode) *provLists {
 			tr:  []Step{{Pos: pos, Desc: "entry point " + name, Node: n.ins.Node}},
 		}
 	case pStep, pCallStep, pReturn:
-		return m.chain(n)
+		m.chain(n)
+		return
 	case pSan:
-		l = &provLists{san: dedupStrings([]string{n.name}, m.of(n.a).san)}
+		l = &provLists{san: dedupStrings([]string{n.name}, m.get(n.a).san)}
 	case pCat:
-		a, b := m.of(n.a), m.of(n.b)
+		a, b := m.get(n.a), m.get(n.b)
 		l = &provLists{
-			src: capSlice(append(append([]Source{}, a.src...), b.src...), maxSources),
+			src: catCapped(a.src, b.src, maxSources),
 			san: dedupStrings(a.san, b.san),
-			tr:  capSlice(append(append([]Step{}, a.tr...), b.tr...), maxTraceSteps),
+			tr:  catCapped(a.tr, b.tr, maxTraceSteps),
 		}
 	case pJoin:
-		a, b := m.of(n.a), m.of(n.b)
+		a, b := m.get(n.a), m.get(n.b)
 		l = &provLists{
 			src: capSlice(dedupSources(a.src, b.src), maxSources),
 			san: dedupStrings(a.san, b.san),
@@ -221,21 +262,36 @@ func (m *materializer) of(n *pnode) *provLists {
 		}
 	}
 	m.lists[n] = l
-	return l
 }
 
-// chain materializes a run of step nodes ending at top in one pass: the
-// steps are appended to the history below the run until the trace holds
-// maxTraceSteps, and every node of the run records its prefix of the one
-// trace built.
-func (m *materializer) chain(top *pnode) *provLists {
+// runBase is the node below the run of unbuilt step nodes ending at top.
+func (m *materializer) runBase(top *pnode) *pnode {
+	n := top
+	for n.isStep() && m.lists[n] == nil {
+		n = n.a
+	}
+	return n
+}
+
+// chain materializes the run of unbuilt step nodes ending at top in one
+// pass: the steps are appended to the history below the run until the
+// trace holds maxTraceSteps, and every node of the run records its prefix
+// of the one trace built.
+func (m *materializer) chain(top *pnode) {
 	var run []*pnode
 	n := top
 	for n.isStep() && m.lists[n] == nil {
 		run = append(run, n)
 		n = n.a
 	}
-	base := m.of(n)
+	base := m.get(n)
+	if len(base.tr) >= maxTraceSteps {
+		// The trace is full: every step of the run is dropped.
+		for _, r := range run {
+			m.lists[r] = base
+		}
+		return
+	}
 	tr := make([]Step, len(base.tr), min(len(base.tr)+len(run), maxTraceSteps))
 	copy(tr, base.tr)
 	for i := len(run) - 1; i >= 0; i-- {
@@ -244,7 +300,6 @@ func (m *materializer) chain(top *pnode) *provLists {
 		}
 		m.lists[run[i]] = &provLists{src: base.src, san: base.san, tr: clip(tr)}
 	}
-	return m.lists[top]
 }
 
 // memoKey builds the per-task memo key for calling fn with args: function
@@ -292,6 +347,19 @@ func (m *materializer) memoKey(fn *ast.FunctionDecl, args []tval) string {
 	return b.String()
 }
 
+// catCapped is the first limit entries of a, then b. Built lists are never
+// written, so when the result is a or b alone it shares that list: a long
+// history whose trace is full costs no copy per node.
+func catCapped[T any](a, b []T, limit int) []T {
+	switch {
+	case len(a) >= limit || len(b) == 0:
+		return capSlice(a, limit)
+	case len(a) == 0:
+		return capSlice(b, limit)
+	}
+	return capSlice(append(append(make([]T, 0, len(a)+len(b)), a...), b...), limit)
+}
+
 func capSlice[T any](s []T, limit int) []T {
 	if len(s) > limit {
 		return s[:limit]
@@ -324,7 +392,15 @@ func dedupSources(a, b []Source) []Source {
 	return out
 }
 
+// dedupStrings is the union of the sanitizer-name sets a and b, a's
+// names first. Like catCapped it shares a or b when the other is empty.
 func dedupStrings(a, b []string) []string {
+	switch {
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
+	}
 	out := make([]string, 0, len(a)+len(b))
 	seen := make(map[string]bool, len(a)+len(b))
 	for _, s := range a {

@@ -41,6 +41,30 @@ func TestConcatDoublingStaysLinear(t *testing.T) {
 	}
 }
 
+// TestLongHistoryMaterializes pins that the materializer walks a history
+// without recursion: 20k straight-line statements, alternating a
+// concatenation with an entry point and one with a sanitized copy of the
+// value itself, build a node graph 20k concatenations deep that the sink
+// materializes within the caps.
+func TestLongHistoryMaterializes(t *testing.T) {
+	const n = 20_000
+	var b strings.Builder
+	b.WriteString("<?php\n")
+	for i := 0; i < n/2; i++ {
+		b.WriteString("$a = $a . $_GET['x'];\n$a = $a . htmlspecialchars($a);\n")
+	}
+	b.WriteString("echo $a;\n")
+	cands := analyze(t, vuln.XSSR, b.String())
+	wantCount(t, cands, 1)
+	v := cands[0].Value
+	if len(v.Sources) != maxSources || len(v.Trace) != maxTraceSteps {
+		t.Errorf("%d sources and %d steps, want the caps %d and %d", len(v.Sources), len(v.Trace), maxSources, maxTraceSteps)
+	}
+	if fmt.Sprint(v.Sanitizers) != "[htmlspecialchars]" {
+		t.Errorf("sanitizers %q, want [htmlspecialchars]", v.Sanitizers)
+	}
+}
+
 // TestTraceStepsDoNotAlias pins that two values stepped from one stored
 // value keep their own traces: $c's finding lists the assignment to $c,
 // not the later one to $d that was stepped from the same $b.
