@@ -149,7 +149,7 @@ type Project struct {
 	ambig map[string]bool
 
 	// irOnce/irCache lazily hold the project's IR lowering cache: each file
-	// is lowered to the CFG-based form once and shared read-only across all
+	// is lowered to IR once and shared read-only across all
 	// weapon-class tasks (and across repeated scans of the same Project).
 	irOnce  sync.Once
 	irCache *ir.Cache

@@ -8,7 +8,7 @@ import (
 )
 
 // Dump renders the lowered file as deterministic text: function headers,
-// the region tree and every basic block's instruction listing. Two lowerings
+// the region tree and every block's instruction listing. Two lowerings
 // of the same AST produce byte-identical dumps; no map order or pointer
 // value leaks into the output.
 func Dump(f *File) string {
@@ -90,8 +90,7 @@ func dumpRegion(b *strings.Builder, r *Region, depth int) {
 
 func dumpBlock(b *strings.Builder, blk *Block, lines *token.LineTable, depth int) {
 	ind := strings.Repeat("  ", depth)
-	fmt.Fprintf(b, "%sb%d result=r%d succs=%s preds=%s\n",
-		ind, blk.ID, blk.Result, blockIDs(blk.Succs), blockIDs(blk.Preds))
+	fmt.Fprintf(b, "%sb%d result=r%d\n", ind, blk.ID, blk.Result)
 	for _, ins := range blk.Instrs {
 		fmt.Fprintf(b, "%s  %s\n", ind, instrString(ins, lines))
 	}
@@ -100,17 +99,6 @@ func dumpBlock(b *strings.Builder, blk *Block, lines *token.LineTable, depth int
 			dumpFunc(b, ins.Closure, "closure", depth+1)
 		}
 	}
-}
-
-func blockIDs(bs []*Block) string {
-	if len(bs) == 0 {
-		return "[]"
-	}
-	parts := make([]string, len(bs))
-	for i, b := range bs {
-		parts[i] = fmt.Sprintf("b%d", b.ID)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
 }
 
 // positioned marks the ops whose listing ends in the instruction's source

@@ -1,8 +1,8 @@
 // Package ir lowers the PHP AST into a compact three-address intermediate
-// representation: straight-line instruction blocks linked into an explicit
-// control-flow graph per function, organized by a structured region tree
-// that preserves the evaluation order the taint engine's abstract
-// interpretation depends on.
+// representation: straight-line instruction blocks per function, organized
+// by a structured region tree that fixes the evaluation order the taint
+// engine's abstract interpretation depends on. The region tree is the only
+// control flow; blocks carry no successor or predecessor edges.
 //
 // Lowering happens once per file; the result is immutable and shared
 // read-only across every weapon-class task, so the per-(file, class) work
@@ -214,17 +214,17 @@ type LValue struct {
 	Kids   []*LValue
 }
 
-// Block is one straight-line run of instructions: a basic block of the
-// function's CFG. Result names the register holding the block's value for
-// sub-evaluation blocks (OpIndex operands, parameter defaults).
+// Block is one straight-line run of instructions, reached only through the
+// region tree (RBasic, RForLoop's Post, a SwitchCase's Cond) or as an
+// instruction's operand sub-block (XBlk, IBlk). Result names the register
+// holding the block's value for sub-evaluation blocks (OpIndex operands,
+// parameter defaults).
 type Block struct {
 	ID     int
 	Instrs []Instr
 	Result Reg
 	// seq numbers the block within its lowering (see lowerer.seal).
-	seq   int32
-	Succs []*Block
-	Preds []*Block
+	seq int32
 }
 
 // RegionKind classifies region-tree nodes.
@@ -251,9 +251,7 @@ const (
 )
 
 // Region is a structured control-flow tree node. The evaluator interprets
-// regions (which fixes the evaluation order findings depend on); the flat
-// Succs/Preds edges on blocks expose the same structure as a conventional
-// CFG for analyses and tooling.
+// regions, which fixes the evaluation order findings depend on.
 type Region struct {
 	Kind RegionKind
 	Blk  *Block    // RBasic

@@ -127,7 +127,7 @@ func (lw *lowerer) release() {
 }
 
 // seal gives every block its instructions, all in one slice of exactly the
-// lowering's size, then wires each function's CFG.
+// lowering's size.
 func (lw *lowerer) seal() {
 	// Counting sort of the tape by block: off[k] is where block k's run
 	// starts, then where its next instruction goes.
@@ -148,9 +148,6 @@ func (lw *lowerer) seal() {
 		k := lw.owner[i]
 		all[off[k]] = lw.tape[i]
 		off[k]++
-	}
-	for _, fn := range lw.allFuncs {
-		wire(fn)
 	}
 }
 
@@ -834,166 +831,4 @@ func indexKey(idx ast.Expr) string {
 	default:
 		return "?"
 	}
-}
-
-// ---------------------------------------------------------------------------
-// CFG wiring
-// ---------------------------------------------------------------------------
-
-// wire links a function's blocks into a conventional CFG: the region tree's
-// evaluation order becomes explicit Succs/Preds edges, loop regions get back
-// edges, branch regions fan out and rejoin, and instruction-operand
-// sub-blocks get round-trip edges to their owner.
-func wire(f *Func) {
-	for _, p := range f.Params {
-		if p.Default != nil {
-			wireInstrBlocks(p.Default)
-		}
-	}
-	wireRegion(f.Body, nil)
-}
-
-// wireRegion adds edges for r given its predecessor exit set and returns
-// r's own exit set.
-func wireRegion(r *Region, preds []*Block) []*Block {
-	if r == nil {
-		return preds
-	}
-	switch r.Kind {
-	case RBasic:
-		for _, p := range preds {
-			addEdge(p, r.Blk)
-		}
-		wireInstrBlocks(r.Blk)
-		return []*Block{r.Blk}
-	case RSeq:
-		cur := preds
-		for _, k := range r.Kids {
-			cur = wireRegion(k, cur)
-		}
-		return cur
-	case RIf:
-		thenExits := wireRegion(r.Then, preds)
-		elseExits := preds
-		if r.Else != nil {
-			elseExits = wireRegion(r.Else, preds)
-		}
-		return unionBlocks(thenExits, elseExits)
-	case RLoop2:
-		exits := wireRegion(r.Body, preds)
-		for _, e := range exits {
-			for _, h := range firstBlocks(r.Body) {
-				addEdge(e, h)
-			}
-		}
-		return exits
-	case RForLoop:
-		exits := wireRegion(r.Body, preds)
-		if r.Post != nil {
-			for _, e := range exits {
-				addEdge(e, r.Post)
-			}
-			for _, h := range firstBlocks(r.Body) {
-				addEdge(r.Post, h)
-			}
-			wireInstrBlocks(r.Post)
-		}
-		return exits
-	case RSwitch:
-		var exits []*Block
-		for _, c := range r.Cases {
-			cp := preds
-			if c.Cond != nil {
-				for _, p := range preds {
-					addEdge(p, c.Cond)
-				}
-				wireInstrBlocks(c.Cond)
-				cp = []*Block{c.Cond}
-			}
-			exits = unionBlocks(exits, wireRegion(c.Body, cp))
-		}
-		if !r.HasDefault {
-			exits = unionBlocks(exits, preds)
-		}
-		return exits
-	}
-	return preds
-}
-
-// wireInstrBlocks adds round-trip edges for instruction-operand sub-blocks
-// (OpIndex base/index evaluations), which execute inline within their owner.
-func wireInstrBlocks(b *Block) {
-	for i := range b.Instrs {
-		ins := &b.Instrs[i]
-		if ins.XBlk != nil {
-			addEdge(b, ins.XBlk)
-			addEdge(ins.XBlk, b)
-			wireInstrBlocks(ins.XBlk)
-		}
-		if ins.IBlk != nil {
-			addEdge(b, ins.IBlk)
-			addEdge(ins.IBlk, b)
-			wireInstrBlocks(ins.IBlk)
-		}
-	}
-}
-
-// firstBlocks returns a region's entry blocks — the targets of back edges.
-func firstBlocks(r *Region) []*Block {
-	if r == nil {
-		return nil
-	}
-	switch r.Kind {
-	case RBasic:
-		return []*Block{r.Blk}
-	case RSeq:
-		for _, k := range r.Kids {
-			if h := firstBlocks(k); len(h) > 0 {
-				return h
-			}
-		}
-		return nil
-	case RIf:
-		return unionBlocks(firstBlocks(r.Then), firstBlocks(r.Else))
-	case RLoop2, RForLoop:
-		return firstBlocks(r.Body)
-	case RSwitch:
-		var out []*Block
-		for _, c := range r.Cases {
-			if c.Cond != nil {
-				out = unionBlocks(out, []*Block{c.Cond})
-			} else {
-				out = unionBlocks(out, firstBlocks(c.Body))
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-func addEdge(from, to *Block) {
-	if from == nil || to == nil || containsBlock(from.Succs, to) {
-		return
-	}
-	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
-}
-
-func containsBlock(s []*Block, b *Block) bool {
-	for _, x := range s {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
-func unionBlocks(a, b []*Block) []*Block {
-	out := a
-	for _, x := range b {
-		if !containsBlock(out, x) {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -126,36 +126,6 @@ func TestLowerDeterministic(t *testing.T) {
 	}
 }
 
-func TestLowerCFGEdges(t *testing.T) {
-	fir := lower(t, `<?php
-$a = $_GET['a'];
-if ($a) { $b = 1; } else { $b = 2; }
-echo $b;`)
-	// The top-level function must have blocks with at least one branch edge:
-	// entry -> then, entry -> else, then/else -> join.
-	edges := 0
-	for _, b := range fir.Top.Blocks {
-		edges += len(b.Succs)
-		for _, s := range b.Succs {
-			if !containsBlockT(s.Preds, b) {
-				t.Errorf("succ edge b%d->b%d missing reverse pred edge", b.ID, s.ID)
-			}
-		}
-	}
-	if edges < 3 {
-		t.Errorf("edges = %d, want >= 3 for an if/else diamond", edges)
-	}
-}
-
-func containsBlockT(bs []*Block, b *Block) bool {
-	for _, x := range bs {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
 func TestLowerFuncOrderMatchesSource(t *testing.T) {
 	fir := lower(t, `<?php
 function zebra() {}
