@@ -63,9 +63,11 @@ weapons-gate:
 # over the AST-to-IR lowering (never panics, deterministic, accounts for
 # every node), over the result-store snapshot decoder (never panics,
 # round-trips through the store's encoder), over the job journal's replay
-# (keeps a prefix that re-encodes byte for byte, truncates the rest) and over
+# (keeps a prefix that re-encodes byte for byte, truncates the rest), over
 # the provenance of findings on generated programs (capped, sanitizer names
-# distinct, every fused lane equal to its one-lane pass).
+# distinct, every fused lane equal to its one-lane pass) and over the
+# wap.conf parser (lower-case names, known classes, sink lines read as in a
+# spec file).
 fuzz-smoke:
 	$(GO) test ./internal/php/lexer -run '^$$' -fuzz=FuzzPositions -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzParse -fuzztime=30s
@@ -74,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=30s
 	$(GO) test ./internal/journal -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=30s
 	$(GO) test ./internal/taint -run '^$$' -fuzz=FuzzTaintValues -fuzztime=30s
+	$(GO) test ./internal/weapon -run '^$$' -fuzz=FuzzParseOverlay -fuzztime=30s
 
 # gofmt (fails listing any unformatted file) + go vet. CI additionally runs
 # staticcheck; run it here too if it is on PATH.

@@ -133,20 +133,19 @@ func run(args []string) (int, error) {
 	if *v21 {
 		opts.Mode = core.ModeOriginal
 	}
-	if *sanList != "" {
-		opts.ExtraSanitizers = splitTrim(*sanList)
-	}
 
-	// Project configuration: explicit -conf, or <dir>/wap.conf when present.
+	// Project configuration: explicit -conf, or <dir>/wap.conf when present;
+	// -san adds sanitizers for every class.
 	conf := *confPath
 	if conf == "" {
 		conf = filepath.Join(dir, "wap.conf")
 	}
-	pc, err := core.LoadProjectConfig(conf)
+	ov, err := weapon.LoadOverlay(conf)
 	if err != nil {
 		return exitFatal, err
 	}
-	pc.ApplyTo(&opts)
+	ov.Sanitizers = append(splitTrim(*sanList), ov.Sanitizers...)
+	opts.Overlay = *ov
 
 	// Class selection.
 	var selected []vuln.ClassID

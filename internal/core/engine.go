@@ -56,15 +56,10 @@ type Options struct {
 	Classes []vuln.ClassID
 	// Weapons are generated extensions to link in (ModeWAPe only).
 	Weapons []*weapon.Weapon
-	// ExtraSanitizers are project-specific sanitization functions the user
-	// feeds the tool (paper Section V-A, the "escape" example).
-	ExtraSanitizers []string
-	// ExtraEntryPoints are project-specific input superglobals.
-	ExtraEntryPoints []string
-	// ClassSanitizers adds per-class sanitizers (from wap.conf san-for).
-	ClassSanitizers map[vuln.ClassID][]string
-	// ClassSinks adds per-class sinks (from wap.conf sink directives).
-	ClassSinks map[vuln.ClassID][]vuln.Sink
+	// Overlay is the application's own sanitizers, entry points and sinks
+	// (wap.conf, wap -san; paper Section V-A, the "escape" example). New
+	// folds it into copies of the engine's classes.
+	Overlay weapon.Overlay
 	// Seed drives classifier training determinism.
 	Seed int64
 	// TrainSize overrides the training-set size (0 = paper defaults).
@@ -398,7 +393,12 @@ func New(opts Options) (*Engine, error) {
 	} else if len(opts.Weapons) > 0 {
 		return nil, fmt.Errorf("core: weapons require ModeWAPe")
 	}
+	// Fold the overlay and each class's own fix into copies of the classes,
+	// once: everything downstream reads plain classes.
 	e.classes = dedupeClasses(classSet)
+	for i, c := range e.classes {
+		e.classes[i] = opts.Overlay.Fold(c, e.fixIDFor(c.ID))
+	}
 	e.extractor = symptom.NewExtractor(dynamics)
 
 	// Assemble the corrector: library fixes plus weapon fixes.
@@ -429,7 +429,8 @@ func dedupeClasses(in []*vuln.Class) []*vuln.Class {
 	return out
 }
 
-// Classes returns the engine's active class set.
+// Classes returns the engine's active class set, with the overlay and each
+// class's fix ID folded in.
 func (e *Engine) Classes() []*vuln.Class {
 	return append([]*vuln.Class(nil), e.classes...)
 }

@@ -274,7 +274,7 @@ mysql_query($q);
 	if len(rep.Findings) != 1 {
 		t.Fatalf("baseline findings = %d, want 1", len(rep.Findings))
 	}
-	tuned := newEngine(t, Options{Mode: ModeWAPe, Seed: 1, ExtraSanitizers: []string{"escape"}})
+	tuned := newEngine(t, Options{Mode: ModeWAPe, Seed: 1, Overlay: weapon.Overlay{Sanitizers: []string{"escape"}}})
 	rep2, err := tuned.Analyze(p)
 	if err != nil {
 		t.Fatal(err)

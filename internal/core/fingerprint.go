@@ -21,9 +21,9 @@ import (
 // the class definitions, the trained model — forces a re-execute.
 
 // configDigest hashes every engine input that can influence findings: mode,
-// class set (sinks, sanitizers, entry points, fix IDs), weapons with their
-// fixes and dynamic symptoms, user-supplied sanitizers/entry points/sinks,
-// the effective step budget, and the trained model's inputs (seed,
+// class set (sinks, sanitizers, entry points, fix IDs, with the user's
+// overlay folded in), weapons with their fixes and dynamic symptoms, the
+// effective step budget, and the trained model's inputs (seed,
 // training size, ARFF content). Scheduling knobs (parallelism, timeouts,
 // retries, breakers) are deliberately excluded: they never change what a
 // cleanly completed task finds, only whether and when it runs.
@@ -46,20 +46,9 @@ func (e *Engine) configDigest() string {
 				put("arff-err=%v", err)
 			}
 		}
-		for _, s := range e.opts.ExtraSanitizers {
-			put("san=%s", s)
-		}
-		for _, ep := range e.opts.ExtraEntryPoints {
-			put("ep=%s", ep)
-		}
-		for _, id := range sortedClassIDs(e.opts.ClassSanitizers) {
-			put("san-for=%s:%q", id, e.opts.ClassSanitizers[id])
-		}
-		for _, id := range sortedClassIDs(e.opts.ClassSinks) {
-			put("sinks-for=%s:%+v", id, e.opts.ClassSinks[id])
-		}
-		// The class set covers weapon-generated classes too; %+v renders
-		// every sink/sanitizer/entry-point list of the definition.
+		// The class set covers weapon-generated classes too, with the
+		// overlay and fix IDs folded in; %+v renders every sink, sanitizer
+		// and entry-point list of the definition.
 		for _, cls := range e.classes {
 			put("class=%+v", *cls)
 		}
@@ -84,15 +73,6 @@ func (e *Engine) configDigest() string {
 		e.digestVal = hex.EncodeToString(h.Sum(nil))
 	})
 	return e.digestVal
-}
-
-func sortedClassIDs[V any](m map[vuln.ClassID]V) []vuln.ClassID {
-	ids := make([]vuln.ClassID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // effectiveBudget resolves Options.TaskBudget to the value tasks actually

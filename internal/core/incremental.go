@@ -81,7 +81,7 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 
 	for fi, file := range p.Files {
 		for _, cls := range e.classes {
-			if pf != nil && !pf.sinkReachable(fi, cls, e.opts.ClassSinks[cls.ID]) {
+			if pf != nil && !pf.sinkReachable(fi, cls) {
 				stats.recordSkip(cls.ID)
 				continue
 			}

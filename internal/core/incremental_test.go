@@ -347,7 +347,7 @@ func TestIncrementalStoreInvalidation(t *testing.T) {
 		store := openTestStore(t, t.TempDir())
 		scanWithStore(t, incrementalOpts(), files, store)
 		changed := incrementalOpts()
-		changed.ExtraSanitizers = []string{"my_escape"}
+		changed.Overlay.Sanitizers = []string{"my_escape"}
 		warm := scanWithStore(t, changed, files, store)
 		if warm.Stats.TasksReused != 0 {
 			t.Errorf("reused %d tasks across a config change", warm.Stats.TasksReused)

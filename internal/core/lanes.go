@@ -45,22 +45,12 @@ func (e *Engine) runLanes(ts []task, p *Project, stop *atomic.Bool, budget int, 
 		if e.opts.TaskHook != nil {
 			e.opts.TaskHook(t.file.Path, t.cls.ID)
 		}
-		// The tool's own fix for the class counts as a sanitizer so
-		// corrected code is not re-flagged.
-		sans := append([]string(nil), e.opts.ExtraSanitizers...)
-		if fixID := e.fixIDFor(t.cls.ID); fixID != "" {
-			sans = append(sans, fixID)
-		}
-		sans = append(sans, e.opts.ClassSanitizers[t.cls.ID]...)
 		cfgs[k] = taint.Config{
-			Class:            t.cls,
-			Resolver:         p,
-			ExtraSanitizers:  sans,
-			ExtraEntryPoints: e.opts.ExtraEntryPoints,
-			ExtraSinks:       e.opts.ClassSinks[t.cls.ID],
-			MaxSteps:         budget,
-			Stop:             stop,
-			Shared:           shared,
+			Class:    t.cls,
+			Resolver: p,
+			MaxSteps: budget,
+			Stop:     stop,
+			Shared:   shared,
 		}
 	}
 	fz := taint.NewFused(cfgs)

@@ -156,19 +156,17 @@ func fileClosures(p *Project) [][]int {
 }
 
 // sinkReachable reports whether any file in fileIdx's reachable closure can
-// check a sink of cls (or one of its extra sinks): if none can, the
-// (file, class) task cannot produce a candidate and may be skipped.
-func (pf *prefilter) sinkReachable(fileIdx int, cls *vuln.Class, extra []vuln.Sink) bool {
+// check a sink of cls: if none can, the (file, class) task cannot produce a
+// candidate and may be skipped.
+func (pf *prefilter) sinkReachable(fileIdx int, cls *vuln.Class) bool {
 	in, ok := pf.sinkIn[cls.ID]
 	if !ok {
 		in = make([]bool, len(pf.files))
 		for i, f := range pf.files {
 			v := f.vocab()
-			for _, set := range [][]vuln.Sink{cls.Sinks, extra} {
-				for _, s := range set {
-					if v.has(s.Name) {
-						in[i] = true
-					}
+			for _, s := range cls.Sinks {
+				if v.has(s.Name) {
+					in[i] = true
 				}
 			}
 		}

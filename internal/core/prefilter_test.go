@@ -80,7 +80,7 @@ func TestPrefilterSoundnessOracle(t *testing.T) {
 			if cls == nil {
 				t.Fatalf("%s: finding of unknown class %s", app.Name, c.Class)
 			}
-			if !pf.sinkReachable(index[c.File], cls, e.opts.ClassSinks[cls.ID]) {
+			if !pf.sinkReachable(index[c.File], cls) {
 				t.Errorf("%s: pre-filter skips (%s, %s), which reports %s at line %d",
 					app.Name, c.File, c.Class, c.SinkName, c.SinkPos.Line)
 			}

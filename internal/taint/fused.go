@@ -1109,7 +1109,7 @@ func (fz *Fused) laneMaskFor(memo map[string]laneMask, name string, holds func(*
 }
 
 func (fz *Fused) epVarMaskFor(name string) laneMask {
-	return fz.laneMaskFor(fz.epVarM, name, (*Analyzer).isEntryPointVar)
+	return fz.laneMaskFor(fz.epVarM, name, func(a *Analyzer, n string) bool { return a.class.IsEntryPointVar(n) })
 }
 
 func (fz *Fused) sanMaskFor(name string) laneMask {
@@ -1137,7 +1137,7 @@ func (fz *Fused) methSinkMaskFor(name string) laneMask {
 // hasSink reports whether lane a has a sink of this name, as a method sink
 // or a plain one.
 func hasSink(a *Analyzer, name string, method bool) bool {
-	for _, s := range a.allSinks() {
+	for _, s := range a.class.Sinks {
 		if s.Method == method && s.Name == name {
 			return true
 		}

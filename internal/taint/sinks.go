@@ -5,7 +5,6 @@ package taint
 import (
 	"repro/internal/php/ast"
 	"repro/internal/php/token"
-	"repro/internal/vuln"
 )
 
 // serverKeySafe reports whether a $_SERVER cell is set by the server itself
@@ -17,18 +16,6 @@ func serverKeySafe(key string) bool {
 		"SCRIPT_FILENAME", "SERVER_PROTOCOL", "REQUEST_TIME",
 		"REQUEST_TIME_FLOAT":
 		return true
-	}
-	return false
-}
-
-func (a *Analyzer) isEntryPointVar(name string) bool {
-	if a.class.IsEntryPointVar(name) {
-		return true
-	}
-	for _, ep := range a.cfg.ExtraEntryPoints {
-		if ep == name {
-			return true
-		}
 	}
 	return false
 }
@@ -45,17 +32,6 @@ func (a *Analyzer) isSanitizer(fn string) bool {
 	return false
 }
 
-// allSinks returns the sinks of the class plus configured extras.
-func (a *Analyzer) allSinks() []vuln.Sink {
-	if len(a.cfg.ExtraSinks) == 0 {
-		return a.class.Sinks
-	}
-	out := make([]vuln.Sink, 0, len(a.class.Sinks)+len(a.cfg.ExtraSinks))
-	out = append(out, a.class.Sinks...)
-	out = append(out, a.cfg.ExtraSinks...)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Sink checking
 // ---------------------------------------------------------------------------
@@ -63,7 +39,7 @@ func (a *Analyzer) allSinks() []vuln.Sink {
 // checkCallSinks matches a call against the class sink list and reports a
 // candidate for each tainted dangerous argument.
 func (a *Analyzer) checkCallSinks(name string, method bool, recvName string, call ast.Node, argExprs []ast.Expr, args []tval, pos token.Position) {
-	for _, s := range a.allSinks() {
+	for _, s := range a.class.Sinks {
 		if s.Name != name || s.Method != method {
 			continue
 		}
@@ -104,7 +80,7 @@ func (a *Analyzer) checkPseudoSink(name string, node ast.Node, argExpr ast.Expr,
 	if !v.Tainted {
 		return
 	}
-	for _, s := range a.allSinks() {
+	for _, s := range a.class.Sinks {
 		if s.Method || s.Name != name {
 			continue
 		}
@@ -127,7 +103,7 @@ func (a *Analyzer) checkNamedSink(name string, node ast.Node, argExpr ast.Expr, 
 	if !v.Tainted {
 		return
 	}
-	for _, s := range a.allSinks() {
+	for _, s := range a.class.Sinks {
 		if s.Method || s.Name != name {
 			continue
 		}

@@ -135,13 +135,11 @@ type Config struct {
 	// calls are treated like unknown builtins (clean result, bodies only
 	// analyzed standalone). Used by the interprocedural ablation.
 	DisableInlining bool
-	// ExtraSanitizers extends the class sanitization set (paper Section V-A:
-	// feeding the tool application-specific functions such as "escape").
+	// ExtraSanitizers extends the class sanitization set. The scan engine
+	// folds an application's own sanitizers into its classes instead
+	// (weapon.Overlay.Fold); the field stays for callers that run the
+	// evaluator on a registry class directly, such as cmd/wapbench.
 	ExtraSanitizers []string
-	// ExtraEntryPoints extends the superglobal entry-point set.
-	ExtraEntryPoints []string
-	// ExtraSinks extends the sink set.
-	ExtraSinks []vuln.Sink
 	// MaxSteps bounds the number of IR instructions this analyzer may
 	// execute in one File run (0 = unlimited). When the budget is exhausted
 	// the run degrades instead of running away: evaluation stops, the

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -455,20 +456,20 @@ mysql_query("SELECT * FROM t WHERE a='" . $v . "'");`
 func TestExtraEntryPoints(t *testing.T) {
 	src := `<?php mysql_query("SELECT " . $_CUSTOM['q']);`
 	wantCount(t, analyze(t, vuln.SQLI, src), 0)
-	cands := analyzeCfg(t, Config{
-		Class:            vuln.MustGet(vuln.SQLI),
-		ExtraEntryPoints: []string{"_CUSTOM"},
-	}, src)
+	// The scan engine folds extra entry points into a copy of the class.
+	cls := *vuln.MustGet(vuln.SQLI)
+	cls.EntryPoints = append(slices.Clone(vuln.DefaultEntryPoints), "_CUSTOM")
+	cands := analyzeCfg(t, Config{Class: &cls}, src)
 	wantCount(t, cands, 1)
 }
 
 func TestExtraSinks(t *testing.T) {
 	src := `<?php my_db_exec("DELETE FROM t WHERE id=" . $_GET['id']);`
 	wantCount(t, analyze(t, vuln.SQLI, src), 0)
-	cands := analyzeCfg(t, Config{
-		Class:      vuln.MustGet(vuln.SQLI),
-		ExtraSinks: []vuln.Sink{{Name: "my_db_exec", Args: []int{0}}},
-	}, src)
+	// The scan engine folds extra sinks into a copy of the class.
+	cls := *vuln.MustGet(vuln.SQLI)
+	cls.Sinks = append(slices.Clone(cls.Sinks), vuln.Sink{Name: "my_db_exec", Args: []int{0}})
+	cands := analyzeCfg(t, Config{Class: &cls}, src)
 	wantCount(t, cands, 1)
 }
 

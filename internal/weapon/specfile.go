@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/corrector"
 	"repro/internal/symptom"
@@ -32,7 +33,9 @@ import (
 //	fix-message WAP: blocked
 //	symptom val_int -> is_int validation
 //
-// '#' starts a comment; blank lines are ignored.
+// '#' starts a comment; blank lines are ignored. An ep name may keep its
+// '$' ("ep $_CUSTOM"); it is dropped. wap.conf files (ParseOverlay) use
+// the same scanner and sink syntax.
 
 // MaxSpecLine is the longest spec line ParseSpec accepts. Real weapon
 // specs keep one item per line, but a generated spec can legitimately carry
@@ -42,34 +45,25 @@ const MaxSpecLine = 4 << 20
 
 // ParseSpec reads a weapon spec file.
 func ParseSpec(r io.Reader) (*Spec, error) {
-	sc := bufio.NewScanner(r)
-	// The default Scanner token cap is 64 KiB; a longer sink or fix-chars
-	// line would fail with bufio.ErrTooLong mid-file.
-	sc.Buffer(make([]byte, 0, 64<<10), MaxSpecLine)
 	spec := &Spec{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key, rest, _ := strings.Cut(line, " ")
-		rest = strings.TrimSpace(rest)
-		var err error
+	err := scanDirectives(r, "spec", func(key, rest string) error {
 		switch key {
 		case "name":
 			spec.Name = rest
 		case "description":
 			spec.Description = rest
 		case "sink":
-			err = parseSinkLine(spec, rest)
+			s, err := parseSinkLine(rest, nil)
+			if err != nil {
+				return err
+			}
+			spec.Sinks = append(spec.Sinks, s)
 		case "san":
 			spec.Sanitizers = append(spec.Sanitizers, strings.ToLower(rest))
 		case "san-method":
 			spec.SanitizerMethods = append(spec.SanitizerMethods, strings.ToLower(rest))
 		case "ep":
-			spec.EntryPoints = append(spec.EntryPoints, rest)
+			spec.EntryPoints = append(spec.EntryPoints, entryPointName(rest))
 		case "ep-func":
 			spec.EntryPointFuncs = append(spec.EntryPointFuncs, strings.ToLower(rest))
 		case "fix-template":
@@ -81,7 +75,7 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 			case "user_val":
 				spec.Fix.Kind = corrector.UserValidation
 			default:
-				err = fmt.Errorf("unknown fix template %q", rest)
+				return fmt.Errorf("unknown fix template %q", rest)
 			}
 		case "fix-san":
 			spec.Fix.SanFunc = rest
@@ -94,16 +88,14 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 		case "fix-message":
 			spec.Fix.Message = rest
 		case "symptom":
-			err = parseSymptomLine(spec, rest)
+			return parseSymptomLine(spec, rest)
 		default:
-			err = fmt.Errorf("unknown directive %q", key)
+			return fmt.Errorf("unknown directive %q", key)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("weapon: spec line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("weapon: read spec: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -111,11 +103,48 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	return spec, nil
 }
 
-// parseSinkLine parses "name [method] [recv=var] [arg=i ...]".
-func parseSinkLine(spec *Spec, rest string) error {
+// scanDirectives is the one line scanner of spec files and wap.conf: it
+// hands fn each directive as its key (the line up to the first white
+// space) and the trimmed rest of the line. '#' starts a comment line; blank lines are
+// skipped. what names the file kind in errors.
+func scanDirectives(r io.Reader, what string, fn func(key, rest string) error) error {
+	sc := bufio.NewScanner(r)
+	// The default Scanner token cap is 64 KiB; a longer sink or fix-chars
+	// line would fail with bufio.ErrTooLong mid-file.
+	sc.Buffer(make([]byte, 0, 64<<10), MaxSpecLine)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, rest := line, ""
+		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+			key, rest = line[:i], strings.TrimSpace(line[i:])
+		}
+		if err := fn(key, rest); err != nil {
+			return fmt.Errorf("weapon: %s line %d: %w", what, lineNo, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("weapon: read %s: %w", what, err)
+	}
+	return nil
+}
+
+// entryPointName names a superglobal without its '$': "ep $_X" and
+// "ep _X" both mean _X, the form the evaluator matches.
+func entryPointName(v string) string {
+	return strings.TrimLeftFunc(v, func(r rune) bool { return r == '$' || unicode.IsSpace(r) })
+}
+
+// parseSinkLine parses "name [method] [recv=var] [arg=i ...]". With a
+// non-nil class it also takes wap.conf's "class=id", stored lower-cased.
+func parseSinkLine(rest string, class *vuln.ClassID) (vuln.Sink, error) {
 	fields := strings.Fields(rest)
 	if len(fields) == 0 {
-		return fmt.Errorf("sink needs a name")
+		return vuln.Sink{}, fmt.Errorf("sink needs a name")
 	}
 	s := vuln.Sink{Name: strings.ToLower(fields[0])}
 	for _, f := range fields[1:] {
@@ -127,15 +156,16 @@ func parseSinkLine(spec *Spec, rest string) error {
 		case strings.HasPrefix(f, "arg="):
 			n, err := strconv.Atoi(strings.TrimPrefix(f, "arg="))
 			if err != nil || n < 0 {
-				return fmt.Errorf("bad arg index %q", f)
+				return vuln.Sink{}, fmt.Errorf("bad arg index %q", f)
 			}
 			s.Args = append(s.Args, n)
+		case class != nil && strings.HasPrefix(f, "class="):
+			*class = vuln.ClassID(strings.ToLower(strings.TrimPrefix(f, "class=")))
 		default:
-			return fmt.Errorf("unknown sink option %q", f)
+			return vuln.Sink{}, fmt.Errorf("unknown sink option %q", f)
 		}
 	}
-	spec.Sinks = append(spec.Sinks, s)
-	return nil
+	return s, nil
 }
 
 // parseSymptomLine parses "func -> static_symptom category".

@@ -213,6 +213,8 @@ name w
 
 # sinks
 sink f arg=0
+# a superglobal's '$' is dropped, as in wap.conf
+ep $_CUSTOM
 fix-template user_val
 fix-chars ' "
 fix-message no
@@ -223,5 +225,8 @@ fix-message no
 	}
 	if len(spec.Sinks) != 1 || len(spec.Fix.MaliciousChars) != 2 {
 		t.Errorf("spec = %+v", spec)
+	}
+	if len(spec.EntryPoints) != 1 || spec.EntryPoints[0] != "_CUSTOM" {
+		t.Errorf("entry points = %q, want [_CUSTOM]", spec.EntryPoints)
 	}
 }
