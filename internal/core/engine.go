@@ -790,11 +790,23 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					fault = DiagPanic
 					msg = "analysis panicked: " + res.panicVal
 				case out.exhausted:
-					fault = DiagBudget
-					msg = fmt.Sprintf("step budget of %d exhausted; taint analysis degraded to a sound partial result", attemptBudget)
-					if l.bestPartial == nil {
-						l.bestPartial = out.findings // first attempt has the largest budget
+					// Exhaustion is a property of the input, not a fault: the
+					// lane settles now with its sound partial result, is never
+					// retried and charges no breaker. Like every degraded
+					// outcome it is not persisted.
+					completed.Add(1)
+					ck.taskDone(i, nil, 0, false)
+					stats.recordTask(t.cls.ID, out, wall)
+					addDiag(Diagnostic{
+						File: t.file.Path, Class: t.cls.ID, Kind: DiagBudget,
+						Message: fmt.Sprintf("step budget of %d exhausted; taint analysis degraded to a sound partial result", attemptBudget),
+						Elapsed: res.elapsed, Retries: attempt,
+					})
+					results[i] = out.findings
+					if l.brk != nil {
+						l.brk.Success()
 					}
+					continue
 				}
 
 				if fault == "" {

@@ -210,10 +210,9 @@ echo deep($_GET['r']);
 function uncalled() { echo $_GET['u']; system($_GET['u']); }`
 
 // TestFusedBudgetExhaustsOnlyItsLane gives a two-class pass a budget
-// between the lanes' step counts: the cheaper lane completes on the first
-// attempt, only the other climbs the retry ladder — recovered with the
-// floored retry budget when the ladder is armed, terminal with its sound
-// prefix when it is not.
+// between the lanes' step counts: the cheaper lane completes, and the other
+// settles on the same first attempt with its sound prefix and one budget
+// diagnostic, whether or not the retry ladder is armed.
 func TestFusedBudgetExhaustsOnlyItsLane(t *testing.T) {
 	proj := func() *Project { return LoadMap("budget", map[string]string{"f.php": budgetSplitPage}) }
 	opts := Options{Parallelism: 1, Classes: []vuln.ClassID{vuln.XSSR, vuln.XSSS}, TaskBudget: 69, RetryBackoff: -1}
@@ -229,30 +228,21 @@ func TestFusedBudgetExhaustsOnlyItsLane(t *testing.T) {
 
 	armed := opts
 	armed.RetryMax = 1
-	rep, err := newTestEngine(t, armed).Analyze(proj())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := describeDiags(rep); len(got) != 1 || got[0] != "retried|f.php|xss-s" {
-		t.Errorf("diagnostics = %v, want one recovery of f.php[xss-s]", got)
-	}
-	if n := findingCount(rep, "f.php", vuln.XSSR); n != fullXSSR {
-		t.Errorf("xss-r findings = %d, want %d from its first attempt", n, fullXSSR)
-	}
-	if s := rep.Stats; s.TaskRetries != 1 || s.TasksRecovered != 1 || s.FusedPasses != 1 || s.FusedDemoted != 0 {
-		t.Errorf("stats retries/recovered/passes/demoted = %d/%d/%d/%d, want 1/1/1/0",
-			s.TaskRetries, s.TasksRecovered, s.FusedPasses, s.FusedDemoted)
-	}
-
-	rep, err = newTestEngine(t, opts).Analyze(proj())
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := diagsOfKind(rep, DiagBudget)
-	if len(budget) != 1 || budget[0].Class != vuln.XSSS || len(rep.Diagnostics) != 1 {
-		t.Errorf("diagnostics = %v, want one budget diagnostic for xss-s", describeDiags(rep))
-	}
-	if n := findingCount(rep, "f.php", vuln.XSSR); n != fullXSSR {
-		t.Errorf("xss-r findings = %d next to an exhausted lane, want %d", n, fullXSSR)
+	for _, o := range []Options{armed, opts} {
+		rep, err := newTestEngine(t, o).Analyze(proj())
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := diagsOfKind(rep, DiagBudget)
+		if len(budget) != 1 || budget[0].Class != vuln.XSSS || len(rep.Diagnostics) != 1 {
+			t.Errorf("RetryMax %d: diagnostics = %v, want one budget diagnostic for xss-s", o.RetryMax, describeDiags(rep))
+		}
+		if n := findingCount(rep, "f.php", vuln.XSSR); n != fullXSSR {
+			t.Errorf("RetryMax %d: xss-r findings = %d next to an exhausted lane, want %d", o.RetryMax, n, fullXSSR)
+		}
+		if s := rep.Stats; s.TaskRetries != 0 || s.FusedPasses != 1 || s.FusedDemoted != 0 {
+			t.Errorf("RetryMax %d: stats retries/passes/demoted = %d/%d/%d, want 0/1/0",
+				o.RetryMax, s.TaskRetries, s.FusedPasses, s.FusedDemoted)
+		}
 	}
 }

@@ -335,3 +335,71 @@ func TestLoadDirContextStopsOnCancellation(t *testing.T) {
 		t.Errorf("loaded %d files, want 5", len(proj.Files))
 	}
 }
+
+// TestBudgetExhaustionIsNotAFault scans five files whose 18 nested loops
+// exhaust a small step budget next to one trivial file. Exhaustion is a
+// property of the input, not of the host, so each deep task settles on its
+// first attempt with its sound partial findings: nothing is retried, no
+// class breaker is charged, and the trivial file keeps its finding. A
+// second scan on the same engine reports the same.
+func TestBudgetExhaustionIsNotAFault(t *testing.T) {
+	var deep strings.Builder
+	deep.WriteString("<?php\n")
+	for i := 0; i < 18; i++ {
+		deep.WriteString("while ($c) {\n")
+	}
+	deep.WriteString("echo $_GET['x'];\n")
+	for i := 0; i < 18; i++ {
+		deep.WriteString("}\n")
+	}
+	files := map[string]string{"z.php": `<?php echo $_GET['y'];`}
+	for _, f := range []string{"a.php", "b.php", "c.php", "d.php", "e.php"} {
+		files[f] = deep.String()
+	}
+	for _, retryMax := range []int{0, 2} {
+		e := newTestEngine(t, Options{
+			Parallelism:          1,
+			Classes:              []vuln.ClassID{vuln.XSSR},
+			TaskBudget:           20000,
+			BreakerThreshold:     5,
+			BreakerCooldown:      time.Hour,
+			RetryMax:             retryMax,
+			RetryBackoff:         -1,
+			DisableSinkPrefilter: true,
+		})
+		var first string
+		for scan := 1; scan <= 2; scan++ {
+			rep, err := e.Analyze(LoadMap("budget", files))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hasFinding(rep, "z.php", vuln.XSSR) {
+				t.Errorf("RetryMax %d, scan %d: z.php lost its finding: %v", retryMax, scan, describeDiags(rep))
+			}
+			if n := len(diagsOfKind(rep, DiagBreakerOpen)); n != 0 {
+				t.Errorf("RetryMax %d, scan %d: %d breaker-open diagnostics, want 0", retryMax, scan, n)
+			}
+			budget := diagsOfKind(rep, DiagBudget)
+			if n := len(budget); n != 5 {
+				t.Errorf("RetryMax %d, scan %d: %d budget diagnostics, want 5: %v", retryMax, scan, n, describeDiags(rep))
+			}
+			for _, d := range budget {
+				if d.Retries != 0 {
+					t.Errorf("RetryMax %d, scan %d: %s budget diagnostic Retries = %d, want 0", retryMax, scan, d.File, d.Retries)
+				}
+				if !hasFinding(rep, d.File, vuln.XSSR) {
+					t.Errorf("RetryMax %d, scan %d: exhausted %s lost its partial finding", retryMax, scan, d.File)
+				}
+			}
+			if rep.Stats.TaskRetries != 0 {
+				t.Errorf("RetryMax %d, scan %d: TaskRetries = %d, want 0", retryMax, scan, rep.Stats.TaskRetries)
+			}
+			got := canonicalReport(rep)
+			if scan == 1 {
+				first = got
+			} else if got != first {
+				t.Errorf("RetryMax %d: second scan differs:\n--- first ---\n%s\n--- second ---\n%s", retryMax, first, got)
+			}
+		}
+	}
+}
