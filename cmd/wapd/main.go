@@ -9,10 +9,11 @@
 //   - per-request deadlines (timeout_ms in the body, capped by
 //     -max-timeout) propagate into the engine, so a slow scan returns a
 //     partial report instead of hanging the connection;
-//   - the engine retry ladder (-retry-max) re-runs transiently faulting
-//     (file, class) tasks with shrinking budgets before giving up;
+//   - the engine retry ladder (-retry-max) re-runs (file, class) tasks cut
+//     off by the -task-timeout watchdog before giving up; a panic or an
+//     exhausted step budget is deterministic and settles at once;
 //   - per-class circuit breakers (-breaker-threshold, -breaker-cooldown)
-//     trip a persistently faulting class open across jobs;
+//     trip a class that keeps panicking or timing out open across jobs;
 //   - durable async jobs (-journal): "async": true requests answer 202 with
 //     a job ID, are journaled through a write-ahead log, survive a process
 //     crash, and resume warm from the result store (-cache-dir) on the next
@@ -70,9 +71,9 @@ func run(args []string) error {
 		drainTO    = fs.Duration("drain-timeout", server.DefaultDrainTimeout, "grace for in-flight jobs on SIGTERM before they are cancelled into partial reports")
 		defaultTO  = fs.Duration("default-timeout", server.DefaultJobTimeout, "per-job deadline when the request names none")
 		maxTO      = fs.Duration("max-timeout", server.DefaultMaxTimeout, "cap on client-requested job deadlines")
-		retryMax   = fs.Int("retry-max", 2, "retries for a faulted (file, class) task, with shrinking budgets (0 = off)")
+		retryMax   = fs.Int("retry-max", 2, "retries for a (file, class) task cut off by the task watchdog (0 = off)")
 		retryBack  = fs.Duration("retry-backoff", core.DefaultRetryBackoff, "base jittered backoff between task retries")
-		brkThresh  = fs.Int("breaker-threshold", 5, "consecutive terminal faults that trip a class's circuit breaker (0 = off)")
+		brkThresh  = fs.Int("breaker-threshold", 5, "consecutive terminal panics or timeouts that trip a class's circuit breaker (0 = off)")
 		brkCool    = fs.Duration("breaker-cooldown", core.DefaultBreakerCooldown, "open-breaker cool-down before a half-open probe")
 		taskTO     = fs.Duration("task-timeout", 30*time.Second, "per-(file, class) task watchdog deadline (0 = none)")
 		seed       = fs.Int64("seed", 2016, "training seed for the false positive predictor")

@@ -22,7 +22,9 @@ const (
 	// was cancelled mid-task) and was cut off.
 	DiagTimeout DiagKind = "timeout"
 	// DiagBudget: a task exhausted its step budget; taint analysis stopped
-	// partway through the file and kept the candidates found so far.
+	// partway through the file and kept the candidates found so far. The
+	// step count is a property of the input, so the task is settled on its
+	// first attempt: never retried, never charged to a circuit breaker.
 	DiagBudget DiagKind = "budget-exhausted"
 	// DiagParseDegraded: the parser hit its nesting bound and produced a
 	// truncated AST for the file.
@@ -30,9 +32,8 @@ const (
 	// DiagLoadSkipped: a file was skipped at load time (unreadable, over the
 	// size cap, or an unresolvable symlink).
 	DiagLoadSkipped DiagKind = "load-skipped"
-	// DiagRetried: a task faulted transiently (panic, watchdog timeout or
-	// budget exhaustion) and the retry ladder recovered it on a later
-	// attempt. Unlike every other kind this one is informational — the
+	// DiagRetried: a task was cut off by the watchdog timeout, the one
+	// fault the retry ladder retries, and completed on a later attempt. Unlike every other kind this one is informational — the
 	// task's findings ARE in the report — so it does not make the report
 	// Degraded.
 	DiagRetried DiagKind = "retried"

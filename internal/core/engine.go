@@ -90,22 +90,23 @@ type Options struct {
 	// testing): a hook that panics or stalls exercises the isolation layer
 	// exactly like a bug in the parser or taint engine would.
 	TaskHook func(file string, class vuln.ClassID)
-	// RetryMax is how many times a faulted task (panic, watchdog timeout,
-	// budget exhaustion) is retried before its fault becomes terminal. Each
-	// retry halves the step budget (so a stalled evaluation degrades instead
-	// of timing out again) and sleeps a jittered exponential backoff first.
-	// 0 disables the ladder. On a fault-free corpus findings are
-	// byte-identical at any RetryMax.
+	// RetryMax is how many times a task cut off by the TaskTimeout watchdog
+	// is retried before its timeout becomes terminal. Each retry runs at the
+	// task's own budget after a jittered exponential backoff. The timeout is
+	// the one fault that depends on the host: budget exhaustion and panics
+	// are deterministic and settle on their first attempt. 0 disables the
+	// ladder. On a corpus without timeouts findings are byte-identical at any
+	// RetryMax.
 	RetryMax int
 	// RetryBackoff is the base backoff before the first retry; it doubles
 	// per attempt (±50% jitter, capped at 2s). 0 uses DefaultRetryBackoff;
 	// negative disables the sleep.
 	RetryBackoff time.Duration
 	// BreakerThreshold arms per-class circuit breakers: a class whose tasks
-	// fault terminally this many times in a row (across every scan the
-	// engine runs) trips open, and its tasks are skipped with breaker-open
-	// diagnostics until a cool-down passes and a half-open probe succeeds.
-	// 0 disables breakers.
+	// panic or time out terminally this many times in a row (across every
+	// scan the engine runs) trips open, and its tasks are skipped with
+	// breaker-open diagnostics until a cool-down passes and a half-open
+	// probe succeeds. A budget exhaustion never counts. 0 disables breakers.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker waits before admitting
 	// its half-open probe. 0 uses DefaultBreakerCooldown.
@@ -142,10 +143,6 @@ const DefaultRetryBackoff = 50 * time.Millisecond
 // DefaultBreakerCooldown is how long an open breaker waits before admitting
 // a half-open probe when Options.BreakerCooldown is zero.
 const DefaultBreakerCooldown = 30 * time.Second
-
-// minRetryBudget floors the shrinking retry budget so a retried task can
-// still make progress before degrading conservatively.
-const minRetryBudget = 4096
 
 // Finding is one analyzed candidate vulnerability.
 type Finding struct {
@@ -522,12 +519,6 @@ type lane struct {
 	brk   *breaker.Breaker // its class's breaker; nil when breakers are off
 	probe bool             // admitted as brk's half-open probe
 	start time.Time
-	// lastFault is the fault of the lane's latest failed attempt;
-	// bestPartial keeps the sound-prefix findings of its deepest
-	// budget-exhausted attempt, so a terminal ladder still reports what
-	// the largest budget could prove.
-	lastFault   DiagKind
-	bestPartial []*Finding
 }
 
 // AnalyzeContext runs the full pipeline under a context, in three stages:
@@ -547,16 +538,19 @@ type lane struct {
 //   - ctx cancellation stops the scan between tasks (and interrupts running
 //     tasks cooperatively); AnalyzeContext then returns the partial report
 //     alongside ctx's error;
-//   - Options.RetryMax arms the retry ladder: a faulted task is re-run with
-//     exponentially shrinking budgets and jittered backoff before any of
-//     the above becomes terminal, and a recovery is recorded as an
-//     informational retried diagnostic;
+//   - a panic and a budget exhaustion are deterministic (the analysis is a
+//     pure function of the project and its class), so both settle on their
+//     first attempt;
+//   - Options.RetryMax arms the retry ladder for the one host-dependent
+//     fault, the watchdog timeout: a timed-out task is re-run at its own
+//     budget after a jittered backoff before the timeout becomes terminal,
+//     and a recovery is recorded as an informational retried diagnostic;
 //   - Options.BreakerThreshold arms per-class circuit breakers (engine-
-//     scoped, shared across scans): a persistently faulting class is
-//     skipped with breaker-open diagnostics until its cool-down probe
-//     succeeds, so one pathological class cannot consume the worker pool.
-//     Tasks satisfied from the result store never consult the breakers —
-//     nothing executes for them.
+//     scoped, shared across scans): a class whose tasks panic or time out
+//     terminally is skipped with breaker-open diagnostics until its
+//     cool-down probe succeeds. A budget exhaustion never charges a
+//     breaker. Tasks satisfied from the result store never consult the
+//     breakers — nothing executes for them.
 //
 // The report is complete and deterministic for everything not listed in its
 // Diagnostics, regardless of Parallelism, and — Stats and Duration aside —
@@ -684,7 +678,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 	// contained, a watchdog can abandon it, and an abandoned attempt keeps
 	// no reference to shared state (it reports through a buffered channel it
 	// owns).
-	runAttempt := func(ts []task, attemptBudget int) attemptResult {
+	runAttempt := func(ts []task) attemptResult {
 		stop := new(atomic.Bool)
 		start := time.Now()
 		outc := make(chan attemptResult, 1)
@@ -694,7 +688,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					outc <- attemptResult{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 				}
 			}()
-			outc <- attemptResult{outs: e.runLanes(ts, p, stop, attemptBudget, shared)}
+			outc <- attemptResult{outs: e.runLanes(ts, p, stop, budget, shared)}
 		}()
 
 		var timeoutC <-chan time.Time
@@ -728,26 +722,26 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		}
 	}
 
-	// runLadder dispositions a lane set through the retry ladder, starting
-	// at the given attempt and budget. Each attempt evaluates the whole set
-	// in one fused pass. Lanes that complete are dispositioned — a
-	// first-attempt completion is the only persistable outcome; lanes that
-	// exhaust their budget retry together with a halved budget after a
-	// jittered backoff, up to Options.RetryMax, and then become terminal
-	// with the sound prefix of their deepest attempt. A panic or watchdog
-	// timeout cannot be pinned on one lane, so it splits a multi-lane set:
-	// each lane reruns the same attempt alone, where its own ladder
-	// attributes the fault to its class's breaker. A task that stays
-	// faulted through the ladder gets one diagnostic (carrying its retry
-	// count) and charges the class's circuit breaker.
-	var runLadder func(set []*lane, attempt, attemptBudget int)
-	runLadder = func(set []*lane, attempt, attemptBudget int) {
+	// runLadder dispositions a lane set, starting at the given attempt.
+	// Each attempt evaluates the whole set in one fused pass. A lane's
+	// analysis is a pure function of the project and its class, so a
+	// completion, a budget exhaustion and a panic all settle on the attempt
+	// that produced them. A panic or watchdog timeout cannot be pinned on
+	// one lane, so it first splits a multi-lane set: each lane reruns the
+	// same attempt alone, which isolates the fault without retrying it. The
+	// watchdog timeout is the one fault that depends on the host, and the
+	// only one retried: a lone lane that times out reruns after a jittered
+	// backoff, up to Options.RetryMax times. A terminal panic or timeout
+	// gets one diagnostic (carrying its retry count) and charges the class's
+	// circuit breaker.
+	var runLadder func(set []*lane, attempt int)
+	runLadder = func(set []*lane, attempt int) {
+		ts := make([]task, len(set))
+		for k, l := range set {
+			ts[k] = tasks[l.idx]
+		}
 		for ; ; attempt++ {
-			ts := make([]task, len(set))
-			for k, l := range set {
-				ts[k] = tasks[l.idx]
-			}
-			res := runAttempt(ts, attemptBudget)
+			res := runAttempt(ts)
 			if res.interrupted {
 				// Scan-level cancellation: the lanes stay undispositioned (the
 				// scan-level diagnostic accounts for them) and unused probe
@@ -762,9 +756,18 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 						releaseProbes(set[k:])
 						return
 					}
-					runLadder([]*lane{l}, attempt, attemptBudget)
+					runLadder([]*lane{l}, attempt)
 				}
 				return
+			}
+			if res.timedOut && attempt < e.opts.RetryMax {
+				stats.recordRetry(ts[0].cls.ID)
+				if !breaker.Sleep(ctx, e.retryBackoff(attempt)) {
+					// Cancelled during backoff: same disposition as interrupted.
+					releaseProbes(set)
+					return
+				}
+				continue
 			}
 			if len(set) > 1 {
 				stats.recordFusedPass(len(set))
@@ -773,51 +776,51 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			// lanes (per-class wall is schedule-dependent accounting either
 			// way).
 			wall := res.elapsed / time.Duration(len(set))
-			var retry []*lane
 			for k, l := range set {
-				i, t := l.idx, tasks[l.idx]
+				i, t := l.idx, ts[k]
+				completed.Add(1)
 				var out taskOutcome
 				if res.outs != nil {
 					out = res.outs[k]
 				}
-				var fault DiagKind
-				var msg string
+				if !res.timedOut {
+					// An abandoned attempt has no outcome to account.
+					stats.recordTask(t.cls.ID, out, wall)
+				}
 				switch {
-				case res.timedOut:
-					fault = DiagTimeout
-					msg = fmt.Sprintf("task exceeded deadline %v", e.opts.TaskTimeout)
-				case res.panicVal != "":
-					fault = DiagPanic
-					msg = "analysis panicked: " + res.panicVal
+				case res.timedOut || res.panicVal != "":
+					d := Diagnostic{
+						File: t.file.Path, Class: t.cls.ID, Kind: DiagTimeout,
+						Message: fmt.Sprintf("task exceeded deadline %v", e.opts.TaskTimeout),
+						Stack:   res.stack, Elapsed: res.elapsed, Retries: attempt,
+					}
+					if !res.timedOut {
+						d.Kind, d.Message = DiagPanic, "analysis panicked: "+res.panicVal
+					}
+					addDiag(d)
+					ck.taskDone(i, nil, 0, false)
+					if l.brk != nil {
+						l.brk.Fault(l.probe)
+					}
 				case out.exhausted:
 					// Exhaustion is a property of the input, not a fault: the
-					// lane settles now with its sound partial result, is never
-					// retried and charges no breaker. Like every degraded
-					// outcome it is not persisted.
-					completed.Add(1)
-					ck.taskDone(i, nil, 0, false)
-					stats.recordTask(t.cls.ID, out, wall)
+					// lane keeps its sound partial result and charges no
+					// breaker. Like every degraded outcome it is not persisted.
 					addDiag(Diagnostic{
 						File: t.file.Path, Class: t.cls.ID, Kind: DiagBudget,
-						Message: fmt.Sprintf("step budget of %d exhausted; taint analysis degraded to a sound partial result", attemptBudget),
+						Message: fmt.Sprintf("step budget of %d exhausted; taint analysis degraded to a sound partial result", budget),
 						Elapsed: res.elapsed, Retries: attempt,
 					})
 					results[i] = out.findings
+					ck.taskDone(i, nil, 0, false)
 					if l.brk != nil {
 						l.brk.Success()
 					}
-					continue
-				}
-
-				if fault == "" {
-					// Clean completion: publish findings and summaries, close
-					// the breaker, and note the recovery when retries were spent.
-					completed.Add(1)
-					stats.recordTask(t.cls.ID, out, wall)
+				default:
 					shared.Commit(out.pending)
 					results[i] = out.findings
 					// First-attempt completions are the only persistable
-					// outcome: a task that needed retries faulted under this
+					// outcome: a task that needed retries timed out under this
 					// exact input, so it re-executes next scan too.
 					ck.taskDone(i, out.findings, out.steps, attempt == 0)
 					if l.brk != nil {
@@ -828,47 +831,13 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 						addDiag(Diagnostic{
 							File: t.file.Path, Class: t.cls.ID, Kind: DiagRetried,
 							Message: fmt.Sprintf("recovered by retry ladder after %d retr%s (last fault: %s)",
-								attempt, plural(attempt, "y", "ies"), l.lastFault),
+								attempt, plural(attempt, "y", "ies"), DiagTimeout),
 							Elapsed: time.Since(l.start), Retries: attempt,
 						})
 					}
-					continue
 				}
-
-				if attempt >= e.opts.RetryMax {
-					// Terminal fault.
-					completed.Add(1)
-					ck.taskDone(i, nil, 0, false)
-					if !res.timedOut {
-						// An abandoned attempt has no outcome to account.
-						stats.recordTask(t.cls.ID, out, wall)
-					}
-					addDiag(Diagnostic{
-						File: t.file.Path, Class: t.cls.ID, Kind: fault,
-						Message: msg, Stack: res.stack, Elapsed: res.elapsed,
-						Retries: attempt,
-					})
-					results[i] = l.bestPartial
-					if l.brk != nil {
-						l.brk.Fault(l.probe)
-					}
-					continue
-				}
-
-				l.lastFault = fault
-				stats.recordRetry(t.cls.ID)
-				retry = append(retry, l)
 			}
-			if len(retry) == 0 {
-				return
-			}
-			set = retry
-			attemptBudget = shrinkBudget(attemptBudget)
-			if !breaker.Sleep(ctx, e.retryBackoff(attempt)) {
-				// Cancelled during backoff: same disposition as interrupted.
-				releaseProbes(set)
-				return
-			}
+			return
 		}
 	}
 
@@ -900,7 +869,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			set = append(set, &lane{idx: i, brk: brk, probe: probe, start: start})
 		}
 		if len(set) > 0 {
-			runLadder(set, 0, budget)
+			runLadder(set, 0)
 		}
 	}
 
@@ -991,21 +960,6 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 	}
 	rep.Duration = time.Since(start)
 	return rep, err
-}
-
-// shrinkBudget halves the step budget for the next retry attempt, so a
-// retried task fails faster (and stops with its partial result sooner) than
-// the attempt that faulted. An unlimited budget (0) retries
-// bounded at the default.
-func shrinkBudget(b int) int {
-	if b <= 0 {
-		return DefaultTaskBudget
-	}
-	b /= 2
-	if b < minRetryBudget {
-		b = minRetryBudget
-	}
-	return b
 }
 
 // retryBackoff is the jittered exponential backoff before retry attempt+1.

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,20 +227,17 @@ func TestIncrementalRetriedTaskNeverPersisted(t *testing.T) {
 	store := openTestStore(t, t.TempDir())
 	files := incrementalFiles()
 
-	// The hook faults the first attempt of xss.php's XSS task only; the
-	// retry ladder recovers it. A recovered task's findings are in the
-	// report but must not be persisted.
-	var mu sync.Mutex
-	faulted := false
+	// The hook stalls the first attempt of xss.php's XSS task past the
+	// watchdog deadline only; the retry ladder recovers it. A recovered
+	// task's findings are in the report but must not be persisted.
+	var stalled atomic.Bool
 	opts := incrementalOpts()
+	opts.TaskTimeout = 100 * time.Millisecond
 	opts.RetryMax = 2
 	opts.RetryBackoff = -1
 	opts.TaskHook = func(file string, class vuln.ClassID) {
-		mu.Lock()
-		defer mu.Unlock()
-		if file == "xss.php" && class == vuln.XSSR && !faulted {
-			faulted = true
-			panic("transient fault")
+		if file == "xss.php" && class == vuln.XSSR && stalled.CompareAndSwap(false, true) {
+			time.Sleep(2 * time.Second)
 		}
 	}
 	rep := scanWithStore(t, opts, files, store)

@@ -2,10 +2,11 @@ package core
 
 // Retry-ladder and circuit-breaker coverage, built on the same TaskHook
 // fault-injection harness as faultinject_test.go. The contracts pinned
-// here: a transient fault costs a retry, not findings; a persistent fault
-// is terminal after the ladder and trips the class's breaker without
-// touching other classes; and on a fault-free corpus the ladder is
-// invisible (identical reports at any RetryMax).
+// here: a watchdog timeout costs a retry, not findings; a panic or a budget
+// exhaustion settles on its first attempt; a persistent fault trips the
+// class's breaker without touching other classes, and a budget exhaustion
+// never does; and on a fault-free corpus the ladder is invisible
+// (identical reports at any RetryMax).
 
 import (
 	"context"
@@ -22,10 +23,11 @@ import (
 	"repro/internal/vuln"
 )
 
-// TestTransientPanicIsRecoveredByRetryLadder injects a panic into the first
-// attempt of one task and asserts the retry recovers its findings, records
-// an informational retried diagnostic, and leaves the report undegraded.
-func TestTransientPanicIsRecoveredByRetryLadder(t *testing.T) {
+// TestPanicIsNotRetried injects a panic into the first attempt of one task
+// with the ladder armed and asserts the panic is terminal at once: a task's
+// analysis is a pure function of its input, so a rerun could only hide a
+// data race. The hook runs once and the diagnostic carries no retries.
+func TestPanicIsNotRetried(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		var attempts atomic.Int64
 		e := newTestEngine(t, Options{
@@ -39,7 +41,7 @@ func TestTransientPanicIsRecoveredByRetryLadder(t *testing.T) {
 			RetryBackoff: -1, // no sleep in tests
 			TaskHook: func(file string, class vuln.ClassID) {
 				if file == "a.php" && class == vuln.XSSR && attempts.Add(1) == 1 {
-					panic("transient fault")
+					panic("first-attempt fault")
 				}
 			},
 		})
@@ -47,35 +49,36 @@ func TestTransientPanicIsRecoveredByRetryLadder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
-		if !hasFinding(rep, "a.php", vuln.XSSR) {
-			t.Errorf("parallelism %d: retried task lost its finding", par)
+		if n := attempts.Load(); n != 1 {
+			t.Errorf("parallelism %d: faulted task ran %d times, want 1", par, n)
 		}
-		retried := diagsOfKind(rep, DiagRetried)
-		if len(retried) != 1 {
-			t.Fatalf("parallelism %d: %d retried diagnostics, want 1: %v", par, len(retried), rep.Diagnostics)
+		panics := diagsOfKind(rep, DiagPanic)
+		if len(panics) != 1 {
+			t.Fatalf("parallelism %d: %d panic diagnostics, want 1: %v", par, len(panics), rep.Diagnostics)
 		}
-		d := retried[0]
+		d := panics[0]
 		if d.File != "a.php" || d.Class != vuln.XSSR {
-			t.Errorf("retried diagnostic at %s[%s], want a.php[xss-r]", d.File, d.Class)
+			t.Errorf("panic diagnostic at %s[%s], want a.php[xss-r]", d.File, d.Class)
 		}
-		if d.Retries != 1 {
-			t.Errorf("retried diagnostic Retries = %d, want 1", d.Retries)
+		if d.Retries != 0 {
+			t.Errorf("panic diagnostic Retries = %d, want 0", d.Retries)
 		}
-		if !strings.Contains(d.Message, "recovered") {
-			t.Errorf("retried message %q does not describe the recovery", d.Message)
+		if len(diagsOfKind(rep, DiagRetried)) != 0 {
+			t.Errorf("parallelism %d: a panic was retried: %v", par, rep.Diagnostics)
 		}
-		if len(diagsOfKind(rep, DiagPanic)) != 0 {
-			t.Errorf("recovered fault still produced a panic diagnostic: %v", rep.Diagnostics)
+		if hasFinding(rep, "a.php", vuln.XSSR) {
+			t.Errorf("parallelism %d: findings from the panicked task leaked", par)
 		}
-		// A recovered fault is informational: full coverage, not degraded.
-		if rep.Degraded() {
-			t.Error("report with only a retried diagnostic must not be Degraded")
+		if !hasFinding(rep, "b.php", vuln.SQLI) {
+			t.Errorf("parallelism %d: unaffected task lost its finding", par)
 		}
-		if rep.Stats.TaskRetries != 1 || rep.Stats.TasksRecovered != 1 {
-			t.Errorf("stats retries/recovered = %d/%d, want 1/1",
-				rep.Stats.TaskRetries, rep.Stats.TasksRecovered)
+		if !rep.Degraded() {
+			t.Errorf("parallelism %d: a terminal panic must degrade the report", par)
 		}
-		attempts.Store(0)
+		if rep.Stats.TaskRetries != 0 || rep.Stats.TasksRecovered != 0 {
+			t.Errorf("parallelism %d: stats retries/recovered = %d/%d, want 0/0",
+				par, rep.Stats.TaskRetries, rep.Stats.TasksRecovered)
+		}
 	}
 }
 
@@ -114,9 +117,9 @@ func TestTransientStallIsRecoveredByRetryLadder(t *testing.T) {
 	}
 }
 
-// TestPersistentFaultIsTerminalAfterLadder keeps one task faulting through
-// every retry and asserts exactly one terminal diagnostic carrying the
-// retry count — and no findings from the faulted task.
+// TestPersistentFaultIsTerminalAfterLadder keeps one task panicking with
+// the ladder armed and asserts exactly one terminal diagnostic, with no
+// retries spent on it — and no findings from the faulted task.
 func TestPersistentFaultIsTerminalAfterLadder(t *testing.T) {
 	e := newTestEngine(t, Options{
 		Parallelism:  1,
@@ -136,8 +139,8 @@ func TestPersistentFaultIsTerminalAfterLadder(t *testing.T) {
 	if len(panics) != 1 {
 		t.Fatalf("%d panic diagnostics, want 1: %v", len(panics), rep.Diagnostics)
 	}
-	if panics[0].Retries != 2 {
-		t.Errorf("terminal diagnostic Retries = %d, want 2", panics[0].Retries)
+	if panics[0].Retries != 0 {
+		t.Errorf("terminal diagnostic Retries = %d, want 0", panics[0].Retries)
 	}
 	if len(diagsOfKind(rep, DiagRetried)) != 0 {
 		t.Errorf("terminal fault produced a retried diagnostic: %v", rep.Diagnostics)
@@ -151,8 +154,8 @@ func TestPersistentFaultIsTerminalAfterLadder(t *testing.T) {
 	if !rep.Degraded() {
 		t.Error("terminal fault must degrade the report")
 	}
-	if rep.Stats.TaskRetries != 2 || rep.Stats.TasksRecovered != 0 {
-		t.Errorf("stats retries/recovered = %d/%d, want 2/0",
+	if rep.Stats.TaskRetries != 0 || rep.Stats.TasksRecovered != 0 {
+		t.Errorf("stats retries/recovered = %d/%d, want 0/0",
 			rep.Stats.TaskRetries, rep.Stats.TasksRecovered)
 	}
 }

@@ -6,11 +6,12 @@
 //     unbounded work, and per-request deadlines propagate into the engine
 //     context so a slow scan returns a partial report, never a hung
 //     connection;
-//  2. the engine's retry ladder — transient (file, class) task faults are
-//     retried with shrinking budgets before costing findings (configured on
+//  2. the engine's retry ladder — a (file, class) task cut off by the
+//     watchdog timeout is retried before costing findings (configured on
 //     the engine, reported per job);
-//  3. per-class circuit breakers — engine-scoped, so a class that faults
-//     persistently across jobs trips open and stops consuming workers;
+//  3. per-class circuit breakers — engine-scoped, so a class that panics
+//     or times out persistently across jobs trips open and stops
+//     consuming workers;
 //  4. durability — async jobs ("async": true, answered 202 with a job ID
 //     and polled via GET /jobs/{id}) are journaled through a write-ahead
 //     log: accepted before the 202, started when a worker picks them up,
