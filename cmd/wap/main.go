@@ -135,7 +135,8 @@ func run(args []string) (int, error) {
 	}
 
 	// Project configuration: explicit -conf, or <dir>/wap.conf when present;
-	// -san adds sanitizers for every class.
+	// -san adds sanitizers for every class, lower-cased like a wap.conf san
+	// line.
 	conf := *confPath
 	if conf == "" {
 		conf = filepath.Join(dir, "wap.conf")
@@ -144,7 +145,7 @@ func run(args []string) (int, error) {
 	if err != nil {
 		return exitFatal, err
 	}
-	ov.Sanitizers = append(splitTrim(*sanList), ov.Sanitizers...)
+	ov.Sanitizers = append(splitTrim(strings.ToLower(*sanList)), ov.Sanitizers...)
 	opts.Overlay = *ov
 
 	// Class selection.

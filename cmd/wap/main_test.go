@@ -177,6 +177,24 @@ func TestSplitTrim(t *testing.T) {
 	}
 }
 
+// TestRunSanIsCaseInsensitive pins -san to the wap.conf rule: PHP function
+// names are case-insensitive, so an upper-case -san value suppresses the
+// same flow as the lower-case one.
+func TestRunSanIsCaseInsensitive(t *testing.T) {
+	dir := writeApp(t, map[string]string{"index.php": `<?php
+function app_escape($s) { return $s; }
+echo app_escape($_GET['x']);
+`})
+	if code, err := run([]string{"-json", dir}); err != nil || code != exitVulns {
+		t.Fatalf("without -san: exit code = %d (err %v), want %d", code, err, exitVulns)
+	}
+	for _, san := range []string{"app_escape", "APP_ESCAPE"} {
+		if code, err := run([]string{"-json", "-san", san, dir}); err != nil || code != exitClean {
+			t.Errorf("-san %s: exit code = %d (err %v), want %d", san, code, err, exitClean)
+		}
+	}
+}
+
 func TestRunHTMLReport(t *testing.T) {
 	dir := writeApp(t, map[string]string{"index.php": vulnerablePage})
 	out := filepath.Join(t.TempDir(), "report.html")
