@@ -65,9 +65,10 @@ weapons-gate:
 # round-trips through the store's encoder), over the job journal's replay
 # (keeps a prefix that re-encodes byte for byte, truncates the rest), over
 # the provenance of findings on generated programs (capped, sanitizer names
-# distinct, every fused lane equal to its one-lane pass) and over the
+# distinct, every fused lane equal to its one-lane pass), over the
 # wap.conf parser (lower-case names, known classes, sink lines read as in a
-# spec file).
+# spec file) and over the ARFF reader (never panics; a dataset it accepts
+# reads back equal after WriteARFF).
 fuzz-smoke:
 	$(GO) test ./internal/php/lexer -run '^$$' -fuzz=FuzzPositions -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzParse -fuzztime=30s
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/journal -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=30s
 	$(GO) test ./internal/taint -run '^$$' -fuzz=FuzzTaintValues -fuzztime=30s
 	$(GO) test ./internal/weapon -run '^$$' -fuzz=FuzzParseOverlay -fuzztime=30s
+	$(GO) test ./internal/dataset -run '^$$' -fuzz=FuzzARFF -fuzztime=30s
 
 # gofmt (fails listing any unformatted file) + go vet. CI additionally runs
 # staticcheck; run it here too if it is on PATH.

@@ -2,25 +2,32 @@ package dataset
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
 
 	"repro/internal/ml"
 )
 
 // WriteARFF serializes the dataset in WEKA's ARFF format, the format the
 // paper's data-mining pipeline consumed. Features are nominal {0,1} and the
-// class is {FP,RV}.
+// class, the last attribute, is {FP,RV}. A dataset without instances keeps
+// its named columns.
 func WriteARFF(w io.Writer, name string, d *ml.Dataset) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "@relation %s\n\n", arffEscape(name))
-	for i := 0; i < d.NumFeatures(); i++ {
+	fmt.Fprintf(bw, "@relation %s\n\n", arffQuote(name))
+	n := d.NumFeatures()
+	if len(d.Instances) == 0 {
+		n = len(d.AttrNames)
+	}
+	for i := 0; i < n; i++ {
 		attr := fmt.Sprintf("a%d", i)
 		if i < len(d.AttrNames) && d.AttrNames[i] != "" {
 			attr = d.AttrNames[i]
 		}
-		fmt.Fprintf(bw, "@attribute %s {0,1}\n", arffEscape(attr))
+		fmt.Fprintf(bw, "@attribute %s {0,1}\n", arffQuote(attr))
 	}
 	fmt.Fprintf(bw, "@attribute class {FP,RV}\n\n@data\n")
 	for _, in := range d.Instances {
@@ -40,79 +47,127 @@ func WriteARFF(w io.Writer, name string, d *ml.Dataset) error {
 	return bw.Flush()
 }
 
-// ReadARFF parses a dataset previously written by WriteARFF (a pragmatic
-// subset of ARFF: nominal {0,1} attributes and a final {FP,RV} class).
+// ReadARFF parses the subset of ARFF that WriteARFF writes: nominal {0,1}
+// feature attributes followed by the class, the last attribute, valued
+// FP or RV. A name is a bare token or a single-quoted string in which \'
+// and \\ are escapes; attribute types are not checked.
 func ReadARFF(r io.Reader) (*ml.Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	d := &ml.Dataset{}
+	var names []string // every attribute, the class last
 	inData := false
-	var nAttrs int
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		if line == "" || line[0] == '%' {
 			continue
 		}
-		lower := strings.ToLower(line)
-		switch {
-		case strings.HasPrefix(lower, "@relation"):
-		case strings.HasPrefix(lower, "@attribute"):
-			fields := strings.Fields(line)
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("dataset: line %d: malformed @attribute", lineNo)
-			}
-			name := unescapeARFF(fields[1])
-			if strings.EqualFold(name, "class") {
-				continue // class column handled positionally
-			}
-			d.AttrNames = append(d.AttrNames, name)
-			nAttrs++
-		case strings.HasPrefix(lower, "@data"):
-			inData = true
-		default:
-			if !inData {
-				return nil, fmt.Errorf("dataset: line %d: unexpected %q before @data", lineNo, line)
-			}
-			parts := strings.Split(line, ",")
-			if len(parts) != nAttrs+1 {
-				return nil, fmt.Errorf("dataset: line %d: %d values, want %d", lineNo, len(parts), nAttrs+1)
-			}
-			in := ml.Instance{Features: make([]float64, nAttrs)}
-			for i := 0; i < nAttrs; i++ {
-				switch strings.TrimSpace(parts[i]) {
-				case "1":
-					in.Features[i] = 1
-				case "0":
-				default:
-					return nil, fmt.Errorf("dataset: line %d: non-binary value %q", lineNo, parts[i])
-				}
-			}
-			switch strings.TrimSpace(parts[nAttrs]) {
-			case "FP":
-				in.Label = true
-			case "RV":
-			default:
-				return nil, fmt.Errorf("dataset: line %d: unknown class %q", lineNo, parts[nAttrs])
+		if inData {
+			in, err := arffRow(line, len(names)-1)
+			if err != nil {
+				return nil, fmt.Errorf("dataset: line %d: %w", lineNo, err)
 			}
 			d.Instances = append(d.Instances, in)
+			continue
+		}
+		keyword, rest := cutSpace(line)
+		switch strings.ToLower(keyword) {
+		case "@relation":
+		case "@attribute":
+			name, err := arffName(rest)
+			if err != nil {
+				return nil, fmt.Errorf("dataset: line %d: @attribute: %w", lineNo, err)
+			}
+			names = append(names, name)
+		case "@data":
+			if len(names) == 0 {
+				return nil, fmt.Errorf("dataset: line %d: @data without a class attribute", lineNo)
+			}
+			inData = true
+		default:
+			return nil, fmt.Errorf("dataset: line %d: unexpected %q before @data", lineNo, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: read: %w", err)
 	}
+	if len(names) > 1 {
+		d.AttrNames = names[:len(names)-1]
+	}
 	return d, nil
 }
 
-func arffEscape(s string) string {
-	if strings.ContainsAny(s, " \t") {
-		return "'" + strings.ReplaceAll(s, "'", "\\'") + "'"
+// arffRow parses one data row of nAttrs binary features and the class.
+func arffRow(line string, nAttrs int) (ml.Instance, error) {
+	parts := strings.Split(line, ",")
+	if len(parts) != nAttrs+1 {
+		return ml.Instance{}, fmt.Errorf("%d values, want %d", len(parts), nAttrs+1)
 	}
-	return s
+	in := ml.Instance{Features: make([]float64, nAttrs)}
+	for i := 0; i < nAttrs; i++ {
+		switch strings.TrimSpace(parts[i]) {
+		case "1":
+			in.Features[i] = 1
+		case "0":
+		default:
+			return ml.Instance{}, fmt.Errorf("non-binary value %q", parts[i])
+		}
+	}
+	switch strings.TrimSpace(parts[nAttrs]) {
+	case "FP":
+		in.Label = true
+	case "RV":
+	default:
+		return ml.Instance{}, fmt.Errorf("unknown class %q", parts[nAttrs])
+	}
+	return in, nil
 }
 
-func unescapeARFF(s string) string {
-	s = strings.Trim(s, "'")
-	return strings.ReplaceAll(s, "\\'", "'")
+// cutSpace splits s at its first white space.
+func cutSpace(s string) (head, tail string) {
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], strings.TrimLeftFunc(s[i:], unicode.IsSpace)
+	}
+	return s, ""
+}
+
+// arffName reads the attribute name at the start of s.
+func arffName(s string) (string, error) {
+	if !strings.HasPrefix(s, "'") {
+		name, _ := cutSpace(s)
+		if name == "" {
+			return "", errors.New("missing name")
+		}
+		return name, nil
+	}
+	var b strings.Builder
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\'':
+			if b.Len() == 0 {
+				return "", errors.New("empty name")
+			}
+			return b.String(), nil
+		case c == '\\' && i+1 < len(s) && (s[i+1] == '\'' || s[i+1] == '\\'):
+			i++
+			b.WriteByte(s[i])
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return "", errors.New("unterminated quoted name")
+}
+
+// arffQuote writes a name so that arffName reads it back: bare when it is a
+// plain token, otherwise single-quoted with ' and \ escaped.
+func arffQuote(s string) string {
+	plain := s != "" && !strings.ContainsFunc(s, func(r rune) bool {
+		return unicode.IsSpace(r) || strings.ContainsRune(`'"\{},%`, r)
+	})
+	if plain {
+		return s
+	}
+	return "'" + strings.NewReplacer(`\`, `\\`, `'`, `\'`).Replace(s) + "'"
 }
