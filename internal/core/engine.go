@@ -779,61 +779,50 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			for k, l := range set {
 				i, t := l.idx, ts[k]
 				completed.Add(1)
+				// A panicked or abandoned attempt has no outcome: out stays
+				// empty, so the lane reports no findings.
 				var out taskOutcome
 				if res.outs != nil {
 					out = res.outs[k]
 				}
 				if !res.timedOut {
-					// An abandoned attempt has no outcome to account.
 					stats.recordTask(t.cls.ID, out, wall)
 				}
+				results[i] = out.findings
+				d := Diagnostic{File: t.file.Path, Class: t.cls.ID, Stack: res.stack, Elapsed: res.elapsed, Retries: attempt}
 				switch {
-				case res.timedOut || res.panicVal != "":
-					d := Diagnostic{
-						File: t.file.Path, Class: t.cls.ID, Kind: DiagTimeout,
-						Message: fmt.Sprintf("task exceeded deadline %v", e.opts.TaskTimeout),
-						Stack:   res.stack, Elapsed: res.elapsed, Retries: attempt,
-					}
-					if !res.timedOut {
-						d.Kind, d.Message = DiagPanic, "analysis panicked: "+res.panicVal
-					}
-					addDiag(d)
-					ck.taskDone(i, nil, 0, false)
-					if l.brk != nil {
-						l.brk.Fault(l.probe)
-					}
+				case res.timedOut:
+					d.Kind, d.Message = DiagTimeout, fmt.Sprintf("task exceeded deadline %v", e.opts.TaskTimeout)
+				case res.panicVal != "":
+					d.Kind, d.Message = DiagPanic, "analysis panicked: "+res.panicVal
 				case out.exhausted:
 					// Exhaustion is a property of the input, not a fault: the
-					// lane keeps its sound partial result and charges no
-					// breaker. Like every degraded outcome it is not persisted.
-					addDiag(Diagnostic{
-						File: t.file.Path, Class: t.cls.ID, Kind: DiagBudget,
-						Message: fmt.Sprintf("step budget of %d exhausted; taint analysis degraded to a sound partial result", budget),
-						Elapsed: res.elapsed, Retries: attempt,
-					})
-					results[i] = out.findings
-					ck.taskDone(i, nil, 0, false)
-					if l.brk != nil {
-						l.brk.Success()
-					}
+					// lane keeps its sound partial result, charges no breaker
+					// and, like any degraded outcome, commits no summaries.
+					d.Kind = DiagBudget
+					d.Message = fmt.Sprintf("step budget of %d exhausted; taint analysis degraded to a sound partial result", budget)
 				default:
 					shared.Commit(out.pending)
-					results[i] = out.findings
-					// First-attempt completions are the only persistable
-					// outcome: a task that needed retries timed out under this
-					// exact input, so it re-executes next scan too.
-					ck.taskDone(i, out.findings, out.steps, attempt == 0)
-					if l.brk != nil {
-						l.brk.Success()
-					}
 					if attempt > 0 {
 						stats.recordRecovered(t.cls.ID)
-						addDiag(Diagnostic{
-							File: t.file.Path, Class: t.cls.ID, Kind: DiagRetried,
-							Message: fmt.Sprintf("recovered by retry ladder after %d retr%s (last fault: %s)",
-								attempt, plural(attempt, "y", "ies"), DiagTimeout),
-							Elapsed: time.Since(l.start), Retries: attempt,
-						})
+						d.Kind, d.Elapsed = DiagRetried, time.Since(l.start)
+						d.Message = fmt.Sprintf("recovered by retry ladder after %d retr%s (last fault: %s)",
+							attempt, plural(attempt, "y", "ies"), DiagTimeout)
+					}
+				}
+				if d.Kind != "" {
+					addDiag(d)
+				}
+				// Only a clean first-attempt completion is persisted: a
+				// degraded outcome is not the full analysis, and a task that
+				// needed retries timed out under this exact input, so it
+				// re-executes next scan too.
+				ck.taskDone(i, out.findings, out.steps, d.Kind == "")
+				if l.brk != nil {
+					if d.Kind == DiagTimeout || d.Kind == DiagPanic {
+						l.brk.Fault(l.probe)
+					} else {
+						l.brk.Success()
 					}
 				}
 			}

@@ -62,7 +62,7 @@ type ScanStats struct {
 	CacheMisses  int64
 	CacheEntries int
 	// TaskRetries counts retry-ladder attempts across all tasks;
-	// TasksRecovered the tasks whose transient fault the ladder recovered;
+	// TasksRecovered the tasks whose timeout the ladder recovered;
 	// BreakerSkipped the tasks skipped because their class's circuit
 	// breaker was open.
 	TaskRetries    int
