@@ -49,8 +49,7 @@ func WriteARFF(w io.Writer, name string, d *ml.Dataset) error {
 
 // ReadARFF parses the subset of ARFF that WriteARFF writes: nominal {0,1}
 // feature attributes followed by the class, the last attribute, valued
-// FP or RV. A name is a bare token or a single-quoted string in which \'
-// and \\ are escapes; attribute types are not checked.
+// FP or RV. Attribute types are not checked.
 func ReadARFF(r io.Reader) (*ml.Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -65,18 +64,36 @@ func ReadARFF(r io.Reader) (*ml.Dataset, error) {
 			continue
 		}
 		if inData {
-			in, err := arffRow(line, len(names)-1)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: %w", lineNo, err)
+			nAttrs := len(names) - 1
+			parts := strings.Split(line, ",")
+			if len(parts) != nAttrs+1 {
+				return nil, fmt.Errorf("dataset: line %d: %d values, want %d", lineNo, len(parts), nAttrs+1)
+			}
+			in := ml.Instance{Features: make([]float64, nAttrs)}
+			for i := 0; i < nAttrs; i++ {
+				switch strings.TrimSpace(parts[i]) {
+				case "1":
+					in.Features[i] = 1
+				case "0":
+				default:
+					return nil, fmt.Errorf("dataset: line %d: non-binary value %q", lineNo, parts[i])
+				}
+			}
+			switch strings.TrimSpace(parts[nAttrs]) {
+			case "FP":
+				in.Label = true
+			case "RV":
+			default:
+				return nil, fmt.Errorf("dataset: line %d: unknown class %q", lineNo, parts[nAttrs])
 			}
 			d.Instances = append(d.Instances, in)
 			continue
 		}
-		keyword, rest := cutSpace(line)
+		keyword := strings.Fields(line)[0]
 		switch strings.ToLower(keyword) {
 		case "@relation":
 		case "@attribute":
-			name, err := arffName(rest)
+			name, err := arffName(strings.TrimSpace(line[len(keyword):]))
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d: @attribute: %w", lineNo, err)
 			}
@@ -93,69 +110,34 @@ func ReadARFF(r io.Reader) (*ml.Dataset, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: read: %w", err)
 	}
-	if len(names) > 1 {
-		d.AttrNames = names[:len(names)-1]
-	}
+	d.AttrNames = names[:max(len(names)-1, 0)]
 	return d, nil
 }
 
-// arffRow parses one data row of nAttrs binary features and the class.
-func arffRow(line string, nAttrs int) (ml.Instance, error) {
-	parts := strings.Split(line, ",")
-	if len(parts) != nAttrs+1 {
-		return ml.Instance{}, fmt.Errorf("%d values, want %d", len(parts), nAttrs+1)
-	}
-	in := ml.Instance{Features: make([]float64, nAttrs)}
-	for i := 0; i < nAttrs; i++ {
-		switch strings.TrimSpace(parts[i]) {
-		case "1":
-			in.Features[i] = 1
-		case "0":
-		default:
-			return ml.Instance{}, fmt.Errorf("non-binary value %q", parts[i])
-		}
-	}
-	switch strings.TrimSpace(parts[nAttrs]) {
-	case "FP":
-		in.Label = true
-	case "RV":
-	default:
-		return ml.Instance{}, fmt.Errorf("unknown class %q", parts[nAttrs])
-	}
-	return in, nil
-}
-
-// cutSpace splits s at its first white space.
-func cutSpace(s string) (head, tail string) {
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], strings.TrimLeftFunc(s[i:], unicode.IsSpace)
-	}
-	return s, ""
-}
-
-// arffName reads the attribute name at the start of s.
+// arffName reads the attribute name at the start of s, which has no
+// leading white space: a bare token, or a quoted string in which a
+// backslash escapes the next byte.
 func arffName(s string) (string, error) {
-	if !strings.HasPrefix(s, "'") {
-		name, _ := cutSpace(s)
-		if name == "" {
-			return "", errors.New("missing name")
-		}
-		return name, nil
+	if s == "" {
+		return "", errors.New("missing name")
+	}
+	if s[0] != '\'' {
+		return strings.Fields(s)[0], nil
 	}
 	var b strings.Builder
 	for i := 1; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '\'':
+		c := s[i]
+		if c == '\'' {
 			if b.Len() == 0 {
 				return "", errors.New("empty name")
 			}
 			return b.String(), nil
-		case c == '\\' && i+1 < len(s) && (s[i+1] == '\'' || s[i+1] == '\\'):
-			i++
-			b.WriteByte(s[i])
-		default:
-			b.WriteByte(c)
 		}
+		if c == '\\' && i+1 < len(s) {
+			i++
+			c = s[i]
+		}
+		b.WriteByte(c)
 	}
 	return "", errors.New("unterminated quoted name")
 }
