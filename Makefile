@@ -67,8 +67,10 @@ weapons-gate:
 # the provenance of findings on generated programs (capped, sanitizer names
 # distinct, every fused lane equal to its one-lane pass), over the
 # wap.conf parser (lower-case names, known classes, sink lines read as in a
-# spec file) and over the ARFF reader (never panics; a dataset it accepts
-# reads back equal after WriteARFF).
+# spec file), over the ARFF reader (never panics; a dataset it accepts
+# reads back equal after WriteARFF) and over the result-store tier's CAS
+# handler (never panics; a PUT with a mismatched hash stores nothing; an
+# accepted PUT reads back byte for byte).
 fuzz-smoke:
 	$(GO) test ./internal/php/lexer -run '^$$' -fuzz=FuzzPositions -fuzztime=30s
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzParse -fuzztime=30s
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/taint -run '^$$' -fuzz=FuzzTaintValues -fuzztime=30s
 	$(GO) test ./internal/weapon -run '^$$' -fuzz=FuzzParseOverlay -fuzztime=30s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz=FuzzARFF -fuzztime=30s
+	$(GO) test ./internal/resultstore/httpbackend -run '^$$' -fuzz=FuzzHandler -fuzztime=30s
 
 # gofmt (fails listing any unformatted file) + go vet. CI additionally runs
 # staticcheck; run it here too if it is on PATH.

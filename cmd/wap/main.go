@@ -88,10 +88,9 @@ func run(args []string) (int, error) {
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	classFlags := make(map[vuln.ClassID]*bool)
-	for _, c := range vuln.WAPe() {
+	for _, c := range vuln.All() {
 		classFlags[c.ID] = fs.Bool(string(c.ID), false, "detect "+c.Name)
 	}
-	classFlags[vuln.WPSQLI] = fs.Bool(string(vuln.WPSQLI), false, "detect SQLI via the WordPress weapon")
 	if err := fs.Parse(args); err != nil {
 		return exitFatal, err
 	}
@@ -161,24 +160,25 @@ func run(args []string) (int, error) {
 		}
 	}
 	if selected != nil || wantWP {
-		opts.Classes = selected
+		// Non-nil even when -wpsqli is the only class flag: nil would mean
+		// every class.
+		opts.Classes = append([]vuln.ClassID{}, selected...)
 	}
 
 	// Weapons: built-ins when running the full WAPe set or -wpsqli, plus any
 	// user-provided spec files.
 	if opts.Mode == core.ModeWAPe {
-		for _, spec := range weapon.BuiltinSpecs() {
+		builtin, err := weapon.Builtin()
+		if err != nil {
+			return exitFatal, err
+		}
+		for _, w := range builtin {
 			// With an explicit class list, only the weapons asked for by
 			// flag are loaded (currently -wpsqli); with no class flags all
 			// built-in weapons run.
-			if opts.Classes != nil && !(spec.Name == "wpsqli" && wantWP) {
-				continue
+			if opts.Classes == nil || (w.Class.ID == vuln.WPSQLI && wantWP) {
+				opts.Weapons = append(opts.Weapons, w)
 			}
-			w, err := weapon.Generate(spec)
-			if err != nil {
-				return exitFatal, err
-			}
-			opts.Weapons = append(opts.Weapons, w)
 		}
 		for _, path := range splitTrim(*weaponFS) {
 			w, err := loadWeapon(path)

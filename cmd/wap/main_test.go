@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -93,6 +95,63 @@ func TestRunClassSelection(t *testing.T) {
 	dir := writeApp(t, map[string]string{"index.php": vulnerablePage})
 	if _, err := run([]string{"-sqli", dir}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reportedSinks runs wap -json with args over dir and returns the sink of
+// every reported finding, sorted.
+func reportedSinks(t *testing.T, dir string, args ...string) []string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "report-*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	_, err = run(append(append([]string{"-json"}, args...), dir))
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Findings []struct{ Sink string }
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("%v\n%s", err, data)
+	}
+	var sinks []string
+	for _, f := range rep.Findings {
+		sinks = append(sinks, f.Sink)
+	}
+	slices.Sort(sinks)
+	return sinks
+}
+
+// TestRunWPSQLIAloneSelectsOnlyItsClass: -wpsqli is a class flag like any
+// other, so on its own it runs the WordPress weapon and nothing else.
+func TestRunWPSQLIAloneSelectsOnlyItsClass(t *testing.T) {
+	dir := writeApp(t, map[string]string{"index.php": `<?php
+mysql_query("SELECT " . $_GET['a']);
+$wpdb->query("SELECT " . $_GET['b']);
+header("Location: " . $_GET['c']);
+mail($_GET['d'], "s", "m");
+`})
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-wpsqli"}, []string{"query"}},
+		{[]string{"-sqli", "-wpsqli"}, []string{"mysql_query", "query"}},
+		{nil, []string{"header", "mail", "mysql_query", "query"}},
+	} {
+		if got := reportedSinks(t, dir, tc.args...); !slices.Equal(got, tc.want) {
+			t.Errorf("wap %v: reported sinks %v, want %v", tc.args, got, tc.want)
+		}
 	}
 }
 

@@ -222,12 +222,10 @@ func buildEngine(p engineParams) (*core.Engine, error) {
 		BreakerThreshold: p.breakerThreshold,
 		BreakerCooldown:  p.breakerCooldown,
 	}
-	for _, spec := range weapon.BuiltinSpecs() {
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		opts.Weapons = append(opts.Weapons, w)
+	builtin, err := weapon.Builtin()
+	if err != nil {
+		return nil, err
 	}
+	opts.Weapons = builtin
 	return core.New(opts)
 }

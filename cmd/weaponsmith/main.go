@@ -38,7 +38,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("weaponsmith", flag.ContinueOnError)
 	var (
 		specPath = fs.String("spec", "", "weapon specification file")
-		builtin  = fs.String("builtin", "", "emit a built-in spec (nosqli, hei, wpsqli)")
+		builtin  = fs.String("builtin", "", "emit a built-in spec (ei, hi, nosqli, wpsqli)")
 		outDir   = fs.String("out", ".", "output directory for the generated bundle")
 		check    = fs.String("check", "", "validate a spec file and exit")
 		gate     = fs.Bool("gate", false, "run the full validation ladder (parse, collision check, proof-app dry-run) over the builtin specs and every spec file argument")
@@ -133,12 +133,12 @@ func runGate(files []string) error {
 		w      *weapon.Weapon
 		source string
 	}
+	builtin, err := weapon.Builtin()
+	if err != nil {
+		return err
+	}
 	var all []gated
-	for _, spec := range weapon.BuiltinSpecs() {
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			return fmt.Errorf("builtin %q: %w", spec.Name, err)
-		}
+	for _, w := range builtin {
 		all = append(all, gated{w, "builtin"})
 	}
 	for _, path := range files {

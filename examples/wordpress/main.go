@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/vuln"
 	"repro/internal/weapon"
 )
 
@@ -47,13 +48,13 @@ function demo_count($wpdb) {
 }`
 
 func main() {
+	builtin, err := weapon.Builtin()
+	if err != nil {
+		log.Fatal(err)
+	}
 	var wp *weapon.Weapon
-	for _, spec := range weapon.BuiltinSpecs() {
-		if spec.Name == "wpsqli" {
-			w, err := weapon.Generate(spec)
-			if err != nil {
-				log.Fatal(err)
-			}
+	for _, w := range builtin {
+		if w.Class.ID == vuln.WPSQLI {
 			wp = w
 		}
 	}

@@ -184,13 +184,13 @@ func TestOverlayFoldCopiesClasses(t *testing.T) {
 		}
 		return out
 	}
+	builtin, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wp *weapon.Weapon
-	for _, s := range weapon.BuiltinSpecs() {
-		if s.Name == "wpsqli" {
-			w, err := weapon.Generate(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, w := range builtin {
+		if w.Class.ID == vuln.WPSQLI {
 			wp = w
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -355,7 +356,9 @@ func New(opts Options) (*Engine, error) {
 			if c == nil {
 				return nil, fmt.Errorf("core: unknown vulnerability class %q", id)
 			}
-			classSet = append(classSet, c)
+			if !slices.Contains(classSet, c) {
+				classSet = append(classSet, c)
+			}
 		}
 	case opts.Mode == ModeOriginal:
 		classSet = vuln.Original()
@@ -363,28 +366,31 @@ func New(opts Options) (*Engine, error) {
 		classSet = vuln.WAPe()
 	}
 
+	// The corrector: library fixes plus weapon fixes.
+	e.corrector = corrector.New()
 	var dynamics []symptom.Dynamic
 	if opts.Mode == ModeWAPe {
-		// Weapon class IDs must not collide: a second weapon with the same
-		// ID, or a weapon shadowing a bundled non-weapon class, would be
-		// silently dropped by dedupeClasses while its fix and dynamics still
-		// registered — reports would be ambiguous about which detector ran.
-		// Bundled classes marked Weapon (nosqli, hi, ei, wpsqli) are the
-		// documented exception: the builtin specs regenerate them, and the
-		// registry definition wins.
-		bundled := make(map[vuln.ClassID]*vuln.Class, len(classSet))
-		for _, c := range classSet {
-			bundled[c.ID] = c
-		}
+		// A weapon adds its class and its fix unless the engine already has
+		// one of that ID; then it must define it identically. The built-in
+		// weapons are derived from the registry and the fix catalog, so
+		// they always do. A user weapon that differs would run under a
+		// bundled class's name or rewrite another class's fix.
 		for _, w := range opts.Weapons {
-			if _, dup := e.weapons[w.Class.ID]; dup {
-				return nil, fmt.Errorf("core: duplicate weapon %q", w.Class.ID)
+			id := w.Class.ID
+			if _, dup := e.weapons[id]; dup {
+				return nil, fmt.Errorf("core: duplicate weapon %q", id)
 			}
-			if c := bundled[w.Class.ID]; c != nil && !c.Weapon {
-				return nil, fmt.Errorf("core: weapon %q collides with the bundled %s class; rename the weapon", w.Class.ID, c.Name)
+			i := slices.IndexFunc(classSet, func(c *vuln.Class) bool { return c.ID == id })
+			if i < 0 {
+				classSet = append(classSet, w.Class)
+			} else if !sameDefinition(classSet[i], w.Class) {
+				return nil, fmt.Errorf("core: weapon %q redefines the %s class; rename the weapon", id, classSet[i].Name)
 			}
-			e.weapons[w.Class.ID] = w
-			classSet = append(classSet, w.Class)
+			if fx := e.corrector.Fix(w.Fix.ID); fx != nil && fx.Def != w.Fix.Def {
+				return nil, fmt.Errorf("core: weapon %q redefines the fix %s; rename the weapon", id, w.Fix.ID)
+			}
+			e.weapons[id] = w
+			e.corrector.Register(w.Fix)
 			dynamics = append(dynamics, w.Dynamics...)
 		}
 	} else if len(opts.Weapons) > 0 {
@@ -392,17 +398,11 @@ func New(opts Options) (*Engine, error) {
 	}
 	// Fold the overlay and each class's own fix into copies of the classes,
 	// once: everything downstream reads plain classes.
-	e.classes = dedupeClasses(classSet)
+	e.classes = classSet
 	for i, c := range e.classes {
 		e.classes[i] = opts.Overlay.Fold(c, e.fixIDFor(c.ID))
 	}
 	e.extractor = symptom.NewExtractor(dynamics)
-
-	// Assemble the corrector: library fixes plus weapon fixes.
-	e.corrector = corrector.New()
-	for _, w := range opts.Weapons {
-		e.corrector.Register(w.Fix)
-	}
 
 	// Assemble the (untrained) ensemble.
 	if opts.Mode == ModeOriginal {
@@ -413,17 +413,19 @@ func New(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-func dedupeClasses(in []*vuln.Class) []*vuln.Class {
-	seen := make(map[vuln.ClassID]bool, len(in))
-	out := make([]*vuln.Class, 0, len(in))
-	for _, c := range in {
-		if seen[c.ID] {
-			continue
-		}
-		seen[c.ID] = true
-		out = append(out, c)
+// sameDefinition reports whether a and b agree in every field the engine
+// reads. Lists compare element by element, nil equal to empty; entry
+// points compare as the effective set, since a nil list means the default.
+func sameDefinition(a, b *vuln.Class) bool {
+	sameSink := func(x, y vuln.Sink) bool {
+		return x.Name == y.Name && x.Method == y.Method && x.Recv == y.Recv && slices.Equal(x.Args, y.Args)
 	}
-	return out
+	return slices.EqualFunc(a.Sinks, b.Sinks, sameSink) &&
+		slices.Equal(a.Sanitizers, b.Sanitizers) &&
+		slices.Equal(a.SanitizerMethods, b.SanitizerMethods) &&
+		slices.Equal(a.EffectiveEntryPoints(), b.EffectiveEntryPoints()) &&
+		slices.Equal(a.EntryPointFuncs, b.EntryPointFuncs) &&
+		a.FixID == b.FixID
 }
 
 // Classes returns the engine's active class set, with the overlay and each

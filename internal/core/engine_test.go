@@ -170,15 +170,15 @@ func TestBothModesAgreeOnOriginalClasses(t *testing.T) {
 }
 
 func TestWeaponIntegration(t *testing.T) {
-	var spec weapon.Spec
-	for _, s := range weapon.BuiltinSpecs() {
-		if s.Name == "wpsqli" {
-			spec = s
-		}
-	}
-	w, err := weapon.Generate(spec)
+	builtin, err := weapon.Builtin()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var w *weapon.Weapon
+	for _, b := range builtin {
+		if b.Class.ID == vuln.WPSQLI {
+			w = b
+		}
 	}
 	e := newEngine(t, Options{
 		Mode:    ModeWAPe,
@@ -321,16 +321,15 @@ func TestFixProject(t *testing.T) {
 }
 
 func TestWeaponFixApplied(t *testing.T) {
-	specs := weapon.BuiltinSpecs()
-	var hei weapon.Spec
-	for _, s := range specs {
-		if s.Name == "hei" {
-			hei = s
-		}
-	}
-	w, err := weapon.Generate(hei)
+	builtin, err := weapon.Builtin()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var w *weapon.Weapon
+	for _, b := range builtin {
+		if b.Class.ID == vuln.HI {
+			w = b
+		}
 	}
 	e := newEngine(t, Options{
 		Mode:    ModeWAPe,
@@ -356,6 +355,99 @@ func TestWeaponFixApplied(t *testing.T) {
 	}
 	if !strings.Contains(fixed["h.php"], "function san_hei") {
 		t.Errorf("weapon fix definition missing")
+	}
+}
+
+// TestWeaponRedefiningAClassIsRefused: a weapon named after a class the
+// engine already runs must define it identically, fix included; a
+// differing one would run under the bundled class's name (its own sinks
+// lost) or rewrite the bundled fix.
+func TestWeaponRedefiningAClassIsRefused(t *testing.T) {
+	myhi, err := weapon.Generate(weapon.Spec{
+		Name:  "hi",
+		Sinks: []vuln.Sink{{Name: "my_header"}},
+		Fix:   corrector.Template{Kind: corrector.UserSanitization, MaliciousChars: []string{"\r", "\n"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Options{Mode: ModeWAPe, Classes: []vuln.ClassID{vuln.HI}, Weapons: []*weapon.Weapon{myhi}})
+	if err == nil || !strings.Contains(err.Error(), `"hi"`) || !strings.Contains(err.Error(), "Header Injection") {
+		t.Errorf("weapon redefining hi: err = %v, want one naming the class", err)
+	}
+
+	builtin, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec weapon.Spec
+	for _, w := range builtin {
+		if w.Class.ID == vuln.HI {
+			spec = w.Spec
+		}
+	}
+	spec.Fix = corrector.Template{Kind: corrector.UserValidation, MaliciousChars: []string{"\n"}}
+	otherFix, err := weapon.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same detector, other fix: refused even with hi not in the set, since
+	// san_hei is also ei's fix.
+	for _, classes := range [][]vuln.ClassID{{vuln.HI}, {vuln.EI}} {
+		_, err = New(Options{Mode: ModeWAPe, Classes: classes, Weapons: []*weapon.Weapon{otherFix}})
+		if err == nil || !strings.Contains(err.Error(), "san_hei") {
+			t.Errorf("classes %v: weapon redefining san_hei: err = %v", classes, err)
+		}
+	}
+
+	// The derived built-ins define their classes identically.
+	if _, err := New(Options{Mode: ModeWAPe, Classes: []vuln.ClassID{vuln.HI, vuln.EI, vuln.NOSQLI}, Weapons: builtin}); err != nil {
+		t.Errorf("built-in weapons refused: %v", err)
+	}
+}
+
+// TestBuiltinWeaponsAreDerived pins the built-in weapons to the registry
+// and the fix catalog: each generated class equals its registry class in
+// every field the engine reads, each fix is the catalog's, and a default
+// engine runs WAPe plus wpsqli, with no lane twice.
+func TestBuiltinWeaponsAreDerived(t *testing.T) {
+	builtin, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := corrector.Library()
+	var ids []string
+	for _, w := range builtin {
+		ids = append(ids, string(w.Class.ID))
+		reg := vuln.Get(w.Class.ID)
+		if reg == nil || !reg.Weapon {
+			t.Errorf("built-in weapon %s has no registry weapon class", w.Class.ID)
+			continue
+		}
+		if !sameDefinition(reg, w.Class) {
+			t.Errorf("built-in weapon %s differs from its registry class:\n%+v\n%+v", w.Class.ID, *w.Class, *reg)
+		}
+		if w.Fix.ID != reg.FixID || w.Fix.Def != lib[reg.FixID].Def {
+			t.Errorf("built-in weapon %s: fix %s is not the catalog's %s", w.Class.ID, w.Fix.ID, reg.FixID)
+		}
+	}
+	if got := strings.Join(ids, " "); got != "ei hi nosqli wpsqli" {
+		t.Errorf("built-in weapons = %s, want ei hi nosqli wpsqli", got)
+	}
+
+	e, err := New(Options{Mode: ModeWAPe, Weapons: builtin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, c := range append(vuln.WAPe(), vuln.MustGet(vuln.WPSQLI)) {
+		want = append(want, string(c.ID))
+	}
+	for _, c := range e.Classes() {
+		got = append(got, string(c.ID))
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") || len(got) != 17 {
+		t.Errorf("default engine classes = %v, want %v (17)", got, want)
 	}
 }
 

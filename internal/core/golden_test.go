@@ -78,15 +78,12 @@ func goldenCorpus(t *testing.T) ([]goldenApp, []*weapon.Weapon) {
 		add("wp", &p.App, false)
 	}
 	add("branch", corpus.BranchSanitizerApp(), false)
-	var weapons []*weapon.Weapon
-	for _, spec := range weapon.BuiltinSpecs() {
-		spec := spec
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		weapons = append(weapons, w)
-		add("dryrun", corpus.DryRunApp(&spec), true)
+	weapons, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range weapons {
+		add("dryrun", corpus.DryRunApp(&w.Spec), true)
 	}
 	seen := make(map[string]bool, len(apps))
 	for _, a := range apps {

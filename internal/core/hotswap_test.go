@@ -18,13 +18,9 @@ import (
 // dry-run — the proof-app gate that rejects uploaded weapons must accept
 // the weapons we ship.
 func TestDryRunBuiltinSpecs(t *testing.T) {
-	var weapons []*weapon.Weapon
-	for _, spec := range weapon.BuiltinSpecs() {
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		weapons = append(weapons, w)
+	weapons, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
 	}
 	e := newEngine(t, Options{Mode: ModeWAPe, Seed: 1, Weapons: weapons})
 	for _, w := range weapons {

@@ -28,14 +28,12 @@ func prefilterApps(t *testing.T) (apps []*corpus.App, withW []bool, weapons []*w
 	}
 	add(corpus.BranchSanitizerApp(), false)
 	add(corpus.LargeApp(1, 120, 40), false)
-	for _, spec := range weapon.BuiltinSpecs() {
-		spec := spec
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		weapons = append(weapons, w)
-		add(corpus.DryRunApp(&spec), true)
+	weapons, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range weapons {
+		add(corpus.DryRunApp(&w.Spec), true)
 	}
 	return apps, withW, weapons
 }
@@ -94,18 +92,15 @@ func TestPrefilterSoundnessOracle(t *testing.T) {
 
 // TestPrefilterSkipGain pins what the pre-filter saves on the large-cold
 // benchmark app (120 filler-heavy files, every class and the builtin
-// weapons, as wap scans it). The lexical pre-filter this one replaced
-// (a substring search for sink names in the lower-cased source) kept 962
-// tasks and 207,265 steps: a sink name in a comment, a string or an
-// unrelated identifier kept a task alive.
+// weapons, as wap scans it: 17 lanes). The lexical pre-filter this one
+// replaced (a substring search for sink names in the lower-cased source)
+// kept 962 tasks and 207,265 steps with the 18 lanes the engine then ran:
+// a sink name in a comment, a string or an unrelated identifier kept a
+// task alive.
 func TestPrefilterSkipGain(t *testing.T) {
-	var weapons []*weapon.Weapon
-	for _, spec := range weapon.BuiltinSpecs() {
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		weapons = append(weapons, w)
+	weapons, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
 	}
 	app := corpus.LargeApp(2016, 120, 40)
 	for _, tc := range []struct {
@@ -113,8 +108,8 @@ func TestPrefilterSkipGain(t *testing.T) {
 		tasks   int
 		steps   int64
 	}{
-		{disable: true, tasks: 2160, steps: 461382},
-		{disable: false, tasks: 837, steps: 180693},
+		{disable: true, tasks: 2040, steps: 435924},
+		{disable: false, tasks: 717, steps: 155235},
 	} {
 		e := newTestEngine(t, Options{Parallelism: 2, DisableSinkPrefilter: tc.disable, Weapons: weapons})
 		if err := e.Train(); err != nil {

@@ -6,6 +6,7 @@ package corrector
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -138,62 +139,73 @@ func phpQuote(s string) string {
 	return "'" + r.Replace(s) + "'"
 }
 
-// Library returns the built-in fix catalog of the tool: the fixes WAP ships
-// for its native classes plus the fixes the paper generates for the new
-// ones.
+// templates is the fix catalog, keyed by fix ID: the fixes WAP ships for
+// its native classes plus the fixes the paper generates for the new ones.
+var templates = map[string]Template{
+	"san_sqli": {Kind: PHPSanitization, SanFunc: "mysql_real_escape_string"},
+	"san_out":  {Kind: PHPSanitization, SanFunc: "htmlentities"},
+	"san_osci": {Kind: PHPSanitization, SanFunc: "escapeshellarg"},
+	"san_mix": {
+		Kind:           UserValidation,
+		MaliciousChars: []string{"../", "..\\", "http://", "https://", "ftp://", "php://", "\x00"},
+		Message:        "WAP: invalid path",
+	},
+	"san_phpci": {
+		Kind:           UserValidation,
+		MaliciousChars: []string{"$", ";", "(", ")", "`"},
+		Message:        "WAP: dynamic code blocked",
+	},
+	// Fixes created for the new classes (Section IV-B):
+	"san_ldapi": {
+		Kind:           UserValidation,
+		MaliciousChars: []string{"*", "(", ")", "\\", "\x00"},
+		Message:        "WAP: invalid LDAP filter characters",
+	},
+	"san_xpathi": {
+		Kind:           UserValidation,
+		MaliciousChars: []string{"'", "\"", "[", "]", "(", ")", "="},
+		Message:        "WAP: invalid XPath characters",
+	},
+	// san_read / san_write validate content against scripts and, after the
+	// paper's change for CS, also against URIs/hyperlinks.
+	"san_read": {
+		Kind:           UserValidation,
+		MaliciousChars: []string{"<script", "javascript:", "http://", "https://", "www."},
+		Message:        "WAP: content blocked (script or hyperlink)",
+	},
+	"san_write": {
+		Kind:           UserValidation,
+		MaliciousChars: []string{"<script", "javascript:", "http://", "https://", "www."},
+		Message:        "WAP: content blocked (script or hyperlink)",
+	},
+	// Weapon fixes (Section IV-C); HI and EI share san_hei.
+	"san_nosqli": {Kind: PHPSanitization, SanFunc: "mysql_real_escape_string"},
+	"san_hei": {
+		Kind:           UserSanitization,
+		MaliciousChars: []string{"\r", "\n", "%0a", "%0d", "%0A", "%0D"},
+		Neutralizer:    " ",
+	},
+	"san_wpsqli": {Kind: PHPSanitization, SanFunc: "esc_sql"},
+}
+
+// BuiltinTemplate returns a copy of the catalog template of the built-in
+// fix id, or the zero Template when the catalog has none (san_sf).
+func BuiltinTemplate(id string) Template {
+	t := templates[id]
+	t.MaliciousChars = slices.Clone(t.MaliciousChars)
+	return t
+}
+
+// Library returns the built-in fix catalog of the tool: every catalog
+// template instantiated under its fix ID, plus san_sf.
 func Library() map[string]*Fix {
-	mk := func(id string, t Template) *Fix {
+	lib := make(map[string]*Fix, len(templates)+1)
+	for id, t := range templates {
 		f, err := GenerateFix(id, t)
 		if err != nil {
 			panic(fmt.Sprintf("corrector: built-in fix %s: %v", id, err))
 		}
-		return f
-	}
-	lib := map[string]*Fix{
-		"san_sqli": mk("san_sqli", Template{Kind: PHPSanitization, SanFunc: "mysql_real_escape_string"}),
-		"san_out":  mk("san_out", Template{Kind: PHPSanitization, SanFunc: "htmlentities"}),
-		"san_osci": mk("san_osci", Template{Kind: PHPSanitization, SanFunc: "escapeshellarg"}),
-		"san_mix": mk("san_mix", Template{
-			Kind:           UserValidation,
-			MaliciousChars: []string{"../", "..\\", "http://", "https://", "ftp://", "php://", "\x00"},
-			Message:        "WAP: invalid path",
-		}),
-		"san_phpci": mk("san_phpci", Template{
-			Kind:           UserValidation,
-			MaliciousChars: []string{"$", ";", "(", ")", "`"},
-			Message:        "WAP: dynamic code blocked",
-		}),
-		// Fixes created for the new classes (Section IV-B):
-		"san_ldapi": mk("san_ldapi", Template{
-			Kind:           UserValidation,
-			MaliciousChars: []string{"*", "(", ")", "\\", "\x00"},
-			Message:        "WAP: invalid LDAP filter characters",
-		}),
-		"san_xpathi": mk("san_xpathi", Template{
-			Kind:           UserValidation,
-			MaliciousChars: []string{"'", "\"", "[", "]", "(", ")", "="},
-			Message:        "WAP: invalid XPath characters",
-		}),
-		// san_read / san_write validate content against scripts and, after
-		// the paper's change for CS, also against URIs/hyperlinks.
-		"san_read": mk("san_read", Template{
-			Kind:           UserValidation,
-			MaliciousChars: []string{"<script", "javascript:", "http://", "https://", "www."},
-			Message:        "WAP: content blocked (script or hyperlink)",
-		}),
-		"san_write": mk("san_write", Template{
-			Kind:           UserValidation,
-			MaliciousChars: []string{"<script", "javascript:", "http://", "https://", "www."},
-			Message:        "WAP: content blocked (script or hyperlink)",
-		}),
-		// Weapon fixes (Section IV-C):
-		"san_nosqli": mk("san_nosqli", Template{Kind: PHPSanitization, SanFunc: "mysql_real_escape_string"}),
-		"san_hei": mk("san_hei", Template{
-			Kind:           UserSanitization,
-			MaliciousChars: []string{"\r", "\n", "%0a", "%0d", "%0A", "%0D"},
-			Neutralizer:    " ",
-		}),
-		"san_wpsqli": mk("san_wpsqli", Template{Kind: PHPSanitization, SanFunc: "esc_sql"}),
+		lib[id] = f
 	}
 	// Session fixation has no sanitizable characters; its fix regenerates
 	// the session id instead of trusting user tokens (created from scratch,

@@ -350,13 +350,9 @@ type PluginsResult struct {
 // RunWordPress analyzes the 115-plugin suite with WAPe plus the wpsqli
 // weapon (Section V-B).
 func RunWordPress(seed int64) (*PluginsResult, error) {
-	var weapons []*weapon.Weapon
-	for _, spec := range weapon.BuiltinSpecs() {
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		weapons = append(weapons, w)
+	weapons, err := weapon.Builtin()
+	if err != nil {
+		return nil, err
 	}
 	eng, err := core.New(core.Options{Mode: core.ModeWAPe, Seed: seed, Weapons: weapons})
 	if err != nil {

@@ -38,9 +38,7 @@ func GroupOf(id vuln.ClassID) corpus.Group {
 		return corpus.GroupNoSQLI
 	case vuln.CS:
 		return corpus.GroupCS
-	case vuln.HI, vuln.EI, "hei":
-		// "hei" is the generated weapon covering both header and email
-		// injection (Section IV-C.2).
+	case vuln.HI, vuln.EI:
 		return corpus.GroupHI
 	case vuln.SF:
 		return corpus.GroupSF

@@ -41,11 +41,11 @@ func TestFusedAllocBudget(t *testing.T) {
 	for _, c := range classes {
 		seen[c.ID] = true
 	}
-	for _, spec := range weapon.BuiltinSpecs() {
-		w, err := weapon.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	builtin, err := weapon.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range builtin {
 		if !seen[w.Class.ID] {
 			seen[w.Class.ID] = true
 			classes = append(classes, w.Class)

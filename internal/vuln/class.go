@@ -268,8 +268,7 @@ func buildRegistry() map[ClassID]*Class {
 				{Name: "call_user_func_array", Args: []int{0}},
 				{Name: "preg_replace_callback", Args: []int{0}},
 			},
-			Sanitizers: []string{},
-			FixID:      "san_phpci",
+			FixID: "san_phpci",
 		},
 
 		// --- the seven classes added by the paper -------------------------
@@ -296,8 +295,7 @@ func buildRegistry() map[ClassID]*Class {
 				{Name: "xpath", Method: true},
 				{Name: "evaluate", Method: true},
 			},
-			Sanitizers: []string{},
-			FixID:      "san_xpathi",
+			FixID: "san_xpathi",
 		},
 		{
 			ID: NOSQLI, Name: "NoSQL Injection", Submodule: SubGenerated, New: true, Weapon: true,
@@ -332,8 +330,7 @@ func buildRegistry() map[ClassID]*Class {
 			Sinks: []Sink{ // Section IV-C.2 weapon configuration
 				{Name: "header", Args: []int{0}},
 			},
-			Sanitizers: []string{},
-			FixID:      "san_hei",
+			FixID: "san_hei",
 		},
 		{
 			ID: EI, Name: "Email Injection", Submodule: SubGenerated, New: true, Weapon: true,
@@ -342,8 +339,7 @@ func buildRegistry() map[ClassID]*Class {
 				{Name: "mail", Args: nil},
 				{Name: "mb_send_mail", Args: nil},
 			},
-			Sanitizers: []string{},
-			FixID:      "san_hei",
+			FixID: "san_hei",
 		},
 		{
 			ID: SF, Name: "Session Fixation", Submodule: SubRCEFileInjection, New: true,
@@ -353,8 +349,7 @@ func buildRegistry() map[ClassID]*Class {
 				{Name: "setrawcookie", Args: []int{1}},
 				{Name: "session_id", Args: []int{0}},
 			},
-			Sanitizers: []string{},
-			FixID:      "san_sf",
+			FixID: "san_sf",
 		},
 		{
 			ID: WPSQLI, Name: "WordPress SQL Injection", Submodule: SubGenerated, New: true, Weapon: true,

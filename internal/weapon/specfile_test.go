@@ -91,7 +91,7 @@ func TestWriteSpecRejectsUnrepresentable(t *testing.T) {
 }
 
 // TestBuiltinSpecsRoundTrip pins WriteSpec → ParseSpec as loss-free over
-// every bundled spec, including hei's escaped control characters.
+// every built-in spec, including san_hei's escaped control characters.
 func TestBuiltinSpecsRoundTrip(t *testing.T) {
 	for _, spec := range BuiltinSpecs() {
 		spec := spec

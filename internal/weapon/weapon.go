@@ -9,6 +9,7 @@ package weapon
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/corrector"
@@ -57,7 +58,8 @@ func (s *Spec) Validate() error {
 	// non-weapon class (e.g. naming a weapon "sqli") would silently
 	// double-register the class and make reports ambiguous. Bundled classes
 	// that are themselves weapons (nosqli, hi, ei, wpsqli) stay permitted:
-	// the builtin specs legitimately regenerate them.
+	// the built-in specs are derived from them, and core.New refuses a
+	// weapon that redefines a class already in the engine's set.
 	if c := vuln.Get(vuln.ClassID(strings.ToLower(s.Name))); c != nil && !c.Weapon {
 		return fmt.Errorf("weapon: name %q collides with the bundled %s class (%s); weapon names must not shadow built-in class IDs", s.Name, c.ID, c.Name)
 	}
@@ -102,25 +104,30 @@ func Generate(spec Spec) (*Weapon, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	fixID := "san_" + strings.ToLower(spec.Name)
+	id := vuln.ClassID(strings.ToLower(spec.Name))
+	// A weapon named after a bundled weapon class keeps that class's fix
+	// ID (hi and ei share san_hei); any other weapon gets its own.
+	fixID := "san_" + string(id)
+	if c := vuln.Get(id); c != nil {
+		fixID = c.FixID
+	}
 	fx, err := corrector.GenerateFix(fixID, spec.Fix)
 	if err != nil {
 		return nil, fmt.Errorf("weapon: spec %q: %w", spec.Name, err)
 	}
 
 	cls := &vuln.Class{
-		ID:          vuln.ClassID(strings.ToLower(spec.Name)),
-		Name:        spec.Description,
-		Description: spec.Description,
-		Submodule:   vuln.SubGenerated,
-		Sinks:       append([]vuln.Sink(nil), spec.Sinks...),
-		Sanitizers:  append([]string(nil), lowerAll(spec.Sanitizers)...),
-		SanitizerMethods: append([]string(nil),
-			lowerAll(spec.SanitizerMethods)...),
-		EntryPointFuncs: append([]string(nil), lowerAll(spec.EntryPointFuncs)...),
-		FixID:           fixID,
-		New:             true,
-		Weapon:          true,
+		ID:               id,
+		Name:             spec.Description,
+		Description:      spec.Description,
+		Submodule:        vuln.SubGenerated,
+		Sinks:            append([]vuln.Sink(nil), spec.Sinks...),
+		Sanitizers:       lowerAll(spec.Sanitizers),
+		SanitizerMethods: lowerAll(spec.SanitizerMethods),
+		EntryPointFuncs:  lowerAll(spec.EntryPointFuncs),
+		FixID:            fixID,
+		New:              true,
+		Weapon:           true,
 	}
 	if cls.Name == "" {
 		cls.Name = strings.ToUpper(spec.Name)
@@ -151,66 +158,56 @@ func lowerAll(in []string) []string {
 	return out
 }
 
-// BuiltinSpecs returns the three weapons the paper creates (Section IV-C):
-// NoSQLI, HI+EI (as separate weapons sharing a fix), and SQLI for WordPress.
+// BuiltinSpecs returns the weapons the paper creates (Section IV-C): NoSQLI,
+// HI and EI (separate weapons sharing the san_hei fix) and SQLI for
+// WordPress — one spec per registry class marked Weapon, in vuln.All()
+// order. Nothing is restated: the detector data is the registry class's and
+// the fix is the corrector catalog's template for the class's fix ID.
 func BuiltinSpecs() []Spec {
-	return []Spec{
-		{
-			Name:        "nosqli",
-			Description: "NoSQL injection (MongoDB)",
-			Sinks: []vuln.Sink{
-				{Name: "find", Method: true},
-				{Name: "findone", Method: true},
-				{Name: "findandmodify", Method: true},
-				{Name: "insert", Method: true},
-				{Name: "remove", Method: true},
-				{Name: "save", Method: true},
-				{Name: "execute", Method: true},
-			},
-			Sanitizers: []string{"mysql_real_escape_string"},
-			Fix: corrector.Template{
-				Kind:    corrector.PHPSanitization,
-				SanFunc: "mysql_real_escape_string",
-			},
-		},
-		{
-			Name:        "hei",
-			Description: "Header injection / HTTP response splitting and email injection",
-			Sinks: []vuln.Sink{
-				{Name: "header", Args: []int{0}},
-				{Name: "mail"},
-				{Name: "mb_send_mail"},
-			},
-			Fix: corrector.Template{
-				Kind:           corrector.UserSanitization,
-				MaliciousChars: []string{"\r", "\n", "%0a", "%0d", "%0A", "%0D"},
-				Neutralizer:    " ",
-			},
-		},
-		{
-			Name:        "wpsqli",
-			Description: "SQL injection through WordPress $wpdb",
-			Sinks: []vuln.Sink{
-				{Name: "query", Method: true, Recv: "wpdb"},
-				{Name: "get_results", Method: true, Recv: "wpdb"},
-				{Name: "get_row", Method: true, Recv: "wpdb"},
-				{Name: "get_var", Method: true, Recv: "wpdb"},
-				{Name: "get_col", Method: true, Recv: "wpdb"},
-			},
-			Sanitizers:       []string{"esc_sql", "absint", "sanitize_key"},
-			SanitizerMethods: []string{"prepare"},
-			Fix: corrector.Template{
-				Kind:    corrector.PHPSanitization,
-				SanFunc: "esc_sql",
-			},
-			Dynamics: []symptom.Dynamic{
-				{Func: "sanitize_text_field", Category: symptom.StringManipulation, MapsTo: "str_replace"},
-				{Func: "sanitize_email", Category: symptom.StringManipulation, MapsTo: "str_replace"},
-				{Func: "sanitize_title", Category: symptom.StringManipulation, MapsTo: "str_replace"},
-				{Func: "wp_kses", Category: symptom.StringManipulation, MapsTo: "str_replace"},
-				{Func: "absint", Category: symptom.Validation, MapsTo: "intval"},
-				{Func: "is_email", Category: symptom.Validation, MapsTo: "preg_match"},
-			},
-		},
+	var out []Spec
+	for _, c := range vuln.All() {
+		if !c.Weapon {
+			continue
+		}
+		out = append(out, Spec{
+			Name:             string(c.ID),
+			Description:      c.Name,
+			Sinks:            slices.Clone(c.Sinks),
+			Sanitizers:       slices.Clone(c.Sanitizers),
+			SanitizerMethods: slices.Clone(c.SanitizerMethods),
+			EntryPoints:      slices.Clone(c.EntryPoints),
+			EntryPointFuncs:  slices.Clone(c.EntryPointFuncs),
+			Fix:              corrector.BuiltinTemplate(c.FixID),
+			Dynamics:         slices.Clone(builtinDynamics[c.ID]),
+		})
 	}
+	return out
+}
+
+// builtinDynamics are the dynamic symptoms of the built-in weapons, the one
+// piece of built-in weapon data with no other home: WordPress's sanitizers
+// and validators mapped onto the predictor's attributes.
+var builtinDynamics = map[vuln.ClassID][]symptom.Dynamic{
+	vuln.WPSQLI: {
+		{Func: "sanitize_text_field", Category: symptom.StringManipulation, MapsTo: "str_replace"},
+		{Func: "sanitize_email", Category: symptom.StringManipulation, MapsTo: "str_replace"},
+		{Func: "sanitize_title", Category: symptom.StringManipulation, MapsTo: "str_replace"},
+		{Func: "wp_kses", Category: symptom.StringManipulation, MapsTo: "str_replace"},
+		{Func: "absint", Category: symptom.Validation, MapsTo: "intval"},
+		{Func: "is_email", Category: symptom.Validation, MapsTo: "preg_match"},
+	},
+}
+
+// Builtin generates the built-in weapon set, one weapon per BuiltinSpecs
+// entry, in order. It is the set a default wap or wapd engine links.
+func Builtin() ([]*Weapon, error) {
+	var out []*Weapon
+	for _, s := range BuiltinSpecs() {
+		w, err := Generate(s)
+		if err != nil {
+			return nil, fmt.Errorf("weapon: built-in %q: %w", s.Name, err)
+		}
+		out = append(out, w)
+	}
+	return out, nil
 }

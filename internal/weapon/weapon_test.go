@@ -107,14 +107,13 @@ func TestWeaponWithEntryPoints(t *testing.T) {
 }
 
 func TestBuiltinSpecsGenerate(t *testing.T) {
-	for _, spec := range BuiltinSpecs() {
-		w, err := Generate(spec)
-		if err != nil {
-			t.Errorf("builtin %q: %v", spec.Name, err)
-			continue
-		}
+	builtin, err := Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range builtin {
 		if w.Class.Submodule != vuln.SubGenerated {
-			t.Errorf("builtin %q: submodule = %v", spec.Name, w.Class.Submodule)
+			t.Errorf("builtin %q: submodule = %v", w.Class.ID, w.Class.Submodule)
 		}
 	}
 }
