@@ -740,7 +740,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 	runLadder = func(set []*lane, attempt int) {
 		ts := make([]task, len(set))
 		for k, l := range set {
-			ts[k] = tasks[l.idx]
+			ts[k] = tasks[l.idx].task
 		}
 		for ; ; attempt++ {
 			res := runAttempt(ts)
@@ -839,7 +839,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		start := time.Now()
 		set := make([]*lane, 0, len(idxs))
 		for _, i := range idxs {
-			t := tasks[i]
+			t := tasks[i].task
 			var brk *breaker.Breaker
 			probe := false
 			if e.breakers != nil {
@@ -920,9 +920,9 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 		}
 		rep.Stats.WeaponSetRevision = e.opts.WeaponSetRevision
 	}
-	for i, ok := range plan.reusedOK {
-		if ok {
-			exec.results[i] = plan.reused[i]
+	for i := range plan.tasks {
+		if pt := &plan.tasks[i]; pt.entry != nil {
+			exec.results[i] = pt.reused
 		}
 	}
 	err := ctx.Err()

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/resultstore"
@@ -88,30 +87,36 @@ func (e *Engine) effectiveBudget() int {
 	}
 }
 
-// closureHashes computes one hash per file: the content hashes of every file
-// in its reachable closure, folded in path order so the hash depends only on
-// the closure's membership and contents, not on BFS discovery order.
-func closureHashes(p *Project, reach [][]int) []string {
-	out := make([]string, len(p.Files))
-	for i, closure := range reach {
-		sorted := append([]int(nil), closure...)
-		sort.Slice(sorted, func(a, b int) bool {
-			return p.Files[sorted[a]].Path < p.Files[sorted[b]].Path
-		})
-		h := sha256.New()
-		for _, j := range sorted {
-			f := p.Files[j]
-			fmt.Fprintf(h, "%s\x00", f.Path)
-			h.Write(f.Hash[:])
-		}
-		out[i] = hex.EncodeToString(h.Sum(nil))
+// hasher builds fingerprint inputs in one reused buffer, so a closure hash
+// allocates nothing and a task fingerprint only its key.
+type hasher struct{ buf []byte }
+
+// closureHash hashes the (path, content hash) of every file in a closure
+// kept in path order, so the hash depends only on the closure's membership
+// and contents.
+func (h *hasher) closureHash(files []*SourceFile, closure []int) [sha256.Size]byte {
+	b := h.buf[:0]
+	for _, j := range closure {
+		b = append(b, files[j].Path...)
+		b = append(b, 0)
+		b = append(b, files[j].Hash[:]...)
 	}
-	return out
+	h.buf = b
+	return sha256.Sum256(b)
 }
 
-// taskFingerprint is the store key of one (file, class) task.
-func taskFingerprint(configDigest string, cls vuln.ClassID, closureHash string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s", configDigest, cls, closureHash)
-	return hex.EncodeToString(h.Sum(nil))
+// taskFingerprint is the store key of one (file, class) task: the hex
+// SHA-256 of the config digest, the class and the hex closure hash, each
+// pair separated by a NUL byte.
+func (h *hasher) taskFingerprint(configDigest string, cls vuln.ClassID, closure *[sha256.Size]byte) string {
+	b := append(h.buf[:0], configDigest...)
+	b = append(b, 0)
+	b = append(b, cls...)
+	b = append(b, 0)
+	b = hex.AppendEncode(b, closure[:])
+	h.buf = b
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }

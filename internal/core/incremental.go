@@ -29,15 +29,7 @@ import (
 // scanPlan is the plan stage's output: the task grid with, per task, either
 // a decoded stored result or a place in the execution queue.
 type scanPlan struct {
-	tasks []task
-	// fingerprints are the store keys, aligned with tasks ("" without store).
-	fingerprints []string
-	// reused/reusedOK/entries are aligned with tasks: reusedOK[i] marks a
-	// task satisfied from the store, reused[i] its rebound findings and
-	// entries[i] the raw snapshot entry (re-persisted verbatim on save).
-	reused   [][]*Finding
-	reusedOK []bool
-	entries  []*resultstore.TaskEntry
+	tasks []plannedTask
 	// execIdx lists the task indices the execute stage must run.
 	execIdx []int
 
@@ -48,69 +40,79 @@ type scanPlan struct {
 	loadInfo resultstore.LoadInfo
 }
 
+// plannedTask is one task of the grid.
+type plannedTask struct {
+	task
+	// fp is the store key ("" without a store).
+	fp string
+	// entry is the snapshot entry that satisfied the task, re-persisted
+	// verbatim on save, and reused its rebound findings; entry is nil for
+	// a task the execute stage runs.
+	entry  *resultstore.TaskEntry
+	reused []*Finding
+}
+
 // planScan builds the scan plan. The (file, class) grid is enumerated in
 // file-major order — the order findings are reported in — and pre-filter
 // skips are accounted exactly as before. With a store attached, each planned
 // task's fingerprint is looked up in the previous snapshot; an entry that
-// decodes cleanly satisfies the task without execution.
+// decodes cleanly satisfies the task without execution. Sink reachability
+// and fingerprints come from the project's call graph, which a warm load
+// carries over from the previous project.
 func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.Store, stats *statsCollector) *scanPlan {
-	var pf *prefilter
-	if !e.opts.DisableSinkPrefilter {
-		pf = newPrefilter(p)
+	g := p.callGraph()
+	v := g.planView(p, e, store != nil)
+	filter := !e.opts.DisableSinkPrefilter
+	n := len(v.live)
+	if filter {
+		n = v.nLive
 	}
-
-	plan := &scanPlan{store: store}
-	var (
-		snap    *resultstore.Snapshot
-		cHashes []string
-	)
+	plan := &scanPlan{store: store, tasks: make([]plannedTask, 0, n)}
+	var snap *resultstore.Snapshot
 	if store != nil {
-		plan.digest = e.configDigest()
+		plan.digest = v.digest
 		snap, plan.loadInfo = store.LoadWithInfoContext(ctx, p.Name, plan.digest)
-		// The fingerprints hash the same call closures the pre-filter
-		// walks; compute them only when there is no pre-filter to borrow
-		// them from.
-		var reach [][]int
-		if pf != nil {
-			reach = pf.reach
-		} else {
-			reach = fileClosures(p)
-		}
-		cHashes = closureHashes(p, reach)
 	}
 
+	var h hasher
+	nc := len(e.classes)
+	skips := make([]int, nc)
 	for fi, file := range p.Files {
-		for _, cls := range e.classes {
-			if pf != nil && !pf.sinkReachable(fi, cls) {
-				stats.recordSkip(cls.ID)
+		for ci, cls := range e.classes {
+			k := fi*nc + ci
+			if filter && !v.live[k] {
+				skips[ci]++
 				continue
 			}
-			i := len(plan.tasks)
-			plan.tasks = append(plan.tasks, task{file: file, cls: cls})
-			plan.reused = append(plan.reused, nil)
-			plan.reusedOK = append(plan.reusedOK, false)
-			plan.entries = append(plan.entries, nil)
-			fp := ""
+			pt := plannedTask{task: task{file: file, cls: cls}}
 			if store != nil {
-				fp = taskFingerprint(plan.digest, cls.ID, cHashes[fi])
-			}
-			plan.fingerprints = append(plan.fingerprints, fp)
-			if snap != nil {
-				if entry := snap.Tasks[fp]; entry != nil {
+				if pt.fp = v.fps[k]; pt.fp == "" {
+					// Only the disabled pre-filter plans tasks it would drop.
+					pt.fp = h.taskFingerprint(v.digest, cls.ID, &v.hashes[fi])
+				}
+				var entry *resultstore.TaskEntry
+				if snap != nil {
+					entry = snap.Tasks[pt.fp]
+				}
+				if entry == nil {
+					stats.recordFingerprintMiss()
+				} else {
 					stats.recordFingerprintHit()
 					if fs, ok := decodeTask(p, entry); ok {
-						plan.reused[i] = fs
-						plan.reusedOK[i] = true
-						plan.entries[i] = entry
+						pt.entry, pt.reused = entry, fs
 						stats.recordReused(cls.ID, entry.Steps, len(fs))
-						continue
 					}
 				}
 			}
-			if store != nil {
-				stats.recordFingerprintMiss()
+			if pt.entry == nil {
+				plan.execIdx = append(plan.execIdx, len(plan.tasks))
 			}
-			plan.execIdx = append(plan.execIdx, i)
+			plan.tasks = append(plan.tasks, pt)
+		}
+	}
+	for ci, count := range skips {
+		if count > 0 {
+			stats.recordSkips(e.classes[ci].ID, count)
 		}
 	}
 	return plan

@@ -73,13 +73,14 @@ func snapshot(p *Project) projectSnapshot {
 		}
 		s.Files = append(s.Files, fs)
 	}
-	for name := range p.funcs {
+	g := p.callGraph()
+	for name := range g.funcs {
 		s.Funcs = append(s.Funcs, name)
 	}
-	for name := range p.methods {
+	for name := range g.methods {
 		s.Methods = append(s.Methods, name)
 	}
-	for name, v := range p.ambig {
+	for name, v := range g.ambig {
 		if v {
 			s.Ambig = append(s.Ambig, name)
 		}

@@ -73,7 +73,7 @@ func (c *checkpointer) taskDone(i int, findings []*Finding, steps int, persistab
 	defer c.mu.Unlock()
 	c.done++
 	if entry != nil {
-		c.fresh[c.plan.fingerprints[i]] = entry
+		c.fresh[c.plan.tasks[i].fp] = entry
 	}
 	if c.every > 0 && c.done%c.every == 0 && c.done < len(c.plan.execIdx) {
 		if c.plan.store.Save(c.snapshot()) == nil {
@@ -97,9 +97,9 @@ func (c *checkpointer) finish(ctx context.Context) {
 // Caller holds c.mu.
 func (c *checkpointer) snapshot() *resultstore.Snapshot {
 	snap := resultstore.NewSnapshot(c.p.Name, c.plan.digest)
-	for i, ok := range c.plan.reusedOK {
-		if ok {
-			snap.Tasks[c.plan.fingerprints[i]] = c.plan.entries[i]
+	for i := range c.plan.tasks {
+		if pt := &c.plan.tasks[i]; pt.entry != nil {
+			snap.Tasks[pt.fp] = pt.entry
 		}
 	}
 	for fp, entry := range c.fresh {

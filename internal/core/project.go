@@ -122,6 +122,9 @@ type LoadStats struct {
 	ParseWall time.Duration
 	// Workers is the number of load workers that executed the phase.
 	Workers int
+	// Reads counts the files read from disk. A directory load with Prev
+	// adopts a file whose stat is unchanged without reading it.
+	Reads int
 }
 
 // Project is a parsed web application (or plugin): all files plus a
@@ -139,14 +142,22 @@ type Project struct {
 	// informational: it never influences analysis output.
 	LoadStats LoadStats
 
-	funcs   map[string]*ast.FunctionDecl
-	methods map[string]*ast.FunctionDecl
-	byPath  map[string]*SourceFile
-	// ambig holds callable names declared more than once project-wide
-	// (functions and methods conflated, conservatively): resolving such a
-	// name from different files can yield different declarations, so taint
-	// summaries that touched one are never shared across tasks.
-	ambig map[string]bool
+	// stats holds, aligned with Files, each file's stat as the directory
+	// walk saw it (nil for in-memory loads and files that could not be
+	// stat'ed); loadStart is when the load began. A later load with this
+	// project as Prev adopts a file without reading it when its stat still
+	// matches (see statAdopt). The record lives here, not on the shared
+	// SourceFile, because a file adopted by hash may carry a different
+	// stat from the one it was parsed under.
+	stats     []fs.FileInfo
+	loadStart time.Time
+
+	// graph is the project's call graph: the name index, the per-file
+	// call closures and the plan memo (see callGraph). A load with Prev
+	// may install one carried over from Prev's before the project is
+	// returned; otherwise graphOnce builds it on first use.
+	graph     *callGraph
+	graphOnce sync.Once
 
 	// irOnce/irCache lazily hold the project's IR lowering cache: each file
 	// is lowered to IR once and shared read-only across all
@@ -162,20 +173,37 @@ func (p *Project) IRCache() *ir.Cache {
 	return p.irCache
 }
 
+// callGraph returns the project's call graph, building it on first use.
+// Safe for concurrent callers.
+func (p *Project) callGraph() *callGraph {
+	p.graphOnce.Do(func() {
+		if p.graph == nil {
+			p.graph = buildGraph(p.Files)
+		}
+	})
+	return p.graph
+}
+
 // ResolveFunc implements taint.FuncResolver.
 func (p *Project) ResolveFunc(name string) *ast.FunctionDecl {
-	return p.funcs[name]
+	if i, ok := p.callGraph().funcs[name]; ok {
+		return p.Files[i].AST.Funcs[name]
+	}
+	return nil
 }
 
 // ResolveMethod implements taint.FuncResolver.
 func (p *Project) ResolveMethod(name string) *ast.FunctionDecl {
-	return p.methods[name]
+	if r, ok := p.callGraph().methods[name]; ok {
+		return p.Files[r.file].AST.Funcs[r.key]
+	}
+	return nil
 }
 
 // AmbiguousCallable implements taint.AmbiguityReporter: it reports whether
 // name (lower-case) has more than one declaration anywhere in the project.
 func (p *Project) AmbiguousCallable(name string) bool {
-	return p.ambig[name]
+	return p.callGraph().ambig[name]
 }
 
 // TotalLines returns the project's total line count.
@@ -189,14 +217,8 @@ func (p *Project) TotalLines() int {
 
 // File returns the source file with the given path, or nil.
 func (p *Project) File(path string) *SourceFile {
-	if p.byPath != nil {
-		return p.byPath[path]
-	}
-	// Fallback for hand-assembled projects that never called index().
-	for _, f := range p.Files {
-		if f.Path == path {
-			return f
-		}
+	if i, ok := p.callGraph().byPath[path]; ok {
+		return p.Files[i]
 	}
 	return nil
 }
@@ -223,7 +245,7 @@ func LoadMapOptions(name string, files map[string]string, opts LoadOptions) *Pro
 	p := &Project{Name: name}
 	// In-memory loads perform no IO and take no context, so they cannot fail.
 	_ = p.runSlots(context.Background(), slots, opts)
-	p.index()
+	p.carryGraph(opts.Prev)
 	return p
 }
 
@@ -238,9 +260,26 @@ type LoadOptions struct {
 	// MaxFileSize is the per-file size cap in bytes; 0 means
 	// DefaultMaxFileSize, negative means unlimited.
 	MaxFileSize int64
-	// Prev, when set, enables parse reuse: a file whose bytes hash
-	// identically to the same path in Prev adopts Prev's parsed SourceFile
-	// instead of re-parsing. Used by incremental rescans of the same tree.
+	// Prev, when set, is the previous load of the same tree, and the load
+	// does work only for what changed since:
+	//
+	//   - A directory file whose stat (size, mtime, inode, device) equals
+	//     Prev's record for its path adopts Prev's parsed SourceFile without
+	//     being read, provided its mtime was older than Prev's load start
+	//     by more than a racy window (git's racy-clean rule: a file touched
+	//     just before Prev read it may change again without its mtime
+	//     moving). Every other file is read and hashed; one whose bytes hash
+	//     identically to Prev's still adopts Prev's SourceFile instead of
+	//     re-parsing. In-memory loads always hash.
+	//   - When the path list is unchanged and every file that is not Prev's
+	//     own SourceFile declares the same names and calls the same names
+	//     and constructs as Prev's, the call graph and the plan memo carry
+	//     over: only the fingerprints of tasks whose call closure holds a
+	//     changed file are recomputed. Otherwise the graph is built in full
+	//     on first use.
+	//
+	// The new project keeps no reference to Prev. Used by incremental
+	// rescans of the same tree.
 	Prev *Project
 	// Parallelism bounds concurrent read+parse workers; 0 uses GOMAXPROCS
 	// capped at 8 (matching Options.Parallelism), 1 forces a sequential
@@ -286,7 +325,7 @@ func parallelism(n int) int {
 // a bounded worker pool and assembles Files and Diagnostics in slot order,
 // so the project is byte-identical to a sequential load at any parallelism.
 func LoadDirContext(ctx context.Context, name, dir string, opts LoadOptions) (*Project, error) {
-	p := &Project{Name: name}
+	p := &Project{Name: name, loadStart: time.Now()}
 	sizeCap := opts.maxFileSize()
 	var slots []loadSlot
 	skip := func(rel, format string, args ...any) {
@@ -313,13 +352,16 @@ func LoadDirContext(ctx context.Context, name, dir string, opts LoadOptions) (*P
 		if d.IsDir() || !strings.HasSuffix(strings.ToLower(d.Name()), ".php") {
 			return nil
 		}
-		// WalkDir never descends into directory symlinks, so symlink cycles
-		// cannot recurse. File symlinks are followed through os.Stat /
-		// os.ReadFile below; a symlink pointing at a directory is skipped
-		// silently (it is not a PHP file, and descending would reopen the
-		// cycle risk), and a broken one is diagnosed explicitly.
+		// The stat feeds the symlink checks, the size cap and the next
+		// load's stat check (see statAdopt). WalkDir never descends into
+		// directory symlinks, so symlink cycles cannot recurse. File
+		// symlinks are followed through os.Stat / os.ReadFile; a symlink
+		// pointing at a directory is skipped silently (it is not a PHP
+		// file, and descending would reopen the cycle risk), and a broken
+		// one is diagnosed explicitly. Any other failed stat leaves info
+		// nil, and the read reports the error.
+		info, serr := os.Stat(path)
 		if d.Type()&fs.ModeSymlink != 0 {
-			info, serr := os.Stat(path)
 			if serr != nil {
 				skip(rel, "broken symlink: %v", serr)
 				return nil
@@ -328,13 +370,13 @@ func LoadDirContext(ctx context.Context, name, dir string, opts LoadOptions) (*P
 				return nil
 			}
 		}
-		if sizeCap > 0 {
-			if info, ierr := os.Stat(path); ierr == nil && info.Size() > sizeCap {
-				skip(rel, "file size %d exceeds cap %d bytes", info.Size(), sizeCap)
-				return nil
-			}
+		if serr != nil {
+			info = nil
+		} else if sizeCap > 0 && info.Size() > sizeCap {
+			skip(rel, "file size %d exceeds cap %d bytes", info.Size(), sizeCap)
+			return nil
 		}
-		slots = append(slots, loadSlot{job: true, rel: rel, abs: path, read: true})
+		slots = append(slots, loadSlot{job: true, rel: rel, abs: path, read: true, info: info})
 		return nil
 	})
 	if err != nil {
@@ -343,7 +385,7 @@ func LoadDirContext(ctx context.Context, name, dir string, opts LoadOptions) (*P
 	if err := p.runSlots(ctx, slots, opts); err != nil {
 		return nil, fmt.Errorf("core: load %s: %w", dir, err)
 	}
-	p.index()
+	p.carryGraph(opts.Prev)
 	return p, nil
 }
 
@@ -357,6 +399,7 @@ type loadSlot struct {
 	abs  string      // on-disk path to read (dir loads)
 	src  string      // in-memory source (map loads)
 	read bool        // read src from abs instead of using src
+	info fs.FileInfo // the walk's stat of abs; nil when it failed
 }
 
 // loadResult is the outcome of one job slot.
@@ -364,6 +407,7 @@ type loadResult struct {
 	sf       *SourceFile // loaded or reused file; nil when skipped
 	skipDiag *Diagnostic // read failure discovered by the worker
 	degraded *Diagnostic // parse-degradation diagnostic (fresh or reused)
+	read     bool        // the file was read from disk
 }
 
 // runSlots executes every job slot on a bounded worker pool and assembles
@@ -422,6 +466,7 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 	if firstErr != nil {
 		return firstErr
 	}
+	reads := 0
 	for i := range slots {
 		if !slots[i].job {
 			p.Diagnostics = append(p.Diagnostics, *slots[i].diag)
@@ -435,44 +480,92 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 		if r.degraded != nil {
 			p.Diagnostics = append(p.Diagnostics, *r.degraded)
 		}
+		if r.read {
+			reads++
+		}
 		p.Files = append(p.Files, r.sf)
+		if slots[i].read {
+			p.stats = append(p.stats, slots[i].info)
+		}
 	}
-	p.LoadStats = LoadStats{ParseWall: time.Since(start), Workers: workers}
+	p.LoadStats = LoadStats{ParseWall: time.Since(start), Workers: workers, Reads: reads}
 	return nil
 }
 
-// executeSlot loads one file: read (for dir loads), hash, then either adopt
-// prev's byte-identical parse — memoized artifacts (lowered source, called
-// names) travel with the reused SourceFile — or parse fresh.
+// racyWindow is how much older than a load's start a file's mtime must be
+// for the next load to trust an unchanged stat. A write within the window
+// may land in the same timestamp tick as the stat the load recorded, so such
+// a file is read again however its stat looks. Filesystem timestamp
+// granularity is well under it on the filesystems wap runs on.
+const racyWindow = 100 * time.Millisecond
+
+// statAdopt returns p's SourceFile for path when info shows the file
+// unchanged since p's load: same size, mtime and file identity (inode and
+// device) as p recorded, with the recorded mtime older than p's load start
+// by more than racyWindow. Otherwise, or when p is nil, it returns nil and
+// the file must be read. The check is git's and make's: it misses only a
+// same-size rewrite of the same inode whose mtime was set back.
+func (p *Project) statAdopt(path string, info fs.FileInfo) *SourceFile {
+	if p == nil || p.stats == nil || info == nil {
+		return nil
+	}
+	i, ok := p.callGraph().byPath[path]
+	if !ok {
+		return nil
+	}
+	old := p.stats[i]
+	if old == nil || old.Size() != info.Size() || !old.ModTime().Equal(info.ModTime()) ||
+		!os.SameFile(old, info) || !old.ModTime().Before(p.loadStart.Add(-racyWindow)) {
+		return nil
+	}
+	return p.Files[i]
+}
+
+// hashAdopt returns p's SourceFile for path when its content hashes to sum,
+// else nil (also when p is nil).
+func (p *Project) hashAdopt(path string, sum [sha256.Size]byte) *SourceFile {
+	if p == nil {
+		return nil
+	}
+	if old := p.File(path); old != nil && old.Hash == sum {
+		return old
+	}
+	return nil
+}
+
+// executeSlot loads one file: adopt prev's SourceFile when the file's stat
+// shows it unchanged, else read it (for dir loads), hash it, and either
+// adopt prev's byte-identical parse — memoized artifacts (lowered source,
+// called names) travel with the reused SourceFile — or parse fresh. The
+// read bytes are converted to a string only for a fresh parse.
 func executeSlot(s *loadSlot, prev *Project) loadResult {
-	src := s.src
+	var (
+		data []byte
+		sum  [sha256.Size]byte
+	)
 	if s.read {
-		data, err := os.ReadFile(s.abs)
-		if err != nil {
+		if old := prev.statAdopt(s.rel, s.info); old != nil {
+			return adopt(old)
+		}
+		var err error
+		if data, err = os.ReadFile(s.abs); err != nil {
 			return loadResult{skipDiag: &Diagnostic{
 				File: s.rel, Kind: DiagLoadSkipped,
 				Message: fmt.Sprintf("unreadable: %v", err),
 			}}
 		}
-		src = string(data)
+		sum = sha256.Sum256(data)
+	} else {
+		sum = sha256.Sum256([]byte(s.src))
 	}
-	sum := sha256.Sum256([]byte(src))
-	if prev != nil {
-		if old := prev.File(s.rel); old != nil && old.Hash == sum {
-			res := loadResult{sf: old}
-			if old.Degraded {
-				for _, e := range old.ParseErrs {
-					if e.Degraded {
-						res.degraded = &Diagnostic{
-							File: s.rel, Kind: DiagParseDegraded,
-							Message: e.Msg,
-						}
-						break
-					}
-				}
-			}
-			return res
-		}
+	if old := prev.hashAdopt(s.rel, sum); old != nil {
+		res := adopt(old)
+		res.read = s.read
+		return res
+	}
+	src := s.src
+	if s.read {
+		src = string(data)
 	}
 	f, errs := parser.Parse(s.rel, src)
 	sf := &SourceFile{
@@ -483,7 +576,7 @@ func executeSlot(s *loadSlot, prev *Project) loadResult {
 		ParseErrs: errs,
 		Lines:     strings.Count(src, "\n") + 1,
 	}
-	res := loadResult{sf: sf}
+	res := loadResult{sf: sf, read: s.read}
 	for _, e := range errs {
 		if e.Degraded {
 			sf.Degraded = true
@@ -497,6 +590,24 @@ func executeSlot(s *loadSlot, prev *Project) loadResult {
 	return res
 }
 
+// adopt reuses a SourceFile of the previous load, re-raising its
+// parse-degradation diagnostic.
+func adopt(old *SourceFile) loadResult {
+	res := loadResult{sf: old}
+	if old.Degraded {
+		for _, e := range old.ParseErrs {
+			if e.Degraded {
+				res.degraded = &Diagnostic{
+					File: old.Path, Kind: DiagParseDegraded,
+					Message: e.Msg,
+				}
+				break
+			}
+		}
+	}
+	return res
+}
+
 // relPath makes path relative to dir, preserving the original casing.
 func relPath(dir, path string) string {
 	rel, err := filepath.Rel(dir, path)
@@ -504,37 +615,4 @@ func relPath(dir, path string) string {
 		return path
 	}
 	return rel
-}
-
-// index builds the project-wide function, method, path and ambiguity tables.
-func (p *Project) index() {
-	p.funcs = make(map[string]*ast.FunctionDecl)
-	p.methods = make(map[string]*ast.FunctionDecl)
-	p.byPath = make(map[string]*SourceFile, len(p.Files))
-	counts := make(map[string]int)
-	for _, f := range p.Files {
-		p.byPath[f.Path] = f
-		for key, fn := range f.AST.Funcs {
-			if strings.Contains(key, "::") {
-				// Method key Class::name; also index by bare name.
-				parts := strings.SplitN(key, "::", 2)
-				counts[parts[1]]++
-				if _, exists := p.methods[parts[1]]; !exists {
-					p.methods[parts[1]] = fn
-				}
-				p.funcs[key] = fn
-				continue
-			}
-			counts[key]++
-			if _, exists := p.funcs[key]; !exists {
-				p.funcs[key] = fn
-			}
-		}
-	}
-	p.ambig = make(map[string]bool)
-	for name, n := range counts {
-		if n > 1 {
-			p.ambig[name] = true
-		}
-	}
 }

@@ -190,12 +190,12 @@ func (c *statsCollector) recordTask(id vuln.ClassID, out taskOutcome, wall time.
 	cs.Findings += len(out.findings)
 }
 
-// recordSkip accounts one task dropped by the sink pre-filter.
-func (c *statsCollector) recordSkip(id vuln.ClassID) {
+// recordSkips accounts n tasks of a class dropped by the sink pre-filter.
+func (c *statsCollector) recordSkips(id vuln.ClassID, n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.s.TasksSkipped++
-	c.class(id).Skipped++
+	c.s.TasksSkipped += n
+	c.class(id).Skipped += n
 }
 
 // recordRetry accounts one retry-ladder attempt.
@@ -222,8 +222,9 @@ func (c *statsCollector) recordFingerprintHit() {
 	c.s.FingerprintHits++
 }
 
-// recordFingerprintMiss accounts one planned task that must execute despite
-// an attached store (no snapshot entry, or one that failed to rebind).
+// recordFingerprintMiss accounts one planned store lookup that found no
+// snapshot entry. A hit whose entry fails to rebind also executes, but
+// counts as a hit only.
 func (c *statsCollector) recordFingerprintMiss() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

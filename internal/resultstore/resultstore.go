@@ -294,7 +294,7 @@ type Store struct {
 	// re-persist most entries verbatim (the engine shares the pointers), so
 	// their bytes are spliced instead of re-marshaled. Replaced wholesale
 	// each Save, so dropped entries don't accumulate.
-	encCache map[string]map[*TaskEntry]json.RawMessage
+	encCache map[string]*encoded
 
 	wb *writeBehind // nil for a disk store, whose saves are synchronous
 
@@ -305,6 +305,13 @@ type Store struct {
 	misses      atomic.Int64
 	degraded    atomic.Int64
 	corrupt     atomic.Int64
+}
+
+// encoded is what the last Save of a project left for the next one: each
+// entry's serialized bytes and the document's length.
+type encoded struct {
+	raw  map[*TaskEntry]json.RawMessage
+	size int
 }
 
 // cachedSnapshot pairs an in-memory snapshot with the blob stat observed
@@ -355,7 +362,7 @@ func newStore(b Backend) *Store {
 	return &Store{
 		backend:  b,
 		cache:    make(map[string]*cachedSnapshot),
-		encCache: make(map[string]map[*TaskEntry]json.RawMessage),
+		encCache: make(map[string]*encoded),
 	}
 }
 
@@ -697,20 +704,24 @@ func (s *Store) enforceCap(ctx context.Context, keep string) {
 
 // encode serializes the snapshot, splicing the bytes of entries unchanged
 // since the last Save (pointer-identical) instead of re-marshaling them. The
-// assembled document is byte-compatible with json.Marshal of Snapshot:
-// fingerprint keys are hex (no escaping concerns) and emitted sorted, as
-// encoding/json sorts map keys. The loop observes ctx between entries.
-// Caller holds s.mu.
+// assembled document is byte-identical to json.Marshal of Snapshot: keys are
+// emitted sorted, as encoding/json sorts map keys, and a lower-hex key — every
+// fingerprint — is written as it is, since it needs no escaping; any other
+// key goes through json.Marshal. The buffer starts at the project's last
+// encoded length. The loop observes ctx between entries. Caller holds s.mu.
 func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
-	prev := s.encCache[snap.Project]
-	next := make(map[*TaskEntry]json.RawMessage, len(snap.Tasks))
+	last := s.encCache[snap.Project]
+	if last == nil {
+		last = &encoded{}
+	}
+	next := &encoded{raw: make(map[*TaskEntry]json.RawMessage, len(snap.Tasks))}
 	fps := make([]string, 0, len(snap.Tasks))
 	for fp := range snap.Tasks {
 		fps = append(fps, fp)
 	}
 	sort.Strings(fps)
 
-	var buf bytes.Buffer
+	buf := bytes.NewBuffer(make([]byte, 0, last.size))
 	head, err := json.Marshal(struct {
 		Version      int    `json:"version"`
 		Project      string `json:"project"`
@@ -720,7 +731,13 @@ func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
 		return nil, err
 	}
 	buf.Write(head[:len(head)-1]) // drop the closing brace; tasks follow
-	buf.WriteString(`,"tasks":{`)
+	buf.WriteString(`,"tasks":`)
+	if snap.Tasks == nil {
+		buf.WriteString("null}")
+		s.encCache[snap.Project] = next
+		return buf.Bytes(), nil
+	}
+	buf.WriteByte('{')
 	for i, fp := range fps {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -730,14 +747,20 @@ func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
-		key, err := json.Marshal(fp)
-		if err != nil {
-			return nil, err
+		if lowerHex(fp) {
+			buf.WriteByte('"')
+			buf.WriteString(fp)
+			buf.WriteByte('"')
+		} else {
+			key, err := json.Marshal(fp)
+			if err != nil {
+				return nil, err
+			}
+			buf.Write(key)
 		}
-		buf.Write(key)
 		buf.WriteByte(':')
 		entry := snap.Tasks[fp]
-		raw, ok := prev[entry]
+		raw, ok := last.raw[entry]
 		if !ok {
 			raw, err = json.Marshal(entry)
 			if err != nil {
@@ -745,9 +768,29 @@ func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
 			}
 		}
 		buf.Write(raw)
-		next[entry] = raw
+		next.raw[entry] = raw
 	}
 	buf.WriteString("}}")
+	next.size = buf.Len()
 	s.encCache[snap.Project] = next
 	return buf.Bytes(), nil
+}
+
+// lowerHexDigit marks the bytes a lower-hex key holds. A table lookup keeps
+// the per-byte branch predictable; range tests on random hex digits are not.
+var lowerHexDigit = func() (t [256]bool) {
+	for _, c := range "0123456789abcdef" {
+		t[c] = true
+	}
+	return t
+}()
+
+// lowerHex reports whether s consists of lower-case hex digits only.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !lowerHexDigit[s[i]] {
+			return false
+		}
+	}
+	return true
 }
