@@ -86,7 +86,9 @@ func TestLoadDirPrevRereadsRacyAndChanged(t *testing.T) {
 	t.Run("mtime inside the racy window", func(t *testing.T) {
 		dir := warmTree(t, map[string]string{"a.php": before, "b.php": before})
 		path := filepath.Join(dir, "a.php")
-		racy := time.Now()
+		// An mtime no older than the load's start; a minute ahead, so a slow
+		// host cannot age it out of the window before the load begins.
+		racy := time.Now().Add(time.Minute)
 		if err := os.Chtimes(path, racy, racy); err != nil {
 			t.Fatal(err)
 		}

@@ -290,10 +290,11 @@ type Store struct {
 	mu    sync.Mutex
 	cache map[string]*cachedSnapshot
 	// encCache holds, per project, the serialized bytes of each task entry
-	// written by the last Save, keyed by entry pointer. Incremental saves
-	// re-persist most entries verbatim (the engine shares the pointers), so
-	// their bytes are spliced instead of re-marshaled. Replaced wholesale
-	// each Save, so dropped entries don't accumulate.
+	// written by the last Save, keyed by entry pointer, and the document's
+	// length. Incremental saves re-persist most entries verbatim (the
+	// engine shares the pointers), so their bytes are spliced instead of
+	// re-marshaled. Replaced wholesale each Save, so dropped entries don't
+	// accumulate.
 	encCache map[string]*encoded
 
 	wb *writeBehind // nil for a disk store, whose saves are synchronous
