@@ -122,7 +122,7 @@ bench-smoke:
 # ./internal/taint and review the diff. Mirrors the CI golden job.
 golden:
 	$(GO) test -race -count=1 ./internal/core/ -run 'TestGolden|TestFinishedScan'
-	$(GO) test -race -count=1 ./internal/taint/ -run 'TestIR|TestBudgetOracle|TestFused'
+	$(GO) test -race -count=1 ./internal/taint/ -run 'TestIR|TestBudgetOracle|TestFused|TestTableOracle'
 	$(GO) test -race -count=1 ./internal/report/ -run 'TestStatsRenderersAgree|TestStatsInRenderers|TestIncrementalByteIdentical'
 
 # The benchmark's own module: vet and test cmd/wapbench, which guards the

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/corrector"
+	"repro/internal/taint"
 	"repro/internal/vuln"
 	"repro/internal/weapon"
 )
@@ -250,6 +251,10 @@ func TestOverlayFoldCopiesClasses(t *testing.T) {
 	hasSink := func(c *vuln.Class, name string) bool {
 		return slices.ContainsFunc(c.Sinks, func(s vuln.Sink) bool { return s.Name == name })
 	}
+	// is reports whether name plays role r for class c in eng's table.
+	is := func(eng *Engine, c *vuln.Class, r taint.Role, name string) bool {
+		return eng.table.Lanes(name, r).Has(classLane(eng, c.ID))
+	}
 	for _, eng := range []*Engine{base, derived} {
 		seen := make(map[vuln.ClassID]bool)
 		for _, c := range eng.Classes() {
@@ -260,12 +265,12 @@ func TestOverlayFoldCopiesClasses(t *testing.T) {
 			if fix := eng.fixIDFor(c.ID); fix == "" || count(c.Sanitizers, fix) != 1 {
 				t.Errorf("%s: sanitizers %q lack the fix ID %q", c.ID, c.Sanitizers, fix)
 			}
-			if !c.IsEntryPointVar("_APP_INPUT") {
+			if !is(eng, c, taint.EntryVar, "_APP_INPUT") {
 				t.Errorf("%s: overlay entry point missing", c.ID)
 			}
 			// xss-s reads stored data only: the overlay adds its entry point
 			// without turning on the default superglobals.
-			if got, want := c.IsEntryPointVar("_GET"), c.ID != vuln.XSSS; got != want {
+			if got, want := is(eng, c, taint.EntryVar, "_GET"), c.ID != vuln.XSSS; got != want {
 				t.Errorf("%s: _GET entry point = %v, want %v", c.ID, got, want)
 			}
 		}
@@ -278,7 +283,7 @@ func TestOverlayFoldCopiesClasses(t *testing.T) {
 					c = k
 				}
 			}
-			if c == nil || !c.IsSanitizer(want[0]) || !hasSink(c, want[1]) {
+			if c == nil || !is(eng, c, taint.Sanitizer, want[0]) || !hasSink(c, want[1]) {
 				t.Errorf("%s: class %+v lacks san-for %s or sink %s", id, c, want[0], want[1])
 			}
 		}
@@ -287,12 +292,12 @@ func TestOverlayFoldCopiesClasses(t *testing.T) {
 		}
 	}
 	for _, c := range derived.Classes() {
-		if c.ID == "foldhot" && (!c.IsSanitizer("app_clean") || !c.IsSanitizer(hot.Fix.ID)) {
+		if c.ID == "foldhot" && (!is(derived, c, taint.Sanitizer, "app_clean") || !is(derived, c, taint.Sanitizer, hot.Fix.ID)) {
 			t.Errorf("hot weapon class %+v lacks the overlay or its fix ID", c)
 		}
 	}
 	for _, c := range other.Classes() {
-		if count(c.Sanitizers, "other_clean") != 1 || c.IsSanitizer("app_clean") || c.IsEntryPointVar("_APP_INPUT") {
+		if count(c.Sanitizers, "other_clean") != 1 || is(other, c, taint.Sanitizer, "app_clean") || is(other, c, taint.EntryVar, "_APP_INPUT") {
 			t.Errorf("%s: second engine's class %+v mixes in the first overlay", c.ID, c)
 		}
 	}

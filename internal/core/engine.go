@@ -262,8 +262,11 @@ func (r *Report) VulnerableFiles() []string {
 // AnalyzeContext calls (the scan service relies on this); the breakers are
 // internally locked and deliberately shared across scans.
 type Engine struct {
-	opts      Options
-	classes   []*vuln.Class
+	opts    Options
+	classes []*vuln.Class
+	// table is the compiled vocabulary of classes: class i is lane i of
+	// every fused pass, and the sink pre-filter reads it too.
+	table     *taint.Table
 	weapons   map[vuln.ClassID]*weapon.Weapon
 	extractor *symptom.Extractor
 	ensemble  *ml.Ensemble
@@ -396,12 +399,13 @@ func New(opts Options) (*Engine, error) {
 	} else if len(opts.Weapons) > 0 {
 		return nil, fmt.Errorf("core: weapons require ModeWAPe")
 	}
-	// Fold the overlay and each class's own fix into copies of the classes,
-	// once: everything downstream reads plain classes.
+	// Fold the overlay and each class's own fix into copies of the classes
+	// and compile them, once: everything downstream reads the table.
 	e.classes = classSet
 	for i, c := range e.classes {
 		e.classes[i] = opts.Overlay.Fold(c, e.fixIDFor(c.ID))
 	}
+	e.table = compileTable(e.classes)
 	e.extractor = symptom.NewExtractor(dynamics)
 
 	// Assemble the (untrained) ensemble.

@@ -14,6 +14,11 @@ import (
 // fingerprints, result-store entries, the retry ladder, per-class breakers,
 // diagnostics) keeps its per-task shape.
 
+// compileTable compiles an engine's class set into the vocabulary every
+// fused pass and the sink pre-filter read. It is a variable so tests can
+// count the tables an engine builds.
+var compileTable = taint.Compile
+
 // fuseGroups slices the plan's execution queue into runs of consecutive
 // entries sharing a file. planScan emits the queue file-major, so a linear
 // scan recovers exactly one group per file needing execution; a file's
@@ -34,11 +39,12 @@ func fuseGroups(plan *scanPlan) [][]int {
 
 // runLanes performs one attempt over a lane set: every class lane in ts
 // (tasks of one file) evaluated by a single IR traversal under the given
-// per-lane step budget, then symptom extraction and FP prediction for each
-// lane's candidates. It runs inside the attempt's goroutine: everything it
-// touches besides the engine's read-only state is attempt-local, so an
-// abandoned (timed-out) invocation cannot race a live scan. Lanes are
-// independent — each outcome is what the lane would produce alone.
+// per-lane step budget on the engine's table, then symptom extraction and
+// FP prediction for each lane's candidates. It runs inside the attempt's
+// goroutine: everything it touches besides the engine's read-only state is
+// attempt-local, so an abandoned (timed-out) invocation cannot race a live
+// scan. Lanes are independent — each outcome is what the lane would produce
+// alone.
 func (e *Engine) runLanes(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries) []taskOutcome {
 	cfgs := make([]taint.Config, len(ts))
 	for k, t := range ts {
@@ -53,7 +59,7 @@ func (e *Engine) runLanes(ts []task, p *Project, stop *atomic.Bool, budget int, 
 			Shared:   shared,
 		}
 	}
-	fz := taint.NewFused(cfgs)
+	fz := e.table.NewFused(cfgs)
 	// The lowered form is built once per file by the scan-scoped cache and
 	// shared read-only across every pass over the file.
 	file := ts[0].file

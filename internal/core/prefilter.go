@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/php/ast"
+	"repro/internal/taint"
 	"repro/internal/vuln"
 )
 
@@ -38,11 +39,6 @@ type fileVocab struct {
 	// constructs lists the construct sinks the file contains, among
 	// echo, print, include and exit.
 	constructs []string
-}
-
-// has reports whether a sink named name can be checked in the file.
-func (v *fileVocab) has(name string) bool {
-	return v.called[name] || slices.Contains(v.constructs, name)
 }
 
 // scanVocab walks f once and collects its vocabulary.
@@ -292,7 +288,7 @@ func (g *callGraph) planView(p *Project, e *Engine, withFPs bool) *planView {
 	defer g.mu.Unlock()
 	v := g.view
 	if v == nil || v.digest != digest {
-		v = newPlanView(p, digest, e.classes)
+		v = newPlanView(p, e, digest)
 	}
 	if withFPs && v.fps == nil {
 		v = v.withFingerprints(p.Files, g.reach)
@@ -302,21 +298,21 @@ func (g *callGraph) planView(p *Project, e *Engine, withFPs bool) *planView {
 }
 
 // newPlanView computes the sink-reachability bits of every (file, class)
-// task.
-func newPlanView(p *Project, digest string, classes []*vuln.Class) *planView {
-	pf := newPrefilter(p)
+// task of e's class set.
+func newPlanView(p *Project, e *Engine, digest string) *planView {
+	nc := len(e.classes)
 	v := &planView{
 		digest:  digest,
-		classes: make([]vuln.ClassID, len(classes)),
-		live:    make([]bool, len(p.Files)*len(classes)),
+		classes: make([]vuln.ClassID, nc),
+		live:    make([]bool, len(p.Files)*nc),
 	}
-	for ci, cls := range classes {
+	for ci, cls := range e.classes {
 		v.classes[ci] = cls.ID
 	}
-	for fi := range p.Files {
-		for ci, cls := range classes {
-			if pf.sinkReachable(fi, cls) {
-				v.live[fi*len(classes)+ci] = true
+	for fi, in := range sinkReach(p, e.table) {
+		for ci := range nc {
+			if in.Has(ci) {
+				v.live[fi*nc+ci] = true
 				v.nLive++
 			}
 		}
@@ -375,50 +371,30 @@ func (v *planView) fill(h *hasher, fi int, files []*SourceFile, closure []int) {
 	}
 }
 
-// prefilter answers sink reachability for arbitrary classes over a
-// project's call closures.
-type prefilter struct {
-	files []*SourceFile
-	reach [][]int // per file index: reachable file indices (self included)
-	// sinkIn memoizes, per class, whether each file's vocabulary holds a
-	// sink of the class. A prefilter is used from one goroutine, so it
-	// needs no lock.
-	sinkIn map[vuln.ClassID][]bool
-}
-
-// newPrefilter returns a pre-filter over p's call graph.
-func newPrefilter(p *Project) *prefilter {
-	return &prefilter{
-		files:  p.Files,
-		reach:  p.callGraph().reach,
-		sinkIn: make(map[vuln.ClassID][]bool),
-	}
-}
-
-// sinkReachable reports whether any file in fileIdx's reachable closure can
-// check a sink of cls: if none can, the (file, class) task cannot produce a
-// candidate and may be skipped.
-func (pf *prefilter) sinkReachable(fileIdx int, cls *vuln.Class) bool {
-	in, ok := pf.sinkIn[cls.ID]
-	if !ok {
-		in = make([]bool, len(pf.files))
-		for i, f := range pf.files {
-			if f.AST == nil {
-				continue
-			}
-			v := f.vocab()
-			for _, s := range cls.Sinks {
-				if v.has(s.Name) {
-					in[i] = true
-				}
-			}
+// sinkReach returns, per file of p, the lanes of tab with a sink that some
+// file in the file's reachable closure can check: a (file, class) task whose
+// lane is not in its file's set cannot produce a candidate and may be
+// skipped. Each file's vocabulary goes through the table once; a closure
+// is the union of its files' sets.
+func sinkReach(p *Project, tab *taint.Table) []taint.ClassSet {
+	in := make([]taint.ClassSet, len(p.Files))
+	for i, f := range p.Files {
+		if f.AST == nil {
+			continue
 		}
-		pf.sinkIn[cls.ID] = in
-	}
-	for _, j := range pf.reach[fileIdx] {
-		if in[j] {
-			return true
+		v := f.vocab()
+		for name := range v.called {
+			in[i] = in[i].Union(tab.Lanes(name, taint.FuncSink, taint.MethodSink))
+		}
+		for _, name := range v.constructs {
+			in[i] = in[i].Union(tab.Lanes(name, taint.FuncSink, taint.MethodSink))
 		}
 	}
-	return false
+	out := make([]taint.ClassSet, len(p.Files))
+	for i, closure := range p.callGraph().reach {
+		for _, j := range closure {
+			out[i] = out[i].Union(in[j])
+		}
+	}
+	return out
 }

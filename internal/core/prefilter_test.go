@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/vuln"
 	"repro/internal/weapon"
 )
 
@@ -62,23 +61,18 @@ func TestPrefilterSoundnessOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
-		pf := newPrefilter(p)
+		reach := sinkReach(p, e.table)
 		index := make(map[string]int, len(p.Files))
 		for fi, f := range p.Files {
 			index[f.Path] = fi
 		}
 		for _, f := range rep.Findings {
 			c := f.Candidate
-			var cls *vuln.Class
-			for _, k := range e.Classes() {
-				if k.ID == c.Class {
-					cls = k
-				}
-			}
-			if cls == nil {
+			lane := classLane(e, c.Class)
+			if lane < 0 {
 				t.Fatalf("%s: finding of unknown class %s", app.Name, c.Class)
 			}
-			if !pf.sinkReachable(index[c.File], cls) {
+			if !reach[index[c.File]].Has(lane) {
 				t.Errorf("%s: pre-filter skips (%s, %s), which reports %s at line %d",
 					app.Name, c.File, c.Class, c.SinkName, c.SinkPos.Line)
 			}

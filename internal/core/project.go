@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/php/ast"
@@ -536,8 +537,9 @@ func (p *Project) hashAdopt(path string, sum [sha256.Size]byte) *SourceFile {
 // executeSlot loads one file: adopt prev's SourceFile when the file's stat
 // shows it unchanged, else read it (for dir loads), hash it, and either
 // adopt prev's byte-identical parse — memoized artifacts (lowered source,
-// called names) travel with the reused SourceFile — or parse fresh. The
-// read bytes are converted to a string only for a fresh parse.
+// called names) travel with the reused SourceFile — or parse fresh. Neither
+// the source string nor the read bytes are written after this point, so
+// hashing and the fresh parse read them through a shared view, not a copy.
 func executeSlot(s *loadSlot, prev *Project) loadResult {
 	var (
 		data []byte
@@ -556,7 +558,7 @@ func executeSlot(s *loadSlot, prev *Project) loadResult {
 		}
 		sum = sha256.Sum256(data)
 	} else {
-		sum = sha256.Sum256([]byte(s.src))
+		sum = sha256.Sum256(unsafe.Slice(unsafe.StringData(s.src), len(s.src)))
 	}
 	if old := prev.hashAdopt(s.rel, sum); old != nil {
 		res := adopt(old)
@@ -565,7 +567,7 @@ func executeSlot(s *loadSlot, prev *Project) loadResult {
 	}
 	src := s.src
 	if s.read {
-		src = string(data)
+		src = unsafe.String(unsafe.SliceData(data), len(data))
 	}
 	f, errs := parser.Parse(s.rel, src)
 	sf := &SourceFile{

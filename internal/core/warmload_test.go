@@ -325,3 +325,23 @@ func TestIncrementalFingerprintPinned(t *testing.T) {
 		t.Errorf("task fingerprint %s, want %s", got, want)
 	}
 }
+
+// TestLoadHashesWithoutCopy pins that an in-memory load hashes each file's
+// source in place: adopting an unchanged 5,000-byte file allocates nothing,
+// where hashing a []byte copy of the source allocated it once per load.
+func TestLoadHashesWithoutCopy(t *testing.T) {
+	src := "<?php\n" + strings.Repeat("echo 'filler';\n", 333)
+	if len(src) < 5000 {
+		t.Fatalf("source is %d bytes; want at least 5,000", len(src))
+	}
+	prev := LoadMap("copies", map[string]string{"a.php": src})
+	slot := &loadSlot{job: true, rel: "a.php", src: src}
+	var res loadResult
+	allocs := testing.AllocsPerRun(100, func() { res = executeSlot(slot, prev) })
+	if res.sf != prev.Files[0] {
+		t.Fatal("the unchanged file was not adopted from the previous load")
+	}
+	if allocs != 0 {
+		t.Errorf("adopting an unchanged in-memory file: %v allocations per load, want 0", allocs)
+	}
+}

@@ -37,9 +37,13 @@ import (
 )
 
 // Fused runs N weapon-class analyzer lanes over one file in a single IR
-// traversal. Lanes are indexed by position in the NewFused config slice.
+// traversal. A lane is a class index of the pass's table; lanes holds the
+// pass's analyzers at their lanes (nil for the table's classes the pass
+// does not run), and order maps a config position to its lane.
 type Fused struct {
+	tab   *Table
 	lanes []*Analyzer
+	order []int
 	full  laneMask
 	// live holds the lanes still running: a lane that exhausts its budget
 	// or sees the stop leaves it for the rest of the pass.
@@ -59,16 +63,6 @@ type Fused struct {
 	stop    *atomic.Bool
 	stopped bool
 
-	// Lazily memoized name → lane-mask indexes: which lanes treat a name as
-	// a sanitizer / entry point / sink. These make class dispatch at call
-	// sites a bitwise operation instead of N set lookups per instruction.
-	sanM      map[string]laneMask
-	sanMethM  map[string]laneMask
-	epFnM     map[string]laneMask
-	epVarM    map[string]laneMask
-	fnSinkM   map[string]laneMask
-	methSinkM map[string]laneMask
-
 	// Step accounting: ctxSteps counts instructions charged to every lane
 	// in ctxMask (the live lanes of the running frame) since the last
 	// flush; maxBase is the largest per-lane step count among ctxMask lanes
@@ -86,31 +80,29 @@ type Fused struct {
 	bareSans map[string]*pnode
 }
 
-// NewFused builds a fused evaluator with one analyzer lane per config. All
-// configs must agree on Resolver, DisableInlining, MaxSteps and Stop;
-// per-class fields (Class, sanitizers, entry points, sinks, Shared) vary
-// freely.
+// NewFused builds a fused evaluator with one analyzer lane per config, on a
+// table compiled for this call: lane i is cfgs[i].Class with its
+// ExtraSanitizers folded in. All configs must agree on Resolver,
+// DisableInlining, MaxSteps and Stop; per-class fields (Class,
+// ExtraSanitizers, Shared) vary freely. A caller running many passes over
+// one class set compiles it once and uses Table.NewFused.
 func NewFused(cfgs []Config) *Fused {
 	lanes := make([]*Analyzer, len(cfgs))
+	order := make([]int, len(cfgs))
 	for i, c := range cfgs {
-		lanes[i] = New(c)
+		lanes[i] = newAnalyzer(c)
+		order[i] = i
 	}
-	return newFused(lanes)
+	return newFused(compileConfigs(cfgs), lanes, order)
 }
 
-func newFused(lanes []*Analyzer) *Fused {
-	fz := &Fused{
-		lanes:     lanes,
-		full:      fullMask(len(lanes)),
-		sanM:      make(map[string]laneMask),
-		sanMethM:  make(map[string]laneMask),
-		epFnM:     make(map[string]laneMask),
-		epVarM:    make(map[string]laneMask),
-		fnSinkM:   make(map[string]laneMask),
-		methSinkM: make(map[string]laneMask),
+func newFused(tab *Table, lanes []*Analyzer, order []int) *Fused {
+	fz := &Fused{tab: tab, lanes: lanes, order: order}
+	for _, l := range order {
+		fz.full = fz.full.with(l)
 	}
-	if len(lanes) > 0 {
-		cfg := lanes[0].cfg
+	if len(order) > 0 {
+		cfg := lanes[order[0]].cfg
 		fz.resolver = cfg.Resolver
 		fz.disableInlining = cfg.DisableInlining
 		fz.budget = cfg.MaxSteps
@@ -119,30 +111,33 @@ func newFused(lanes []*Analyzer) *Fused {
 	return fz
 }
 
-// Candidates returns lane l's findings after FileIR.
-func (fz *Fused) Candidates(l int) []*Candidate { return fz.lanes[l].cands }
+// Per-lane results take a config position l, not a lane.
+func (fz *Fused) lane(l int) *Analyzer { return fz.lanes[fz.order[l]] }
 
-// Steps returns lane l's exact step count.
-func (fz *Fused) Steps(l int) int { return fz.lanes[l].steps }
+// Candidates returns config l's findings after FileIR.
+func (fz *Fused) Candidates(l int) []*Candidate { return fz.lane(l).cands }
 
-// Exhausted reports whether lane l ran out of its step budget (or was
+// Steps returns config l's exact step count.
+func (fz *Fused) Steps(l int) int { return fz.lane(l).steps }
+
+// Exhausted reports whether config l ran out of its step budget (or was
 // stopped) and froze with a partial result.
-func (fz *Fused) Exhausted(l int) bool { return fz.lanes[l].exhausted }
+func (fz *Fused) Exhausted(l int) bool { return fz.lane(l).exhausted }
 
-// Stopped reports whether lane l was cut off by the cooperative stop.
-func (fz *Fused) Stopped(l int) bool { return fz.lanes[l].stopped }
+// Stopped reports whether config l was cut off by the cooperative stop.
+func (fz *Fused) Stopped(l int) bool { return fz.lane(l).stopped }
 
-// SharedHits returns lane l's shared-summary cache hits.
-func (fz *Fused) SharedHits(l int) int { return fz.lanes[l].sharedHits }
+// SharedHits returns config l's shared-summary cache hits.
+func (fz *Fused) SharedHits(l int) int { return fz.lane(l).sharedHits }
 
-// SharedMisses returns lane l's shared-summary cache misses.
-func (fz *Fused) SharedMisses(l int) int { return fz.lanes[l].sharedMisses }
+// SharedMisses returns config l's shared-summary cache misses.
+func (fz *Fused) SharedMisses(l int) int { return fz.lane(l).sharedMisses }
 
-// TransferHits returns lane l's summary transfer-function applications.
-func (fz *Fused) TransferHits(l int) int { return fz.lanes[l].transferHits }
+// TransferHits returns config l's summary transfer-function applications.
+func (fz *Fused) TransferHits(l int) int { return fz.lane(l).transferHits }
 
-// PendingShared returns lane l's summaries awaiting commit.
-func (fz *Fused) PendingShared(l int) []PendingSummary { return fz.lanes[l].pending }
+// PendingShared returns config l's summaries awaiting commit.
+func (fz *Fused) PendingShared(l int) []PendingSummary { return fz.lane(l).pending }
 
 // irProvider resolves declarations to lowered functions: the analyzed
 // file's own index first, then the scan-scoped provider, then a local
@@ -234,7 +229,8 @@ func (fz *Fused) releaseFrame(fr *fframe) {
 // freeze and the rest complete, so per-lane state is always meaningful; it
 // returns false only when the cooperative stop fired.
 func (fz *Fused) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) bool {
-	for _, a := range fz.lanes {
+	for _, l := range fz.order {
+		a := fz.lanes[l]
 		a.file = f
 		a.cands = a.cands[:0]
 		a.seen = make(map[string]bool)
@@ -881,7 +877,7 @@ func (fz *Fused) runInstr(ins *ir.Instr, fr *fframe) {
 	case ir.OpCopy:
 		regs[ins.Dst] = fr.val(ins.A)
 	case ir.OpLoadVar:
-		em := fz.epVarMaskFor(ins.Name).and(fr.act)
+		em := fz.tab.lookup(ins.Name).roles[EntryVar].and(fr.act)
 		if em.empty() {
 			regs[ins.Dst] = fz.envGet(e, ins.Name, fr.act)
 			break
@@ -949,22 +945,13 @@ func (fz *Fused) runInstr(ins *ir.Instr, fr *fframe) {
 		regs[ins.Dst] = fz.runStaticCall(ins, fr)
 	case ir.OpClosure:
 		fz.runClosure(ins, fr)
-	case ir.OpPseudoSink:
+	case ir.OpPseudoSink, ir.OpNamedSink:
 		v := fr.val(ins.A)
-		m := fz.fnSinkMaskFor(ins.Name).and(fr.act).and(v.mask)
+		m := fz.tab.lookup(ins.Name).roles[FuncSink].and(fr.act).and(v.mask)
 		if !m.empty() {
 			pos, arg := fr.at(ins.Node), ins.SinkArg()
 			m.forEach(func(l int) {
-				fz.lanes[l].checkPseudoSink(ins.Name, ins.Node, arg, v.get(l), pos)
-			})
-		}
-	case ir.OpNamedSink:
-		v := fr.val(ins.A)
-		m := fz.fnSinkMaskFor(ins.Name).and(fr.act).and(v.mask)
-		if !m.empty() {
-			pos, arg := fr.at(ins.Node), ins.SinkArg()
-			m.forEach(func(l int) {
-				fz.lanes[l].checkNamedSink(ins.Name, ins.Node, arg, v.get(l), -1, pos)
+				fz.lanes[l].reportConstructSink(ins.Name, ins.Node, arg, v.get(l), pos)
 			})
 		}
 	case ir.OpReturn:
@@ -982,7 +969,7 @@ func (fz *Fused) runIndex(ins *ir.Instr, fr *fframe) fval {
 	act := fr.act
 	var em laneMask
 	if ins.Name != "" {
-		em = fz.epVarMaskFor(ins.Name).and(act)
+		em = fz.tab.lookup(ins.Name).roles[EntryVar].and(act)
 	}
 	if em.empty() {
 		v := fz.runBlockValue(ins.XBlk, fr)
@@ -1089,63 +1076,6 @@ func (fz *Fused) assignTo(lhs ast.Expr, v fval, e *fenv, m laneMask) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-name lane masks
-// ---------------------------------------------------------------------------
-
-// laneMaskFor returns the mask of lanes for which holds(lane, name),
-// computed once per name and memoized in memo.
-func (fz *Fused) laneMaskFor(memo map[string]laneMask, name string, holds func(*Analyzer, string) bool) laneMask {
-	if m, ok := memo[name]; ok {
-		return m
-	}
-	var m laneMask
-	for i, a := range fz.lanes {
-		if holds(a, name) {
-			m = m.with(i)
-		}
-	}
-	memo[name] = m
-	return m
-}
-
-func (fz *Fused) epVarMaskFor(name string) laneMask {
-	return fz.laneMaskFor(fz.epVarM, name, func(a *Analyzer, n string) bool { return a.class.IsEntryPointVar(n) })
-}
-
-func (fz *Fused) sanMaskFor(name string) laneMask {
-	return fz.laneMaskFor(fz.sanM, name, (*Analyzer).isSanitizer)
-}
-
-func (fz *Fused) sanMethMaskFor(name string) laneMask {
-	return fz.laneMaskFor(fz.sanMethM, name, func(a *Analyzer, n string) bool { return a.class.IsSanitizerMethod(n) })
-}
-
-func (fz *Fused) epFnMaskFor(name string) laneMask {
-	return fz.laneMaskFor(fz.epFnM, name, func(a *Analyzer, n string) bool { return a.class.IsEntryPointFunc(n) })
-}
-
-// fnSinkMaskFor indexes lanes with a non-method sink of this name (also
-// what pseudo- and named-sink checks match).
-func (fz *Fused) fnSinkMaskFor(name string) laneMask {
-	return fz.laneMaskFor(fz.fnSinkM, name, func(a *Analyzer, n string) bool { return hasSink(a, n, false) })
-}
-
-func (fz *Fused) methSinkMaskFor(name string) laneMask {
-	return fz.laneMaskFor(fz.methSinkM, name, func(a *Analyzer, n string) bool { return hasSink(a, n, true) })
-}
-
-// hasSink reports whether lane a has a sink of this name, as a method sink
-// or a plain one.
-func hasSink(a *Analyzer, name string, method bool) bool {
-	for _, s := range a.class.Sinks {
-		if s.Method == method && s.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
 // Calls
 // ---------------------------------------------------------------------------
 
@@ -1201,9 +1131,10 @@ func (fz *Fused) sanVal(name string, arg *pnode) tval {
 	return tval{p: n}
 }
 
-// checkSinks runs each masked lane's sink matcher over the call. Lanes
-// agreeing on every argument share one []tval.
-func (fz *Fused) checkSinks(m laneMask, name string, method bool, recv string, ins *ir.Instr, args []fval, fr *fframe) {
+// checkSinks runs each masked lane's sink matcher over the call, with the
+// lane's sinks of the call's name from ent. Lanes agreeing on every
+// argument share one []tval.
+func (fz *Fused) checkSinks(m laneMask, ent *entry, name string, method bool, recv string, ins *ir.Instr, args []fval, fr *fframe) {
 	var pos token.Position
 	parts := []laneMask{m}
 	for _, av := range args {
@@ -1224,7 +1155,7 @@ func (fz *Fused) checkSinks(m laneMask, name string, method bool, recv string, i
 			pos = fr.at(ins.Node)
 		}
 		p.forEach(func(l int) {
-			fz.lanes[l].checkCallSinks(name, method, recv, ins.Node, ins.CallArgs(), av, pos)
+			fz.lanes[l].checkCallSinks(ent.sinks[l], name, method, recv, ins.Node, ins.CallArgs(), av, pos)
 		})
 	}
 }
@@ -1240,28 +1171,29 @@ func callArgs(ins *ir.Instr, fr *fframe, buf []fval) []fval {
 
 func (fz *Fused) runCall(ins *ir.Instr, fr *fframe) fval {
 	name := ins.Name
+	ent := fz.tab.lookup(name)
 	var buf [6]fval
 	args := callArgs(ins, fr, buf[:0])
 	e := fr.env
 	b := fvalParts{act: fr.act}
 	rem := fr.act
 
-	if sm := fz.sanMaskFor(name).and(rem); !sm.empty() {
+	if sm := ent.roles[Sanitizer].and(rem); !sm.empty() {
 		b.addF(sm, fz.sanitizerValue(name, args, sm))
 		rem = rem.andNot(sm)
 		if rem.empty() {
 			return b.finish()
 		}
 	}
-	if em := fz.epFnMaskFor(name).and(rem); !em.empty() {
+	if em := ent.roles[EntryFunc].and(rem); !em.empty() {
 		b.addF(em, fuseUniform(entryVal(ins, fr.lines), em))
 		rem = rem.andNot(em)
 		if rem.empty() {
 			return b.finish()
 		}
 	}
-	if km := fz.fnSinkMaskFor(name).and(rem); !km.empty() {
-		fz.checkSinks(km, name, false, "", ins, args, fr)
+	if km := ent.roles[FuncSink].and(rem); !km.empty() {
+		fz.checkSinks(km, ent, name, false, "", ins, args, fr)
 	}
 	if propagatesTaint(name) {
 		v := fz.fmergeAll(args, rem)
@@ -1302,20 +1234,21 @@ func (fz *Fused) runCall(ins *ir.Instr, fr *fframe) fval {
 func (fz *Fused) runMethodCall(ins *ir.Instr, fr *fframe) fval {
 	recv := fr.val(ins.A)
 	name := ins.Name // lower-cased at lowering time
+	ent := fz.tab.lookup(name)
 	var buf [6]fval
 	args := callArgs(ins, fr, buf[:0])
 	b := fvalParts{act: fr.act}
 	rem := fr.act
 
-	if sm := fz.sanMethMaskFor(name).and(rem); !sm.empty() {
+	if sm := ent.roles[SanitizerMethod].and(rem); !sm.empty() {
 		b.addF(sm, fuseUniform(fz.sanVal(name, nil), sm))
 		rem = rem.andNot(sm)
 		if rem.empty() {
 			return b.finish()
 		}
 	}
-	if km := fz.methSinkMaskFor(name).and(rem); !km.empty() {
-		fz.checkSinks(km, name, true, ins.Key, ins, args, fr)
+	if km := ent.roles[MethodSink].and(rem); !km.empty() {
+		fz.checkSinks(km, ent, name, true, ins.Key, ins, args, fr)
 	}
 	if m := fz.resolveMethod(name, rem); m != nil && m.Body != nil && !fz.disableInlining {
 		b.addF(rem, fz.inline(m, ins, args, fr, rem))
@@ -1327,20 +1260,21 @@ func (fz *Fused) runMethodCall(ins *ir.Instr, fr *fframe) fval {
 
 func (fz *Fused) runStaticCall(ins *ir.Instr, fr *fframe) fval {
 	name := strings.ToLower(ins.Name)
+	ent := fz.tab.lookup(name)
 	var buf [6]fval
 	args := callArgs(ins, fr, buf[:0])
 	b := fvalParts{act: fr.act}
 	rem := fr.act
 
-	if sm := fz.sanMethMaskFor(name).and(rem); !sm.empty() {
+	if sm := ent.roles[SanitizerMethod].and(rem); !sm.empty() {
 		b.addF(sm, fuseUniform(fz.sanVal(name, nil), sm))
 		rem = rem.andNot(sm)
 		if rem.empty() {
 			return b.finish()
 		}
 	}
-	if km := fz.methSinkMaskFor(name).and(rem); !km.empty() {
-		fz.checkSinks(km, name, true, strings.ToLower(ins.Key), ins, args, fr)
+	if km := ent.roles[MethodSink].and(rem); !km.empty() {
+		fz.checkSinks(km, ent, name, true, strings.ToLower(ins.Key), ins, args, fr)
 	}
 	// Resolved static methods inline regardless of the DisableInlining
 	// ablation.

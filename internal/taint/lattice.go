@@ -19,31 +19,6 @@ type laneMask struct {
 	hi []uint64
 }
 
-// fullMask returns the mask with lanes 0..n-1 set.
-func fullMask(n int) laneMask {
-	if n <= 0 {
-		return laneMask{}
-	}
-	if n <= 64 {
-		if n == 64 {
-			return laneMask{lo: ^uint64(0)}
-		}
-		return laneMask{lo: 1<<uint(n) - 1}
-	}
-	m := laneMask{lo: ^uint64(0), hi: make([]uint64, (n+63)/64-1)}
-	rest := n - 64
-	for i := range m.hi {
-		if rest >= 64 {
-			m.hi[i] = ^uint64(0)
-			rest -= 64
-		} else {
-			m.hi[i] = 1<<uint(rest) - 1
-			rest = 0
-		}
-	}
-	return m
-}
-
 // with returns m with lane i added.
 func (m laneMask) with(i int) laneMask {
 	if i < 64 {

@@ -1,10 +1,12 @@
-// Class predicates, sink checks and the builtin taint-through table: the
-// per-lane decisions the evaluator in fused.go consults.
+// Sink matchers and the builtin taint-through table: the per-lane decisions
+// the evaluator in fused.go consults once the table (table.go) has named
+// the lanes a call matters to.
 package taint
 
 import (
 	"repro/internal/php/ast"
 	"repro/internal/php/token"
+	"repro/internal/vuln"
 )
 
 // serverKeySafe reports whether a $_SERVER cell is set by the server itself
@@ -20,30 +22,15 @@ func serverKeySafe(key string) bool {
 	return false
 }
 
-func (a *Analyzer) isSanitizer(fn string) bool {
-	if a.class.IsSanitizer(fn) {
-		return true
-	}
-	for _, s := range a.cfg.ExtraSanitizers {
-		if s == fn {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Sink checking
 // ---------------------------------------------------------------------------
 
-// checkCallSinks matches a call against the class sink list and reports a
-// candidate for each tainted dangerous argument.
-func (a *Analyzer) checkCallSinks(name string, method bool, recvName string, call ast.Node, argExprs []ast.Expr, args []tval, pos token.Position) {
-	for _, s := range a.class.Sinks {
-		if s.Name != name || s.Method != method {
-			continue
-		}
-		if s.Recv != "" && s.Recv != recvName {
+// checkCallSinks matches a call against sinks, the lane's sinks of the
+// call's name, and reports a candidate for each tainted dangerous argument.
+func (a *Analyzer) checkCallSinks(sinks []vuln.Sink, name string, method bool, recvName string, call ast.Node, argExprs []ast.Expr, args []tval, pos token.Position) {
+	for _, s := range sinks {
+		if s.Method != method || s.Recv != "" && s.Recv != recvName {
 			continue
 		}
 		idxs := s.Args
@@ -54,10 +41,7 @@ func (a *Analyzer) checkCallSinks(name string, method bool, recvName string, cal
 			}
 		}
 		for _, i := range idxs {
-			if i >= len(args) {
-				continue
-			}
-			if !args[i].Tainted {
+			if i >= len(args) || !args[i].Tainted {
 				continue
 			}
 			a.report(&Candidate{
@@ -74,51 +58,20 @@ func (a *Analyzer) checkCallSinks(name string, method bool, recvName string, cal
 	}
 }
 
-// checkPseudoSink reports candidates for language-construct sinks (echo,
-// print, include).
-func (a *Analyzer) checkPseudoSink(name string, node ast.Node, argExpr ast.Expr, v tval, pos token.Position) {
-	if !v.Tainted {
-		return
-	}
-	for _, s := range a.class.Sinks {
-		if s.Method || s.Name != name {
-			continue
-		}
-		a.report(&Candidate{
-			Class:         a.class.ID,
-			SinkName:      name,
-			SinkPos:       pos,
-			SinkCall:      node,
-			ArgIndex:      -1,
-			TaintedExpr:   argExpr,
-			EnclosingFunc: a.curFunc,
-			File:          a.fileName(),
-		}, v)
-		return
-	}
-}
-
-// checkNamedSink matches exit/die-style named sinks used in expression form.
-func (a *Analyzer) checkNamedSink(name string, node ast.Node, argExpr ast.Expr, v tval, argIdx int, pos token.Position) {
-	if !v.Tainted {
-		return
-	}
-	for _, s := range a.class.Sinks {
-		if s.Method || s.Name != name {
-			continue
-		}
-		a.report(&Candidate{
-			Class:         a.class.ID,
-			SinkName:      name,
-			SinkPos:       pos,
-			SinkCall:      node,
-			ArgIndex:      argIdx,
-			TaintedExpr:   argExpr,
-			EnclosingFunc: a.curFunc,
-			File:          a.fileName(),
-		}, v)
-		return
-	}
+// reportConstructSink reports the flow of v into a language-construct sink
+// (echo, print, include, or exit/die with an argument) of a lane whose
+// class has a function sink of that name; it has no argument index.
+func (a *Analyzer) reportConstructSink(name string, node ast.Node, argExpr ast.Expr, v tval, pos token.Position) {
+	a.report(&Candidate{
+		Class:         a.class.ID,
+		SinkName:      name,
+		SinkPos:       pos,
+		SinkCall:      node,
+		ArgIndex:      -1,
+		TaintedExpr:   argExpr,
+		EnclosingFunc: a.curFunc,
+		File:          a.fileName(),
+	}, v)
 }
 
 func (a *Analyzer) fileName() string {

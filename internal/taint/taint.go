@@ -9,6 +9,12 @@
 // fused IR interpreter in fused.go, which runs any number of detectors as
 // lanes of a single pass over a file's lowered form (one detector is a
 // one-lane pass).
+//
+// The evaluator reads the triples through one compiled Table (table.go):
+// each name maps to a lane mask per role, and lane i is the table's class
+// i. A scan engine compiles its class set once and runs every pass on that
+// table (Table.NewFused); New and NewFused compile a table of their own
+// configs for a standalone run.
 package taint
 
 import (
@@ -135,10 +141,12 @@ type Config struct {
 	// calls are treated like unknown builtins (clean result, bodies only
 	// analyzed standalone). Used by the interprocedural ablation.
 	DisableInlining bool
-	// ExtraSanitizers extends the class sanitization set. The scan engine
-	// folds an application's own sanitizers into its classes instead
-	// (weapon.Overlay.Fold); the field stays for callers that run the
-	// evaluator on a registry class directly, such as cmd/wapbench.
+	// ExtraSanitizers extends the class sanitization set: New and NewFused
+	// fold it into the class of the table they compile, and Table.NewFused
+	// refuses it. The scan engine folds an application's own sanitizers
+	// into its classes before compiling (weapon.Overlay.Fold); the field
+	// stays for callers that run the evaluator on a registry class
+	// directly, such as cmd/wapbench.
 	ExtraSanitizers []string
 	// MaxSteps bounds the number of IR instructions this analyzer may
 	// execute in one File run (0 = unlimited). When the budget is exhausted
@@ -162,8 +170,11 @@ type Config struct {
 
 // Analyzer runs taint analysis for one vulnerability class over one file.
 type Analyzer struct {
-	cfg       Config
-	class     *vuln.Class
+	cfg   Config
+	class *vuln.Class
+	// tab is the one-class table of a standalone analyzer (New); nil for
+	// the lanes of a fused pass, which read the pass's table.
+	tab       *Table
 	file      *ast.File
 	cands     []*Candidate
 	seen      map[string]bool
@@ -222,12 +233,19 @@ type summary struct {
 	fillID int
 }
 
-// New returns an analyzer for the given configuration.
+// New returns an analyzer for the given configuration, on a one-class
+// table compiled for it.
 func New(cfg Config) *Analyzer {
+	a := newAnalyzer(cfg)
+	a.tab = compileConfigs([]Config{cfg})
+	return a
+}
+
+// newAnalyzer returns a lane's analyzer; FileIR resets its per-run state.
+func newAnalyzer(cfg Config) *Analyzer {
 	return &Analyzer{
 		cfg:       cfg,
 		class:     cfg.Class,
-		seen:      make(map[string]bool),
 		analyzing: make(map[*ast.FunctionDecl]bool),
 		summaries: make(map[string]*summary),
 	}
@@ -247,7 +265,7 @@ func (a *Analyzer) File(f *ast.File) []*Candidate {
 // demand. The run is a one-lane fused pass, so a single class and every
 // class of a multi-lane pass share one evaluator.
 func (a *Analyzer) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) []*Candidate {
-	newFused([]*Analyzer{a}).FileIR(f, fir, prov)
+	newFused(a.tab, []*Analyzer{a}, []int{0}).FileIR(f, fir, prov)
 	return a.cands
 }
 

@@ -438,54 +438,6 @@ func (c *Class) EffectiveEntryPoints() []string {
 	return DefaultEntryPoints
 }
 
-// IsSanitizer reports whether fn (lower-case) sanitizes data for this class.
-// Universal sanitizers count for every class.
-func (c *Class) IsSanitizer(fn string) bool {
-	for _, s := range c.Sanitizers {
-		if s == fn {
-			return true
-		}
-	}
-	for _, s := range UniversalSanitizers {
-		if s == fn {
-			return true
-		}
-	}
-	return false
-}
-
-// IsSanitizerMethod reports whether a method name sanitizes for this class.
-func (c *Class) IsSanitizerMethod(name string) bool {
-	for _, s := range c.SanitizerMethods {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-// IsEntryPointFunc reports whether calling fn yields tainted data for this
-// class.
-func (c *Class) IsEntryPointFunc(fn string) bool {
-	for _, f := range c.EntryPointFuncs {
-		if f == fn {
-			return true
-		}
-	}
-	return false
-}
-
-// IsEntryPointVar reports whether the superglobal name (without $) is an
-// entry point for this class.
-func (c *Class) IsEntryPointVar(name string) bool {
-	for _, ep := range c.EffectiveEntryPoints() {
-		if ep == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Flag returns the command-line flag that activates the class (e.g.
 // "-nosqli"), mirroring the paper's weapon activation flags.
 func (c *Class) Flag() string { return "-" + string(c.ID) }

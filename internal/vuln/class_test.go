@@ -1,6 +1,7 @@
 package vuln
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,47 +102,8 @@ func TestNoSQLIWeaponConfig(t *testing.T) {
 			t.Errorf("missing nosqli sink %q", w)
 		}
 	}
-	if !c.IsSanitizer("mysql_real_escape_string") {
+	if !slices.Contains(c.Sanitizers, "mysql_real_escape_string") {
 		t.Error("the paper's (curious) sanitizer choice must be honored")
-	}
-}
-
-func TestSanitizerLookup(t *testing.T) {
-	sqli := MustGet(SQLI)
-	if !sqli.IsSanitizer("mysql_real_escape_string") {
-		t.Error("class sanitizer not found")
-	}
-	if !sqli.IsSanitizer("intval") {
-		t.Error("universal sanitizer not found")
-	}
-	if sqli.IsSanitizer("htmlentities") {
-		t.Error("XSS sanitizer must not sanitize SQLI")
-	}
-	if !sqli.IsSanitizerMethod("prepare") {
-		t.Error("prepare method missing")
-	}
-	if sqli.IsSanitizerMethod("find") {
-		t.Error("find is not a sanitizer method")
-	}
-}
-
-func TestEntryPoints(t *testing.T) {
-	sqli := MustGet(SQLI)
-	for _, ep := range []string{"_GET", "_POST", "_COOKIE", "_REQUEST", "_SERVER"} {
-		if !sqli.IsEntryPointVar(ep) {
-			t.Errorf("default entry point %s missing", ep)
-		}
-	}
-	if sqli.IsEntryPointVar("myvar") {
-		t.Error("ordinary variables are not entry points")
-	}
-	// Stored XSS overrides entry points: superglobals are NOT sources.
-	xsss := MustGet(XSSS)
-	if xsss.IsEntryPointVar("_GET") {
-		t.Error("stored XSS must not use superglobal entry points")
-	}
-	if !xsss.IsEntryPointFunc("mysql_fetch_assoc") {
-		t.Error("stored XSS fetch source missing")
 	}
 }
 

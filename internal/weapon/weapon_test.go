@@ -135,7 +135,7 @@ func TestBuiltinWeaponMatchesRegistry(t *testing.T) {
 	if len(w.Class.Sinks) != len(reg.Sinks) {
 		t.Errorf("sink counts differ: weapon %d, registry %d", len(w.Class.Sinks), len(reg.Sinks))
 	}
-	if !w.Class.IsSanitizer("mysql_real_escape_string") {
+	if !taint.Compile([]*vuln.Class{w.Class}).Lanes("mysql_real_escape_string", taint.Sanitizer).Has(0) {
 		t.Error("weapon must use the paper's sanitizer")
 	}
 }
