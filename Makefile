@@ -62,7 +62,9 @@ weapons-gate:
 # line table's position resolution (matches a byte walk for every token),
 # over the AST-to-IR lowering (never panics, deterministic, accounts for
 # every node), over the result-store snapshot decoder (never panics,
-# round-trips through the store's encoder), over the job journal's replay
+# round-trips through the store's encoder) and its delta-log replay (never
+# panics; an accepted base and log compact to a base that decodes to the
+# same entries), over the job journal's replay
 # (keeps a prefix that re-encodes byte for byte, truncates the rest), over
 # the provenance of findings on generated programs (capped, sanitizer names
 # distinct, every fused lane equal to its one-lane pass), over the
@@ -77,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/php/parser -run '^$$' -fuzz=FuzzPrintRoundtrip -fuzztime=30s
 	$(GO) test ./internal/ir -run '^$$' -fuzz=FuzzLower -fuzztime=30s
 	$(GO) test ./internal/resultstore -run '^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=30s
+	$(GO) test ./internal/resultstore -run '^$$' -fuzz=FuzzDecodeLog -fuzztime=30s
 	$(GO) test ./internal/journal -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=30s
 	$(GO) test ./internal/taint -run '^$$' -fuzz=FuzzTaintValues -fuzztime=30s
 	$(GO) test ./internal/weapon -run '^$$' -fuzz=FuzzParseOverlay -fuzztime=30s

@@ -21,9 +21,12 @@ import (
 // cancelled tasks are never encoded, so they re-execute next scan. Every
 // snapshot is valid and correctness never depends on one existing:
 // fingerprints gate all reuse, so a missing, stale or torn snapshot only
-// costs re-execution. The whole-snapshot write drops entries for
-// fingerprints no longer in the plan (changed or removed files), pruning the
-// store as the tree evolves.
+// costs re-execution. Each save hands the store a whole snapshot, so
+// entries for fingerprints no longer in the plan (changed or removed files)
+// drop out, pruning the store as the tree evolves. A disk store writes only
+// the snapshot's difference from its last load or save: the reused entries
+// are the store's own pointers, so only fresh entries and dropped
+// fingerprints reach its delta log.
 //
 // A nil *checkpointer is valid and inert, so call sites need no guards.
 type checkpointer struct {

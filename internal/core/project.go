@@ -319,12 +319,12 @@ func parallelism(n int) int {
 // tree immediately instead of parsing it all before analysis ever sees the
 // deadline. On cancellation it returns ctx's error (wrapped).
 //
-// The load runs in two phases. The walk phase visits the tree sequentially,
-// resolving every per-entry decision that depends on walk order (skip
-// diagnostics, symlink and size-cap handling) into an ordered slot list. The
-// parse phase then executes the file slots — read, hash, parse-or-reuse — on
-// a bounded worker pool and assembles Files and Diagnostics in slot order,
-// so the project is byte-identical to a sequential load at any parallelism.
+// The load runs in two phases. The walk phase visits the tree sequentially
+// and records every PHP entry, and every walk error as a skip diagnostic,
+// into an ordered slot list. The parse phase then executes the file slots —
+// stat (symlink and size-cap checks), read, hash, parse-or-reuse — on a
+// bounded worker pool and assembles Files and Diagnostics in slot order, so
+// the project is byte-identical to a sequential load at any parallelism.
 func LoadDirContext(ctx context.Context, name, dir string, opts LoadOptions) (*Project, error) {
 	p := &Project{Name: name, loadStart: time.Now()}
 	sizeCap := opts.maxFileSize()
@@ -353,31 +353,8 @@ func LoadDirContext(ctx context.Context, name, dir string, opts LoadOptions) (*P
 		if d.IsDir() || !strings.HasSuffix(strings.ToLower(d.Name()), ".php") {
 			return nil
 		}
-		// The stat feeds the symlink checks, the size cap and the next
-		// load's stat check (see statAdopt). WalkDir never descends into
-		// directory symlinks, so symlink cycles cannot recurse. File
-		// symlinks are followed through os.Stat / os.ReadFile; a symlink
-		// pointing at a directory is skipped silently (it is not a PHP
-		// file, and descending would reopen the cycle risk), and a broken
-		// one is diagnosed explicitly. Any other failed stat leaves info
-		// nil, and the read reports the error.
-		info, serr := os.Stat(path)
-		if d.Type()&fs.ModeSymlink != 0 {
-			if serr != nil {
-				skip(rel, "broken symlink: %v", serr)
-				return nil
-			}
-			if info.IsDir() {
-				return nil
-			}
-		}
-		if serr != nil {
-			info = nil
-		} else if sizeCap > 0 && info.Size() > sizeCap {
-			skip(rel, "file size %d exceeds cap %d bytes", info.Size(), sizeCap)
-			return nil
-		}
-		slots = append(slots, loadSlot{job: true, rel: rel, abs: path, read: true, info: info})
+		// The load worker stats the file (see executeSlot).
+		slots = append(slots, loadSlot{job: true, rel: rel, abs: path, read: true, typ: d.Type(), sizeCap: sizeCap})
 		return nil
 	})
 	if err != nil {
@@ -400,15 +377,19 @@ type loadSlot struct {
 	abs  string      // on-disk path to read (dir loads)
 	src  string      // in-memory source (map loads)
 	read bool        // read src from abs instead of using src
-	info fs.FileInfo // the walk's stat of abs; nil when it failed
+	typ  fs.FileMode // the walk's type bits for abs (dir loads)
+	// sizeCap skips a file larger than this many bytes (dir loads); 0
+	// means no cap.
+	sizeCap int64
 }
 
 // loadResult is the outcome of one job slot.
 type loadResult struct {
 	sf       *SourceFile // loaded or reused file; nil when skipped
-	skipDiag *Diagnostic // read failure discovered by the worker
+	skipDiag *Diagnostic // stat, size-cap or read failure found by the worker
 	degraded *Diagnostic // parse-degradation diagnostic (fresh or reused)
 	read     bool        // the file was read from disk
+	info     fs.FileInfo // the worker's stat of abs; nil when it failed
 }
 
 // runSlots executes every job slot on a bounded worker pool and assembles
@@ -478,6 +459,9 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 			p.Diagnostics = append(p.Diagnostics, *r.skipDiag)
 			continue
 		}
+		if r.sf == nil {
+			continue // a symlink to a directory
+		}
 		if r.degraded != nil {
 			p.Diagnostics = append(p.Diagnostics, *r.degraded)
 		}
@@ -486,7 +470,7 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 		}
 		p.Files = append(p.Files, r.sf)
 		if slots[i].read {
-			p.stats = append(p.stats, slots[i].info)
+			p.stats = append(p.stats, r.info)
 		}
 	}
 	p.LoadStats = LoadStats{ParseWall: time.Since(start), Workers: workers, Reads: reads}
@@ -534,20 +518,53 @@ func (p *Project) hashAdopt(path string, sum [sha256.Size]byte) *SourceFile {
 	return nil
 }
 
-// executeSlot loads one file: adopt prev's SourceFile when the file's stat
-// shows it unchanged, else read it (for dir loads), hash it, and either
-// adopt prev's byte-identical parse — memoized artifacts (lowered source,
-// called names) travel with the reused SourceFile — or parse fresh. Neither
-// the source string nor the read bytes are written after this point, so
-// hashing and the fresh parse read them through a shared view, not a copy.
+// executeSlot loads one file: for dir loads, stat it first — the stat
+// feeds the symlink checks, the size cap and the next load's stat check —
+// and adopt prev's SourceFile when the stat shows it unchanged, else read
+// it, hash it, and either adopt prev's byte-identical parse — memoized
+// artifacts (lowered source, called names) travel with the reused
+// SourceFile — or parse fresh. Neither the source string nor the read bytes
+// are written after this point, so hashing and the fresh parse read them
+// through a shared view, not a copy.
+//
+// WalkDir never descends into directory symlinks, so symlink cycles cannot
+// recurse. File symlinks are followed through os.Stat / os.ReadFile; a
+// symlink pointing at a directory yields an empty result (it is not a PHP
+// file, and descending would reopen the cycle risk), and a broken one is
+// diagnosed explicitly. Any other failed stat leaves info nil, and the read
+// reports the error.
 func executeSlot(s *loadSlot, prev *Project) loadResult {
 	var (
 		data []byte
 		sum  [sha256.Size]byte
+		info fs.FileInfo
 	)
 	if s.read {
-		if old := prev.statAdopt(s.rel, s.info); old != nil {
-			return adopt(old)
+		var serr error
+		info, serr = os.Stat(s.abs)
+		if s.typ&fs.ModeSymlink != 0 {
+			if serr != nil {
+				return loadResult{skipDiag: &Diagnostic{
+					File: s.rel, Kind: DiagLoadSkipped,
+					Message: fmt.Sprintf("broken symlink: %v", serr),
+				}}
+			}
+			if info.IsDir() {
+				return loadResult{}
+			}
+		}
+		if serr != nil {
+			info = nil
+		} else if s.sizeCap > 0 && info.Size() > s.sizeCap {
+			return loadResult{skipDiag: &Diagnostic{
+				File: s.rel, Kind: DiagLoadSkipped,
+				Message: fmt.Sprintf("file size %d exceeds cap %d bytes", info.Size(), s.sizeCap),
+			}}
+		}
+		if old := prev.statAdopt(s.rel, info); old != nil {
+			res := adopt(old)
+			res.info = info
+			return res
 		}
 		var err error
 		if data, err = os.ReadFile(s.abs); err != nil {
@@ -562,7 +579,7 @@ func executeSlot(s *loadSlot, prev *Project) loadResult {
 	}
 	if old := prev.hashAdopt(s.rel, sum); old != nil {
 		res := adopt(old)
-		res.read = s.read
+		res.read, res.info = s.read, info
 		return res
 	}
 	src := s.src
@@ -578,7 +595,7 @@ func executeSlot(s *loadSlot, prev *Project) loadResult {
 		ParseErrs: errs,
 		Lines:     strings.Count(src, "\n") + 1,
 	}
-	res := loadResult{sf: sf, read: s.read}
+	res := loadResult{sf: sf, read: s.read, info: info}
 	for _, e := range errs {
 		if e.Degraded {
 			sf.Degraded = true

@@ -14,8 +14,9 @@ import (
 // DiskBackend is the production local tier: one file per blob under a
 // directory, every operation through the chaos.FS seam so the
 // fault-injection suites cover it. Beyond the Backend contract it has the
-// two local extras a Store over it uses: Stat (the stat-validated snapshot
-// memo) and Touch (LRU mtime bumps for the size cap).
+// local extras a Store over it uses: Stat (the stat-validated snapshot
+// memo), Append (the per-project delta log) and Touch (LRU mtime bumps for
+// the size cap).
 type DiskBackend struct {
 	dir string
 	fs  chaos.FS
@@ -125,6 +126,33 @@ func (b *DiskBackend) Stat(ctx context.Context, key string) (BlobInfo, error) {
 		return BlobInfo{}, err
 	}
 	return BlobInfo{Key: key, Size: fi.Size(), ModTime: fi.ModTime()}, nil
+}
+
+// Append adds data to the end of a blob, creating it when absent, in one
+// O_APPEND write: a crash mid-write can tear only the appended bytes, never
+// what the blob held before.
+func (b *DiskBackend) Append(ctx context.Context, key string, data []byte) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	f, err := b.fs.OpenFile(b.path(key), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// truncate cuts a blob back to size bytes, or removes it when size is
+// negative (the blob did not exist).
+func (b *DiskBackend) truncate(key string, size int64) error {
+	if size < 0 {
+		return b.fs.Remove(b.path(key))
+	}
+	return b.fs.Truncate(b.path(key), size)
 }
 
 // Touch bumps a blob's mtime, the last-use time the size cap evicts by.

@@ -16,7 +16,7 @@ import (
 // plain `go test` the seeds run as regression tests.
 func FuzzDecodeSnapshot(f *testing.F) {
 	ctx := context.Background()
-	valid, err := newStore(nil).encode(ctx, testSnapshot("app", "d"))
+	valid, err := encodeSnapshot(ctx, testSnapshot("app", "d"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -32,35 +32,83 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if snap == nil {
 			t.Fatal("nil error with a nil snapshot")
 		}
-		enc, err := newStore(nil).encode(ctx, snap)
-		if err != nil {
-			t.Fatalf("decoded snapshot does not re-encode: %v", err)
-		}
-		again, salvaged, err := decodeSnapshot(ctx, enc)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v\n%s", err, enc)
-		}
-		if salvaged != 0 {
-			t.Fatalf("re-encoded snapshot salvaged %d entries\n%s", salvaged, enc)
-		}
-		if again.Version != snap.Version || again.Project != snap.Project || again.ConfigDigest != snap.ConfigDigest {
-			t.Fatalf("header changed in the round trip: %+v -> %+v", snap, again)
-		}
-		if len(again.Tasks) != len(snap.Tasks) {
-			t.Fatalf("round trip has %d entries, want %d", len(again.Tasks), len(snap.Tasks))
-		}
-		// Entries compare in their encoded form: a decoded empty map or
-		// slice re-encodes as absent and decodes as nil, the same entry.
-		for fp, want := range snap.Tasks {
-			got, ok := again.Tasks[fp]
-			if !ok {
-				t.Fatalf("entry %q lost in the round trip", fp)
-			}
-			wb, _ := json.Marshal(want)
-			gb, _ := json.Marshal(got)
-			if !bytes.Equal(wb, gb) {
-				t.Fatalf("entry %q changed in the round trip:\n%s\n%s", fp, wb, gb)
-			}
-		}
+		checkCompacts(t, snap)
 	})
+}
+
+// FuzzDecodeLog feeds arbitrary base and delta-log bytes to the loader's
+// decode-and-replay path. Replay must never panic, and an accepted pair
+// must compact: the replayed snapshot, encoded as a base, decodes to the
+// same header and entries with nothing salvaged. Run with
+// `go test -fuzz=FuzzDecodeLog ./internal/resultstore`.
+func FuzzDecodeLog(f *testing.F) {
+	ctx := context.Background()
+	prev := testSnapshot("app", "d")
+	base, err := encodeSnapshot(ctx, prev)
+	if err != nil {
+		f.Fatal(err)
+	}
+	next := NewSnapshot("app", "d")
+	next.Tasks["fp1"] = prev.Tasks["fp1"]
+	next.Tasks["fp3"] = &TaskEntry{File: "c.php", Class: "xss", Steps: 2}
+	line, err := delta(prev, next)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(base, line)
+	f.Add(base, append(append([]byte{}, line...), line[:len(line)/2]...))
+	f.Add(base, []byte("{\"put\":{\"fp9\":null},\"del\":[\"fp1\"]}\nnot json\n"))
+	f.Add(base, []byte("null\n[]\n"))
+
+	f.Fuzz(func(t *testing.T, base, log []byte) {
+		snap, _, err := decodeSnapshot(ctx, base)
+		if err != nil {
+			return
+		}
+		consumed, torn, err := replayLog(ctx, snap, log)
+		if err != nil {
+			t.Fatalf("replay without a cancelled context failed: %v", err)
+		}
+		if consumed > len(log) || torn == (consumed == len(log)) {
+			t.Fatalf("replay consumed %d of %d bytes, torn=%v", consumed, len(log), torn)
+		}
+		checkCompacts(t, snap)
+	})
+}
+
+// checkCompacts requires snap to survive a compaction: encoding it and
+// decoding again gives the same header and entries with nothing salvaged.
+func checkCompacts(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	ctx := context.Background()
+	enc, err := encodeSnapshot(ctx, snap)
+	if err != nil {
+		t.Fatalf("decoded snapshot does not re-encode: %v", err)
+	}
+	again, salvaged, err := decodeSnapshot(ctx, enc)
+	if err != nil {
+		t.Fatalf("re-encoded snapshot does not decode: %v\n%s", err, enc)
+	}
+	if salvaged != 0 {
+		t.Fatalf("re-encoded snapshot salvaged %d entries\n%s", salvaged, enc)
+	}
+	if again.Version != snap.Version || again.Project != snap.Project || again.ConfigDigest != snap.ConfigDigest {
+		t.Fatalf("header changed in the round trip: %+v -> %+v", snap, again)
+	}
+	if len(again.Tasks) != len(snap.Tasks) {
+		t.Fatalf("round trip has %d entries, want %d", len(again.Tasks), len(snap.Tasks))
+	}
+	// Entries compare in their encoded form: a decoded empty map or slice
+	// re-encodes as absent and decodes as nil, the same entry.
+	for fp, want := range snap.Tasks {
+		got, ok := again.Tasks[fp]
+		if !ok {
+			t.Fatalf("entry %q lost in the round trip", fp)
+		}
+		wb, _ := json.Marshal(want)
+		gb, _ := json.Marshal(got)
+		if !bytes.Equal(wb, gb) {
+			t.Fatalf("entry %q changed in the round trip:\n%s\n%s", fp, wb, gb)
+		}
+	}
 }

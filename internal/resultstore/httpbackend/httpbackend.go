@@ -294,14 +294,19 @@ func servePut(w http.ResponseWriter, r *http.Request, b resultstore.Backend, key
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// serveList lists the blobs a client can fetch. A disk tier also holds
+// each project's delta log, which is not a blob of the protocol.
 func serveList(w http.ResponseWriter, r *http.Request, b resultstore.Backend) {
-	blobs, err := b.List(r.Context())
+	all, err := b.List(r.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if blobs == nil {
-		blobs = []resultstore.BlobInfo{}
+	blobs := make([]resultstore.BlobInfo, 0, len(all))
+	for _, bi := range all {
+		if validKey(bi.Key) == nil {
+			blobs = append(blobs, bi)
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(blobs); err != nil {

@@ -60,6 +60,36 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestListServesOnlyBlobKeys pins the listing of a disk tier: a project's
+// delta log sits beside its base, but only keys a client can GET are listed.
+func TestListServesOnlyBlobKeys(t *testing.T) {
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := resultstore.NewSnapshot("app", "d")
+	first.Tasks["fp1"] = &resultstore.TaskEntry{File: "a.php", Class: "xss"}
+	next := resultstore.NewSnapshot("app", "d")
+	next.Tasks["fp1"] = first.Tasks["fp1"]
+	next.Tasks["fp2"] = &resultstore.TaskEntry{File: "b.php", Class: "xss"}
+	for _, s := range []*resultstore.Snapshot{first, next} { // the second save appends
+		if err := store.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(Handler(store.Backend()))
+	t.Cleanup(srv.Close)
+	c := New(srv.URL, nil)
+	ctx := context.Background()
+	blobs, err := c.List(ctx)
+	if err != nil || len(blobs) != 1 {
+		t.Fatalf("List = (%+v, %v), want the base alone", blobs, err)
+	}
+	if _, err := c.Get(ctx, blobs[0].Key); err != nil {
+		t.Errorf("Get of listed key %s: %v", blobs[0].Key, err)
+	}
+}
+
 func TestClientVerifiesGetPayload(t *testing.T) {
 	srv, mem := newTier(t)
 	if err := mem.Put(context.Background(), "ab.json", []byte(`{"version":1,"project":"app"}`)); err != nil {

@@ -7,10 +7,12 @@
 // content hash + reachable-closure hashes + config digest) and decides what
 // is safe to persist; the store only guarantees
 //
-//   - atomicity: snapshots are written via the backend's atomic Put (the
-//     disk backend uses temp-file-and-rename through the chaos.FS seam, so
-//     fault-injection tests cover every write path), so a crash mid-save can
-//     never leave a truncated store that a later scan would misread;
+//   - atomicity: whole snapshots are written via the backend's atomic Put
+//     (the disk backend uses temp-file-and-rename through the chaos.FS seam,
+//     so fault-injection tests cover every write path), and a disk store's
+//     delta-log lines are single appends, each read back only whole: a crash
+//     mid-save costs at most that save, never a truncated store that a later
+//     scan would misread;
 //   - self-healing, never silent loss: a snapshot that fails to parse, or
 //     whose format version does not match the reader's, is quarantined —
 //     moved aside under a ".quarantined" suffix for diagnosis — and the
@@ -34,11 +36,12 @@
 //     shared tier's cap is the serving replica's own disk cap.
 //
 // One snapshot blob per project lives under the backend, keyed by a hash of
-// the project name so arbitrary names stay filesystem- and URL-safe.
+// the project name so arbitrary names stay filesystem- and URL-safe. On a
+// disk store its delta log sits beside it, under the same hash with ".log"
+// for ".json".
 package resultstore
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -55,7 +58,9 @@ import (
 
 // FormatVersion is the on-disk schema version. Any change to the types below
 // that is not strictly additive must bump it; readers quarantine snapshots
-// written under a different version.
+// written under a different version. It covers the delta log too: a log
+// line carries no version of its own, holds TaskEntry values of the same
+// schema, and is replayed only over a base whose version matched.
 const FormatVersion = 1
 
 // quarantineSuffix is appended to a snapshot key when it is moved aside.
@@ -63,7 +68,7 @@ const FormatVersion = 1
 // replaces it, so diagnosis artifacts cannot accumulate without bound.
 const quarantineSuffix = ".quarantined"
 
-// ctxCheckStride is how many task entries an encode or decode loop processes
+// ctxCheckStride is how many task entries the decode loop processes
 // between context checks, so a cancelled or drained job stops store work
 // promptly without paying a branch per entry.
 const ctxCheckStride = 256
@@ -212,7 +217,8 @@ type Health struct {
 	Quarantined int64 `json:"quarantined,omitempty"`
 	// SalvagedEntries counts task entries dropped from readable snapshots.
 	SalvagedEntries int64 `json:"salvaged_entries,omitempty"`
-	// Evicted counts blobs removed by the size cap.
+	// Evicted counts snapshots (a base and its log together) and
+	// quarantined blobs removed by the size cap.
 	Evicted int64 `json:"evicted,omitempty"`
 }
 
@@ -272,30 +278,31 @@ func backendKind(b Backend) string {
 
 // Store is a directory of per-project snapshots over a pluggable blob tier.
 // A Store is safe for concurrent use; concurrent saves of the same project
-// serialize and the last writer wins (each save rewrites the whole
-// snapshot).
+// serialize and the last writer wins.
+//
+// On a disk store each project has a base snapshot, one JSON document, and
+// beside it an append-only delta log. A save appends one line holding what
+// changed since the state this store last read or wrote, and rewrites the
+// base (compacts) only when the log would outgrow it or when the files are
+// not the ones this store last saw. A remote tier always receives whole
+// documents.
 //
 // Snapshots handed to Save or returned by Load must be treated as immutable
 // afterwards: a disk store keeps the last snapshot it read or wrote per
-// project and hands it back from Load while the file's stat is unchanged,
-// so a long-lived process rescanning the same project skips the JSON
-// decode.
+// project (the memo) and hands it back from Load while the stats of the
+// base and the log are unchanged, so a long-lived process rescanning the
+// same project skips the JSON decode. Save works out its delta against the
+// memo by entry pointer.
 type Store struct {
 	backend Backend
 	// disk is the local tier when the store was opened over a directory,
-	// nil otherwise. The stat memo, LRU touch and size cap run only over it.
+	// nil otherwise. The stat memo, the delta log, LRU touch and size cap
+	// run only over it.
 	disk     *DiskBackend
 	maxBytes int64
 
 	mu    sync.Mutex
 	cache map[string]*cachedSnapshot
-	// encCache holds, per project, the serialized bytes of each task entry
-	// written by the last Save, keyed by entry pointer, and the document's
-	// length. Incremental saves re-persist most entries verbatim (the
-	// engine shares the pointers), so their bytes are spliced instead of
-	// re-marshaled. Replaced wholesale each Save, so dropped entries don't
-	// accumulate.
-	encCache map[string]*encoded
 
 	wb *writeBehind // nil for a disk store, whose saves are synchronous
 
@@ -308,21 +315,22 @@ type Store struct {
 	corrupt     atomic.Int64
 }
 
-// encoded is what the last Save of a project left for the next one: each
-// entry's serialized bytes and the document's length.
-type encoded struct {
-	raw  map[*TaskEntry]json.RawMessage
-	size int
+// cachedSnapshot pairs an in-memory snapshot with the stats of the base
+// and the log it matches. A stat change on either (an out-of-process write,
+// a log tail the load did not apply) drops it.
+type cachedSnapshot struct {
+	snap      *Snapshot
+	base, log blobStat
 }
 
-// cachedSnapshot pairs an in-memory snapshot with the blob stat observed
-// when it last matched the tier; a stat change (out-of-process write) drops
-// it.
-type cachedSnapshot struct {
-	snap  *Snapshot
+// blobStat is the part of a file's stat the memo compares. size is -1 for
+// an absent file.
+type blobStat struct {
 	size  int64
 	mtime time.Time
 }
+
+func (a blobStat) equal(b blobStat) bool { return a.size == b.size && a.mtime.Equal(b.mtime) }
 
 // Open returns an unbounded store rooted at dir over the real filesystem,
 // creating the directory if needed.
@@ -360,11 +368,7 @@ func OpenBackend(b Backend, writeBehindDepth int) *Store {
 }
 
 func newStore(b Backend) *Store {
-	return &Store{
-		backend:  b,
-		cache:    make(map[string]*cachedSnapshot),
-		encCache: make(map[string]*encoded),
-	}
+	return &Store{backend: b, cache: make(map[string]*cachedSnapshot)}
 }
 
 // Close flushes the write-behind queue (bounded wait) and stops its writer.
@@ -438,6 +442,11 @@ func (s *Store) Load(project, configDigest string) (*Snapshot, LoadStatus) {
 // to) under a context: backend operations and the entry-decode loop
 // observe ctx, so a cancelled or drained job stops store I/O promptly (the
 // load then reports a degraded miss).
+//
+// On a disk store the base is decoded and the delta log replayed over it,
+// line by line, up to the first line that does not decode; that line
+// counts as one salvaged entry, and the memo records only the log bytes
+// applied, so the next save compacts the torn tail away.
 func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest string) (*Snapshot, LoadInfo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -445,10 +454,10 @@ func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest s
 
 	// Stat-validated memo fast path, disk tier only: a remote stat would
 	// cost a round trip and trade verify-on-read for a race.
-	var stat BlobInfo
+	var base, log blobStat
 	if s.disk != nil {
 		var err error
-		stat, err = s.disk.Stat(ctx, key)
+		base, log, err = s.stat(ctx, key)
 		if err != nil {
 			delete(s.cache, project)
 			if errors.Is(err, ErrNotFound) {
@@ -458,7 +467,7 @@ func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest s
 			s.degraded.Add(1)
 			return nil, LoadInfo{Status: LoadDegraded}
 		}
-		if c := s.cache[project]; c != nil && c.size == stat.Size && c.mtime.Equal(stat.ModTime) {
+		if c := s.cache[project]; c != nil && c.base.equal(base) && c.log.equal(log) {
 			if c.snap.Version != FormatVersion {
 				delete(s.cache, project)
 				return nil, LoadInfo{Status: LoadVersionMismatch, Quarantined: s.quarantine(ctx, project, key, nil)}
@@ -467,7 +476,7 @@ func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest s
 				return nil, LoadInfo{Status: LoadDigestMismatch}
 			}
 			s.hits.Add(1)
-			s.touch(ctx, project, key, c.snap)
+			s.touch(ctx, project, key, c)
 			return c.snap, LoadInfo{Status: LoadHit}
 		}
 	}
@@ -501,21 +510,55 @@ func (s *Store) LoadWithInfoContext(ctx context.Context, project, configDigest s
 	if snap.Version != FormatVersion {
 		return nil, LoadInfo{Status: LoadVersionMismatch, Quarantined: s.quarantine(ctx, project, key, data)}
 	}
+	if s.disk != nil && log.size >= 0 {
+		ld, err := s.disk.Get(ctx, logKey(key))
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			s.degraded.Add(1)
+			return nil, LoadInfo{Status: LoadDegraded}
+		}
+		consumed, torn, err := replayLog(ctx, snap, ld)
+		if err != nil {
+			s.degraded.Add(1)
+			return nil, LoadInfo{Status: LoadDegraded}
+		}
+		if torn {
+			salvaged++
+		}
+		if consumed < len(ld) {
+			log.size = int64(consumed) // the next save must not append after it
+		}
+	}
 	if salvaged > 0 {
 		s.salvaged.Add(int64(salvaged))
 	}
-	// Memo on the stat taken before the read: if a concurrent writer
-	// replaced the blob in between, the recorded stat will not match the
-	// new blob and the next Load re-reads.
+	// Memo on the stats taken before the reads: if a concurrent writer
+	// changed either file in between, the recorded stats will not match
+	// and the next Load re-reads.
+	var c *cachedSnapshot
 	if s.disk != nil {
-		s.cache[project] = &cachedSnapshot{snap: snap, size: stat.Size, mtime: stat.ModTime}
+		c = &cachedSnapshot{snap: snap, base: base, log: log}
+		s.cache[project] = c
 	}
 	if snap.ConfigDigest != configDigest {
 		return nil, LoadInfo{Status: LoadDigestMismatch, Salvaged: salvaged}
 	}
 	s.hits.Add(1)
-	s.touch(ctx, project, key, snap)
+	s.touch(ctx, project, key, c)
 	return snap, LoadInfo{Status: LoadHit, Salvaged: salvaged}
+}
+
+// stat reads the stats of a project's base and log. A missing base is
+// ErrNotFound; a missing log is size -1.
+func (s *Store) stat(ctx context.Context, key string) (base, log blobStat, err error) {
+	bi, err := s.disk.Stat(ctx, key)
+	if err != nil {
+		return base, log, err
+	}
+	li, err := s.disk.Stat(ctx, logKey(key))
+	if errors.Is(err, ErrNotFound) {
+		li, err = BlobInfo{Size: -1}, nil
+	}
+	return blobStat{bi.Size, bi.ModTime}, blobStat{li.Size, li.ModTime}, err
 }
 
 // decodeSnapshot parses snapshot bytes with entry-level salvage: the header
@@ -560,14 +603,13 @@ func decodeSnapshot(ctx context.Context, data []byte) (*Snapshot, int, error) {
 
 // quarantine moves the project's snapshot aside for diagnosis by copying it
 // to the quarantine key and deleting the original, over the same
-// Get/Put/Delete every tier has. data is the blob when the caller already
-// holds it, nil otherwise. The delete happens whether or not the copy
-// landed: a poisoned blob must not keep serving. The quarantine path (disk)
-// or key is returned, and counted, only when the copy landed; "" otherwise.
-// Caller holds s.mu.
+// Get/Put/Delete every tier has, and deletes the disk tier's delta log with
+// it. data is the blob when the caller already holds it, nil otherwise. The
+// delete happens whether or not the copy landed: a poisoned blob must not
+// keep serving. The quarantine path (disk) or key is returned, and counted,
+// only when the copy landed; "" otherwise. Caller holds s.mu.
 func (s *Store) quarantine(ctx context.Context, project, key string, data []byte) string {
 	delete(s.cache, project)
-	delete(s.encCache, project)
 	qkey := key + quarantineSuffix
 	var err error
 	if data == nil {
@@ -577,6 +619,9 @@ func (s *Store) quarantine(ctx context.Context, project, key string, data []byte
 		err = s.backend.Put(ctx, qkey, data)
 	}
 	_ = s.backend.Delete(ctx, key)
+	if s.disk != nil {
+		_ = s.disk.Delete(ctx, logKey(key))
+	}
 	if err != nil {
 		return ""
 	}
@@ -587,73 +632,139 @@ func (s *Store) quarantine(ctx context.Context, project, key string, data []byte
 	return qkey
 }
 
-// memo records snap as the project's in-memory snapshot under the disk
-// file's current stat, so the next Load skips the decode while the file is
-// unchanged. A stat failure drops the memo instead. Disk stores only; caller
-// holds s.mu.
-func (s *Store) memo(ctx context.Context, project, key string, snap *Snapshot) {
+// touch bumps the base's last-use time so eviction order tracks use, then
+// re-records its stat so the memo still matches the file. Only a capped
+// disk store keeps LRU order. Best-effort; caller holds s.mu.
+func (s *Store) touch(ctx context.Context, project, key string, c *cachedSnapshot) {
+	if s.maxBytes <= 0 {
+		return // LRU order is only consulted by the size cap
+	}
+	if s.disk.Touch(ctx, key) != nil {
+		return
+	}
 	bi, err := s.disk.Stat(ctx, key)
 	if err != nil {
 		delete(s.cache, project)
 		return
 	}
-	s.cache[project] = &cachedSnapshot{snap: snap, size: bi.Size, mtime: bi.ModTime}
+	c.base = blobStat{bi.Size, bi.ModTime}
 }
 
-// touch bumps the snapshot's last-use time so eviction order tracks use,
-// then re-records the stat so the memo still matches the file. Only a
-// capped disk store keeps LRU order. Best-effort; caller holds s.mu.
-func (s *Store) touch(ctx context.Context, project, key string, snap *Snapshot) {
-	if s.maxBytes <= 0 {
-		return // LRU order is only consulted by the size cap
-	}
-	if err := s.disk.Touch(ctx, key); err != nil {
-		return
-	}
-	s.memo(ctx, project, key, snap)
-}
-
-// Save atomically replaces the project's snapshot. The write is whole-blob:
-// entries for fingerprints not in snap (stale file versions, removed files)
-// are dropped, so the store self-prunes as the project evolves. With a size
-// cap configured, least-recently-used snapshots are evicted afterwards until
-// the store fits. A store over a shared tier queues the blob behind and
-// returns nil immediately; a shed or failed remote write costs the fleet a
-// warm start, never the scan anything.
+// Save persists snap as the project's snapshot. Entries for fingerprints
+// not in snap (stale file versions, removed files) are dropped, so the
+// store self-prunes as the project evolves.
+//
+// On a disk store, Save appends snap's difference from the memo to the
+// delta log as one line: the entries whose pointer differs and the
+// fingerprints that are gone. An empty difference does no I/O. It appends
+// only when the base and the log still have the stats the memo recorded,
+// meaning this store wrote or read every byte of them, and when the log
+// plus the line stay no larger than the base. Otherwise it compacts: the
+// whole snapshot replaces the base atomically and the log is removed. A
+// failed append is cut back off the log, so a failed save leaves the
+// previous snapshot loadable. With a size cap configured,
+// least-recently-used snapshots are evicted afterwards until the store
+// fits.
+//
+// A store over a shared tier queues the whole snapshot behind and returns
+// nil immediately; a shed or failed remote write costs the fleet a warm
+// start, never the scan anything.
 func (s *Store) Save(snap *Snapshot) error {
 	return s.SaveContext(context.Background(), snap)
 }
 
-// SaveContext is Save under a context: the entry-encode loop and the
-// backend write observe ctx, so a cancelled or drained job stops store I/O
-// promptly.
+// SaveContext is Save under a context: encoding and the backend write
+// observe ctx, so a cancelled or drained job stops store I/O promptly.
 func (s *Store) SaveContext(ctx context.Context, snap *Snapshot) error {
 	if snap.Version == 0 {
 		snap.Version = FormatVersion
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, err := s.encode(ctx, snap)
-	if err != nil {
-		return fmt.Errorf("resultstore: encode %s: %w", snap.Project, err)
-	}
 	key := s.key(snap.Project)
 	if s.wb != nil {
+		data, err := encodeSnapshot(ctx, snap)
+		if err != nil {
+			return fmt.Errorf("resultstore: encode %s: %w", snap.Project, err)
+		}
 		s.wb.enqueue(snap.Project, key, data)
 		return nil
 	}
-	if err := s.disk.Put(ctx, key, data); err != nil {
+	if c := s.cache[snap.Project]; c != nil && c.snap.Version == snap.Version &&
+		c.snap.Project == snap.Project && c.snap.ConfigDigest == snap.ConfigDigest {
+		line, err := delta(c.snap, snap)
+		if err != nil {
+			return fmt.Errorf("resultstore: encode %s: %w", snap.Project, err)
+		}
+		if line == nil {
+			return nil
+		}
+		base, log, err := s.stat(ctx, key)
+		if err == nil && c.base.equal(base) && c.log.equal(log) && max(log.size, 0)+int64(len(line)) <= base.size {
+			return s.append(ctx, snap, key, base, log, line)
+		}
+	}
+	return s.compact(ctx, snap, key)
+}
+
+// append writes one delta line to the project's log and memoizes snap
+// under the log's new stat. Caller holds s.mu.
+func (s *Store) append(ctx context.Context, snap *Snapshot, key string, base, log blobStat, line []byte) error {
+	lkey := logKey(key)
+	if err := s.disk.Append(ctx, lkey, line); err != nil {
+		// Best-effort: a rollback that fails leaves a torn tail, which the
+		// next load salvages and the save after it compacts away.
+		_ = s.disk.truncate(lkey, log.size)
+		delete(s.cache, snap.Project)
 		return fmt.Errorf("resultstore: save %s: %w", snap.Project, err)
 	}
-	s.memo(ctx, snap.Project, key, snap)
+	li, err := s.disk.Stat(ctx, lkey)
+	if err != nil {
+		delete(s.cache, snap.Project)
+	} else {
+		s.cache[snap.Project] = &cachedSnapshot{snap: snap, base: base, log: blobStat{li.Size, li.ModTime}}
+	}
 	s.enforceCap(ctx, key)
 	return nil
 }
 
-// enforceCap evicts least-recently-used blobs until the total size fits
-// MaxBytes (disk stores only). keep is never evicted — it is the snapshot
-// that was just written. Caller holds s.mu. Best-effort: an eviction
-// failure leaves the store over cap until the next save retries.
+// compact replaces the project's base with the whole snapshot, then
+// removes its log. A crash between the two leaves the old log beside the
+// new base; replaying it costs warmth, never a wrong entry, because every
+// entry is keyed by its fingerprint. Caller holds s.mu.
+func (s *Store) compact(ctx context.Context, snap *Snapshot, key string) error {
+	data, err := encodeSnapshot(ctx, snap)
+	if err != nil {
+		return fmt.Errorf("resultstore: encode %s: %w", snap.Project, err)
+	}
+	if err := s.disk.Put(ctx, key, data); err != nil {
+		return fmt.Errorf("resultstore: save %s: %w", snap.Project, err)
+	}
+	delete(s.cache, snap.Project)
+	if s.disk.Delete(ctx, logKey(key)) == nil {
+		if bi, err := s.disk.Stat(ctx, key); err == nil {
+			s.cache[snap.Project] = &cachedSnapshot{snap: snap, base: blobStat{bi.Size, bi.ModTime}, log: blobStat{size: -1}}
+		}
+	}
+	s.enforceCap(ctx, key)
+	return nil
+}
+
+// encodeSnapshot is the whole-document encoding: json.Marshal of the
+// snapshot, after a context check.
+func encodeSnapshot(ctx context.Context, snap *Snapshot) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return json.Marshal(snap)
+}
+
+// enforceCap evicts least-recently-used snapshots until the total size fits
+// MaxBytes (disk stores only). A snapshot's base and log count and go
+// together, ordered by the base's last-use time; a quarantined blob counts
+// and goes on its own. keep is the key of the snapshot just written, never
+// evicted. Caller holds s.mu. Best-effort: an eviction failure leaves the
+// store over cap until the next save retries.
 func (s *Store) enforceCap(ctx context.Context, keep string) {
 	if s.maxBytes <= 0 {
 		return
@@ -662,21 +773,45 @@ func (s *Store) enforceCap(ctx context.Context, keep string) {
 	if err != nil {
 		return
 	}
-	var (
-		files []BlobInfo
-		total int64
-	)
+	type group struct {
+		blobs []BlobInfo
+		mtime time.Time
+	}
+	groups := make(map[string]*group)
+	var total int64
 	for _, b := range blobs {
-		if !strings.HasSuffix(b.Key, ".json") && !strings.HasSuffix(b.Key, quarantineSuffix) {
+		var stem string
+		isBase := strings.HasSuffix(b.Key, ".json")
+		switch {
+		case isBase:
+			stem = strings.TrimSuffix(b.Key, ".json")
+		case strings.HasSuffix(b.Key, logSuffix):
+			stem = strings.TrimSuffix(b.Key, logSuffix)
+		case strings.HasSuffix(b.Key, quarantineSuffix):
+			stem = b.Key
+		default:
 			continue
 		}
-		files = append(files, b)
+		g := groups[stem]
+		if g == nil {
+			g = &group{}
+			groups[stem] = g
+		}
+		g.blobs = append(g.blobs, b)
+		if isBase || g.mtime.IsZero() {
+			g.mtime = b.ModTime
+		}
 		total += b.Size
 	}
 	if total <= s.maxBytes {
 		return
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].ModTime.Before(files[j].ModTime) })
+	delete(groups, strings.TrimSuffix(keep, ".json"))
+	order := make([]*group, 0, len(groups))
+	for _, g := range groups {
+		order = append(order, g)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].mtime.Before(order[j].mtime) })
 	// Invalidate in-memory state for evicted snapshots by key, so a later
 	// Load of that project re-reads (and misses) instead of serving a
 	// cached snapshot for a blob the cap removed.
@@ -684,114 +819,23 @@ func (s *Store) enforceCap(ctx context.Context, keep string) {
 	for project := range s.cache {
 		keyProject[s.key(project)] = project
 	}
-	for _, f := range files {
+	for _, g := range order {
 		if total <= s.maxBytes {
 			return
 		}
-		if f.Key == keep {
-			continue
-		}
-		if err := s.disk.Delete(ctx, f.Key); err != nil {
-			continue
-		}
-		total -= f.Size
-		s.evicted.Add(1)
-		if project, ok := keyProject[f.Key]; ok {
-			delete(s.cache, project)
-			delete(s.encCache, project)
-		}
-	}
-}
-
-// encode serializes the snapshot, splicing the bytes of entries unchanged
-// since the last Save (pointer-identical) instead of re-marshaling them. The
-// assembled document is byte-identical to json.Marshal of Snapshot: keys are
-// emitted sorted, as encoding/json sorts map keys, and a lower-hex key — every
-// fingerprint — is written as it is, since it needs no escaping; any other
-// key goes through json.Marshal. The buffer starts at the project's last
-// encoded length. The loop observes ctx between entries. Caller holds s.mu.
-func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
-	last := s.encCache[snap.Project]
-	if last == nil {
-		last = &encoded{}
-	}
-	next := &encoded{raw: make(map[*TaskEntry]json.RawMessage, len(snap.Tasks))}
-	fps := make([]string, 0, len(snap.Tasks))
-	for fp := range snap.Tasks {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-
-	buf := bytes.NewBuffer(make([]byte, 0, last.size))
-	head, err := json.Marshal(struct {
-		Version      int    `json:"version"`
-		Project      string `json:"project"`
-		ConfigDigest string `json:"config_digest"`
-	}{snap.Version, snap.Project, snap.ConfigDigest})
-	if err != nil {
-		return nil, err
-	}
-	buf.Write(head[:len(head)-1]) // drop the closing brace; tasks follow
-	buf.WriteString(`,"tasks":`)
-	if snap.Tasks == nil {
-		buf.WriteString("null}")
-		s.encCache[snap.Project] = next
-		return buf.Bytes(), nil
-	}
-	buf.WriteByte('{')
-	for i, fp := range fps {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		evicted := false
+		for _, b := range g.blobs {
+			if s.disk.Delete(ctx, b.Key) != nil {
+				continue
+			}
+			evicted = true
+			total -= b.Size
+			if project, ok := keyProject[b.Key]; ok {
+				delete(s.cache, project)
 			}
 		}
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		if lowerHex(fp) {
-			buf.WriteByte('"')
-			buf.WriteString(fp)
-			buf.WriteByte('"')
-		} else {
-			key, err := json.Marshal(fp)
-			if err != nil {
-				return nil, err
-			}
-			buf.Write(key)
-		}
-		buf.WriteByte(':')
-		entry := snap.Tasks[fp]
-		raw, ok := last.raw[entry]
-		if !ok {
-			raw, err = json.Marshal(entry)
-			if err != nil {
-				return nil, err
-			}
-		}
-		buf.Write(raw)
-		next.raw[entry] = raw
-	}
-	buf.WriteString("}}")
-	next.size = buf.Len()
-	s.encCache[snap.Project] = next
-	return buf.Bytes(), nil
-}
-
-// lowerHexDigit marks the bytes a lower-hex key holds. A table lookup keeps
-// the per-byte branch predictable; range tests on random hex digits are not.
-var lowerHexDigit = func() (t [256]bool) {
-	for _, c := range "0123456789abcdef" {
-		t[c] = true
-	}
-	return t
-}()
-
-// lowerHex reports whether s consists of lower-case hex digits only.
-func lowerHex(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !lowerHexDigit[s[i]] {
-			return false
+		if evicted {
+			s.evicted.Add(1)
 		}
 	}
-	return true
 }

@@ -92,10 +92,12 @@ func TestLoadFailureModes(t *testing.T) {
 	}
 }
 
-// TestSavePrunes pins the whole-snapshot write: a save drops every
-// fingerprint not in the new snapshot, so stale entries cannot accumulate.
+// TestSavePrunes pins that a save drops every fingerprint not in the new
+// snapshot, so stale entries cannot accumulate, both in the saving store's
+// memo and on disk, where the second save is a delta-log append.
 func TestSavePrunes(t *testing.T) {
-	store, err := Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +109,18 @@ func TestSavePrunes(t *testing.T) {
 	if err := store.Save(next); err != nil {
 		t.Fatal(err)
 	}
-	got, status := store.Load("app", "d")
-	if status != LoadHit {
-		t.Fatal(status)
+	reader, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Tasks) != 1 || got.Tasks["fp2"] == nil {
-		t.Errorf("stale entries survived the save: %v", got.Tasks)
+	for name, s := range map[string]*Store{"saver": store, "reader": reader} {
+		got, status := s.Load("app", "d")
+		if status != LoadHit {
+			t.Fatalf("%s: %s", name, status)
+		}
+		if len(got.Tasks) != 1 || got.Tasks["fp2"] == nil {
+			t.Errorf("%s: stale entries survived the save: %v", name, got.Tasks)
+		}
 	}
 }
 
