@@ -117,14 +117,16 @@ bench-smoke:
 
 # The engine's output contract under the race detector: every corpus app's
 # report must match its golden file in internal/core/testdata/golden byte for
-# byte at parallelism 1 and 3 (TestGoldenReports), plus the taint-level
+# byte at parallelism 1 and 3 (TestGoldenReports), an engine of more than
+# 64 classes must run them in windows with each class's one-class findings
+# (TestFusedWindowsMatchOneClassEngines), plus the taint-level
 # golden listings, the budget-degrade oracle and the lane-independence
 # sweep, and the report layer's contract: text and HTML print the same scan
 # account, and warm rescans render byte-identical reports. Regenerate after
 # an intentional change with GOLDEN_UPDATE=1 go test ./internal/core
 # ./internal/taint and review the diff. Mirrors the CI golden job.
 golden:
-	$(GO) test -race -count=1 ./internal/core/ -run 'TestGolden|TestFinishedScan'
+	$(GO) test -race -count=1 ./internal/core/ -run 'TestGolden|TestFinishedScan|TestFusedWindows'
 	$(GO) test -race -count=1 ./internal/taint/ -run 'TestIR|TestBudgetOracle|TestFused|TestTableOracle'
 	$(GO) test -race -count=1 ./internal/report/ -run 'TestStatsRenderersAgree|TestStatsInRenderers|TestIncrementalByteIdentical'
 

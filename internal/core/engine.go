@@ -264,9 +264,12 @@ func (r *Report) VulnerableFiles() []string {
 type Engine struct {
 	opts    Options
 	classes []*vuln.Class
-	// table is the compiled vocabulary of classes: class i is lane i of
-	// every fused pass, and the sink pre-filter reads it too.
+	// tables is the compiled vocabulary of classes, one table per window of
+	// classes (compileWindows), read by every fused pass and the sink
+	// pre-filter. table is tables[0], the only one unless the engine has
+	// more than taint.MaxLanes classes.
 	table     *taint.Table
+	tables    []*taint.Table
 	weapons   map[vuln.ClassID]*weapon.Weapon
 	extractor *symptom.Extractor
 	ensemble  *ml.Ensemble
@@ -405,7 +408,8 @@ func New(opts Options) (*Engine, error) {
 	for i, c := range e.classes {
 		e.classes[i] = opts.Overlay.Fold(c, e.fixIDFor(c.ID))
 	}
-	e.table = compileTable(e.classes)
+	e.tables = compileWindows(e.classes)
+	e.table = e.tables[0]
 	e.extractor = symptom.NewExtractor(dynamics)
 
 	// Assemble the (untrained) ensemble.
@@ -486,6 +490,7 @@ func (e *Engine) Analyze(p *Project) (*Report, error) {
 type task struct {
 	file *SourceFile
 	cls  *vuln.Class
+	ci   int // cls's index in the engine's class set
 }
 
 // taskOutcome is what one task hands back to its worker.

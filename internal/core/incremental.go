@@ -84,7 +84,7 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 				skips[ci]++
 				continue
 			}
-			pt := plannedTask{task: task{file: file, cls: cls}}
+			pt := plannedTask{task: task{file: file, cls: cls, ci: ci}}
 			if store != nil {
 				if pt.fp = v.fps[k]; pt.fp == "" {
 					// Only the disabled pre-filter plans tasks it would drop.

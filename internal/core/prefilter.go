@@ -298,7 +298,8 @@ func (g *callGraph) planView(p *Project, e *Engine, withFPs bool) *planView {
 }
 
 // newPlanView computes the sink-reachability bits of every (file, class)
-// task of e's class set.
+// task of e's class set, reading class ci as lane ci%taint.MaxLanes of its
+// window's table.
 func newPlanView(p *Project, e *Engine, digest string) *planView {
 	nc := len(e.classes)
 	v := &planView{
@@ -309,9 +310,13 @@ func newPlanView(p *Project, e *Engine, digest string) *planView {
 	for ci, cls := range e.classes {
 		v.classes[ci] = cls.ID
 	}
-	for fi, in := range sinkReach(p, e.table) {
+	reach := make([][]taint.ClassSet, len(e.tables))
+	for w, tab := range e.tables {
+		reach[w] = sinkReach(p, tab)
+	}
+	for fi := range p.Files {
 		for ci := range nc {
-			if in.Has(ci) {
+			if reach[ci/taint.MaxLanes][fi].Has(ci % taint.MaxLanes) {
 				v.live[fi*nc+ci] = true
 				v.nLive++
 			}

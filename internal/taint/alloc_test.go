@@ -90,12 +90,17 @@ func TestFusedAllocBudget(t *testing.T) {
 	}
 }
 
-// The bounds sit between the representations: this pass takes about 323
-// allocations and 32 KB on the engine's compiled table. Filling six lazy
-// name-to-lane memos per pass took about 363 allocations and 40 KB, and a
-// value carrying its sources, sanitizers and trace as slices about 880
-// allocations and 82 KB. (The bounds were 500 and 56 KB before the table.)
+// The bounds sit between the representations: this pass takes about 287
+// allocations and 32.7 KB on the engine's compiled table. With a spill
+// slice in every lane mask it took about 323 allocations and 31.4 KB: the
+// 136-byte environment cell was past the 128 bytes a Go map stores inline,
+// so each entry was one more object, while the 64-byte cell is stored
+// inline, which costs fewer objects but more bytes in the many small
+// environments. Filling six lazy name-to-lane memos per pass took about 363
+// allocations and 40 KB, and a value carrying its sources, sanitizers and
+// trace as slices about 880 allocations and 82 KB. (The bounds were 500 and
+// 56 KB before the table, and 345 and 36 KB before one-word masks.)
 const (
-	allocBound = 345
+	allocBound = 305
 	bytesBound = 36 << 10
 )

@@ -84,8 +84,9 @@ type Fused struct {
 // table compiled for this call: lane i is cfgs[i].Class with its
 // ExtraSanitizers folded in. All configs must agree on Resolver,
 // DisableInlining, MaxSteps and Stop; per-class fields (Class,
-// ExtraSanitizers, Shared) vary freely. A caller running many passes over
-// one class set compiles it once and uses Table.NewFused.
+// ExtraSanitizers, Shared) vary freely. It panics on more than MaxLanes
+// configs, the lanes of one pass. A caller running many passes over one
+// class set compiles it once and uses Table.NewFused.
 func NewFused(cfgs []Config) *Fused {
 	lanes := make([]*Analyzer, len(cfgs))
 	order := make([]int, len(cfgs))
@@ -425,7 +426,7 @@ func copyFcells(m map[string]fcell) map[string]fcell {
 	return out
 }
 
-func oneLane(l int) laneMask { return laneMask{}.with(l) }
+func oneLane(l int) laneMask { return laneMask(0).with(l) }
 
 // restrictF clamps an fval's taint mask to m (the value payload is shared;
 // out-of-mask lanes simply never read it).
@@ -765,7 +766,7 @@ func (fz *Fused) withStep(v fval, act laneMask, fr *fframe, ins *ir.Instr, kind 
 		}
 		// The one group straddles the tainted mask: two groups.
 		st := v.uni.step(kind, desc, ins, fr.lines)
-		v.segs, v.part = []fvalSeg{{m: rest, v: v.uni}, {m: v.part.and(tm), v: st}}, laneMask{}
+		v.segs, v.part = []fvalSeg{{m: rest, v: v.uni}, {m: v.part.and(tm), v: st}}, 0
 		return v
 	}
 	segs := make([]fvalSeg, 0, len(v.segs)+1)

@@ -1,149 +1,48 @@
 // Dense bitset lattices for fused multi-class IR evaluation. A fused pass
 // runs every weapon-class lane over one file in a single traversal; the
-// types here carry "one fact per lane" compactly: laneMask is a dense bitset
-// over the active lanes (a single machine word for ≤64 classes — every
-// realistic configuration — spilling to extra words beyond that), and fval
-// is the fused taint cell, holding either one value shared by every lane or
-// a per-lane spill once lanes diverge.
+// types here carry "one fact per lane" compactly: laneMask is one machine
+// word with a bit per lane, so a pass holds at most MaxLanes lanes, and
+// fval is the fused taint cell, holding either one value shared by every
+// lane or a per-lane spill once lanes diverge.
 package taint
 
 import "math/bits"
 
-// laneMask is a bitset over the lanes of one fused evaluation. Lane i lives
-// in lo when i < 64 and in hi[i/64-1] otherwise; masks for ≤64 lanes never
-// allocate. The zero value is the empty mask. Masks are immutable values:
-// every operation returns a new mask and never writes through a shared hi
-// word slice.
-type laneMask struct {
-	lo uint64
-	hi []uint64
-}
+// MaxLanes is the most lanes one fused pass, and so one Table, can hold:
+// the bits of a laneMask.
+const MaxLanes = 64
+
+// laneMask is a bitset over the lanes of one fused evaluation: lane i is
+// bit i. The zero value is the empty mask.
+type laneMask uint64
 
 // with returns m with lane i added.
-func (m laneMask) with(i int) laneMask {
-	if i < 64 {
-		m.lo |= 1 << uint(i)
-		return m
-	}
-	w := i/64 - 1
-	hi := make([]uint64, max(len(m.hi), w+1))
-	copy(hi, m.hi)
-	hi[w] |= 1 << uint(i%64)
-	m.hi = hi
-	return m
-}
+func (m laneMask) with(i int) laneMask { return m | 1<<uint(i) }
 
-func (m laneMask) has(i int) bool {
-	if i < 64 {
-		return m.lo&(1<<uint(i)) != 0
-	}
-	w := i/64 - 1
-	return w < len(m.hi) && m.hi[w]&(1<<uint(i%64)) != 0
-}
+func (m laneMask) has(i int) bool { return m&(1<<uint(i)) != 0 }
 
-func (m laneMask) empty() bool {
-	if m.lo != 0 {
-		return false
-	}
-	for _, w := range m.hi {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (m laneMask) empty() bool { return m == 0 }
 
-// eq compares with zero extension, so masks that differ only in trailing
-// zero words are equal.
-func (m laneMask) eq(o laneMask) bool {
-	if m.lo != o.lo {
-		return false
-	}
-	a, b := m.hi, o.hi
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	for i, w := range a {
-		var ow uint64
-		if i < len(b) {
-			ow = b[i]
-		}
-		if w != ow {
-			return false
-		}
-	}
-	return true
-}
+func (m laneMask) eq(o laneMask) bool { return m == o }
 
-func (m laneMask) and(o laneMask) laneMask {
-	out := laneMask{lo: m.lo & o.lo}
-	if len(m.hi) > 0 && len(o.hi) > 0 {
-		n := min(len(m.hi), len(o.hi))
-		out.hi = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			out.hi[i] = m.hi[i] & o.hi[i]
-		}
-	}
-	return out
-}
+func (m laneMask) and(o laneMask) laneMask { return m & o }
 
-func (m laneMask) or(o laneMask) laneMask {
-	out := laneMask{lo: m.lo | o.lo}
-	if len(m.hi) > 0 || len(o.hi) > 0 {
-		out.hi = make([]uint64, max(len(m.hi), len(o.hi)))
-		copy(out.hi, m.hi)
-		for i, w := range o.hi {
-			out.hi[i] |= w
-		}
-	}
-	return out
-}
+func (m laneMask) or(o laneMask) laneMask { return m | o }
 
-func (m laneMask) andNot(o laneMask) laneMask {
-	out := laneMask{lo: m.lo &^ o.lo}
-	if len(m.hi) > 0 {
-		out.hi = make([]uint64, len(m.hi))
-		copy(out.hi, m.hi)
-		for i, w := range o.hi {
-			if i >= len(out.hi) {
-				break
-			}
-			out.hi[i] &^= w
-		}
-	}
-	return out
-}
-
-func (m laneMask) count() int {
-	n := bits.OnesCount64(m.lo)
-	for _, w := range m.hi {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (m laneMask) andNot(o laneMask) laneMask { return m &^ o }
 
 // first returns the lowest set lane, or -1 on the empty mask.
 func (m laneMask) first() int {
-	if m.lo != 0 {
-		return bits.TrailingZeros64(m.lo)
+	if m == 0 {
+		return -1
 	}
-	for i, w := range m.hi {
-		if w != 0 {
-			return 64*(i+1) + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
+	return bits.TrailingZeros64(uint64(m))
 }
 
 // forEach calls fn for every set lane in ascending order.
 func (m laneMask) forEach(fn func(lane int)) {
-	for w := m.lo; w != 0; w &= w - 1 {
+	for w := uint64(m); w != 0; w &= w - 1 {
 		fn(bits.TrailingZeros64(w))
-	}
-	for i, hw := range m.hi {
-		for w := hw; w != 0; w &= w - 1 {
-			fn(64*(i+1) + bits.TrailingZeros64(w))
-		}
 	}
 }
 

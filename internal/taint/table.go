@@ -24,11 +24,12 @@ const (
 	numRoles
 )
 
-// Table is the compiled, immutable vocabulary of a class set. Class i of
-// the table is lane i of every fused pass run on it; a pass runs a subset
-// of the lanes, so the lanes a name matters to in a frame are its role
-// mask ANDed with the frame's active mask. A table is safe for concurrent
-// use.
+// Table is the compiled, immutable vocabulary of at most MaxLanes classes.
+// Class i of the table is lane i of every fused pass run on it; a pass runs
+// a subset of the lanes, so the lanes a name matters to in a frame are its
+// role mask ANDed with the frame's active mask. A larger class set is
+// compiled as several tables, one pass each. A table is safe for
+// concurrent use.
 type Table struct {
 	classes []*vuln.Class
 	names   map[string]*entry
@@ -48,8 +49,11 @@ var noEntry = &entry{}
 
 // Compile builds the table of classes: class i is lane i. Entry points are
 // each class's effective set, and every class's sanitizers include the
-// universal ones.
+// universal ones. It panics on more than MaxLanes classes.
 func Compile(classes []*vuln.Class) *Table {
+	if len(classes) > MaxLanes {
+		panic(fmt.Sprintf("taint: %d classes exceed the limit of %d lanes per table", len(classes), MaxLanes))
+	}
 	t := &Table{classes: slices.Clone(classes), names: make(map[string]*entry)}
 	at := func(name string) *entry {
 		e := t.names[name]
@@ -88,7 +92,8 @@ func Compile(classes []*vuln.Class) *Table {
 }
 
 // compileConfigs builds the table of a standalone pass: lane i is
-// cfgs[i].Class with cfgs[i].ExtraSanitizers appended to its sanitizers.
+// cfgs[i].Class with cfgs[i].ExtraSanitizers appended to its sanitizers. It
+// panics on more than MaxLanes configs.
 func compileConfigs(cfgs []Config) *Table {
 	classes := make([]*vuln.Class, len(cfgs))
 	for i, c := range cfgs {
@@ -125,15 +130,15 @@ type ClassSet struct{ m laneMask }
 // Union returns the lanes in s or o.
 func (s ClassSet) Union(o ClassSet) ClassSet { return ClassSet{s.m.or(o.m)} }
 
-// Has reports whether lane l is in s.
+// Has reports whether lane l is in s; a lane of MaxLanes or more never is.
 func (s ClassSet) Has(l int) bool { return s.m.has(l) }
 
-// NewFused builds a pass over the table's lanes, one per config. Each
-// config's Class must be a class of the table (the same pointer), at most
-// once per pass, and carry no ExtraSanitizers: fold those into the class
-// before compiling, or run the configs through the package-level NewFused.
-// Per-lane accessors such as Candidates take a config's position, as with
-// NewFused.
+// NewFused builds a pass over the table's lanes, one per config, so a pass
+// holds at most MaxLanes lanes. Each config's Class must be a class of the
+// table (the same pointer), at most once per pass, and carry no
+// ExtraSanitizers: fold those into the class before compiling, or run the
+// configs through the package-level NewFused. Per-lane accessors such as
+// Candidates take a config's position, as with NewFused.
 func (t *Table) NewFused(cfgs []Config) *Fused {
 	lanes := make([]*Analyzer, len(t.classes))
 	order := make([]int, len(cfgs))

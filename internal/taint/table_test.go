@@ -1,8 +1,10 @@
 package taint_test
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -44,6 +46,62 @@ func TestTableOracle(t *testing.T) {
 		one[i], extra[i] = c.Class, c.ExtraSanitizers
 	}
 	checkTable(t, "configs", taint.CompileConfigs(cfgs), one, extra)
+}
+
+// TestFusedLaneCap pins the lane limit of one table and one pass: a
+// 64-class table sets lane 63 like any other lane and no lane past it, and
+// 65 classes or configs panic with the limit in the message, where a
+// silent shift past the mask's word would drop the 65th class's every role.
+func TestFusedLaneCap(t *testing.T) {
+	classes := make([]*vuln.Class, taint.MaxLanes+1)
+	for i := range classes {
+		classes[i] = &vuln.Class{
+			ID:              vuln.ClassID(fmt.Sprintf("cap%02d", i)),
+			EntryPoints:     []string{fmt.Sprintf("CAP_IN_%d", i)},
+			EntryPointFuncs: []string{fmt.Sprintf("cap_src_%d", i)},
+			Sinks:           []vuln.Sink{{Name: fmt.Sprintf("cap_sink_%d", i)}, {Name: "cap_query", Method: true}},
+			Sanitizers:      []string{fmt.Sprintf("cap_clean_%d", i)},
+		}
+	}
+	full := classes[:taint.MaxLanes]
+	tab := taint.Compile(full)
+	checkTable(t, "64 classes", tab, full, nil)
+	last := taint.MaxLanes - 1
+	for _, c := range []struct {
+		name string
+		role taint.Role
+	}{
+		{fmt.Sprintf("CAP_IN_%d", last), taint.EntryVar},
+		{fmt.Sprintf("cap_src_%d", last), taint.EntryFunc},
+		{fmt.Sprintf("cap_sink_%d", last), taint.FuncSink},
+		{fmt.Sprintf("cap_clean_%d", last), taint.Sanitizer},
+		{"cap_query", taint.MethodSink},
+	} {
+		if s := tab.Lanes(c.name, c.role); !s.Has(last) || s.Has(taint.MaxLanes) {
+			t.Errorf("%q role %d: lane %d = %v, lane %d = %v; want true, false",
+				c.name, c.role, last, s.Has(last), taint.MaxLanes, s.Has(taint.MaxLanes))
+		}
+	}
+
+	cfgs := make([]taint.Config, len(classes))
+	for i, c := range classes {
+		cfgs[i] = taint.Config{Class: c}
+	}
+	for name, build := range map[string]func(){
+		"Compile":  func() { taint.Compile(classes) },
+		"NewFused": func() { taint.NewFused(cfgs) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprint(taint.MaxLanes)) {
+					t.Errorf("%s of %d classes: recovered %q, want a panic naming the limit %d",
+						name, len(classes), msg, taint.MaxLanes)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 // checkTable compares tab with classes, where extra[i] are lane i's

@@ -6,15 +6,16 @@
 // One Analyzer instance is one configured detector — the paper's generic
 // "vulnerability detector" parameterized by an (ep, ss, san) triple. All
 // fifteen classes and every generated weapon run through one evaluator: the
-// fused IR interpreter in fused.go, which runs any number of detectors as
+// fused IR interpreter in fused.go, which runs up to MaxLanes detectors as
 // lanes of a single pass over a file's lowered form (one detector is a
 // one-lane pass).
 //
 // The evaluator reads the triples through one compiled Table (table.go):
 // each name maps to a lane mask per role, and lane i is the table's class
-// i. A scan engine compiles its class set once and runs every pass on that
-// table (Table.NewFused); New and NewFused compile a table of their own
-// configs for a standalone run.
+// i. A scan engine compiles its class set once, as one table per window of
+// MaxLanes classes, and runs every pass on one of those tables
+// (Table.NewFused); New and NewFused compile a table of their own configs
+// for a standalone run.
 package taint
 
 import (
